@@ -1,15 +1,21 @@
 """Time stepping for the interface evolution.
 
-A Dormand-Prince 5(4) pair drives both fixed-step and adaptive marching.
-The propagated state is the fourth-order member; the fifth-order companion
-only supplies the max-norm error estimate, so fixed-step convergence is
-globally O(dt^4). The backward solver follows the regularized recipe:
-march with -dt and re-threshold the spectra of p1 and z2 after every step.
+A Dormand-Prince 5(4) pair drives one march loop, fixed-step or adaptive,
+forward or backward. The propagated state is the fourth-order member; the
+fifth-order companion only supplies the max-norm error estimate, so
+fixed-step convergence is globally O(dt^4). The backward solver follows the
+regularized recipe: march with a negative step and re-threshold the spectra
+of p1 and z2 after every accepted step.
+
+After every accepted step the march takes the sign of min d_alpha z1 (one
+FFT). A step across which the sign changes is recorded as a bracket, and
+detect_event_times bisects each bracket, so every regime flip the march
+steps over is located, whatever the snapshot cadence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,10 +41,14 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 STATUS_OK = "OK"
 STATUS_ARC_CHORD = "ARC_CHORD_FAILURE"
 STATUS_NAN = "NAN_ABORT"
+STATUS_STEP_UNDERFLOW = "STEP_UNDERFLOW"
 
 EVENT_ENTER_STABLE = "ENTER_STABLE"
 EVENT_ENTER_UNSTABLE = "ENTER_UNSTABLE"
 EVENT_EARLY_STOP = "EARLY_STOP"
+
+# Adaptive mode: a trial step that raised is retried with h times this.
+_FAILED_STEP_SHRINK = 0.25
 
 
 class NanEncountered(RuntimeError):
@@ -70,7 +80,13 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Recorded states of one evolution run."""
+    """Recorded states of one evolution run.
+
+    brackets holds (t_before, state_before, h, kind) for every accepted step
+    across which the sign of min d_alpha z1 changed; kind is the
+    ENTER_STABLE or ENTER_UNSTABLE flip the step contains. steps and
+    rejected_steps count accepted and rejected trial steps.
+    """
     times: list[float]
     snapshots: list[SampledCurve]
     events: list[tuple[float, str]]
@@ -78,6 +94,10 @@ class Trajectory:
     control: StepControl
     smoothing_eps: float | None = None
     status: str = STATUS_OK
+    brackets: list[tuple[float, SampledCurve, float, str]] = field(
+        default_factory=list)
+    steps: int = 0
+    rejected_steps: int = 0
 
     @property
     def final(self) -> SampledCurve:
@@ -128,32 +148,67 @@ def _min_slope(curve: SampledCurve, filt: FilterSpec) -> float:
     return float(np.min(1.0 + filtered_derivative(curve.p1, 1, filt)))
 
 
-def _march_fixed(traj: Trajectory, t_goal: float, dt_signed: float,
-                 filt: FilterSpec, floor: float,
-                 snapshot_every: float | None,
-                 stop_when: Callable[[float, SampledCurve], bool] | None):
-    """Advance traj in place with fixed steps until t_goal (plus remainder)."""
-    sgn = 1.0 if dt_signed > 0 else -1.0
+def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
+           snapshot_every: float | None,
+           stop_when: Callable[[float, SampledCurve], bool] | None):
+    """Advance traj in place to t_goal, in either direction.
+
+    Fixed mode takes steps of traj.control.dt, the last one shortened to
+    land on t_goal, and ends the run at the first failed step. Adaptive mode
+    rejects a trial step whose error estimate exceeds the tolerance, or that
+    failed, and retries with a smaller h; the run ends only when a rejected
+    step was already at min_dt.
+    """
+    ctl = traj.control
     t = traj.times[-1]
     cur = traj.snapshots[-1]
+    sgn = 1.0 if t_goal > t else -1.0
+    stable = _min_slope(cur, filt) > 0.0
     last_rec = t
+    dt = ctl.dt
     tiny = 1e-12 * max(1.0, abs(t_goal), abs(t))
     while (t_goal - t) * sgn > tiny:
-        h = dt_signed
+        h = sgn * dt
         if (t_goal - (t + h)) * sgn < 0.0:
             h = t_goal - t
+        failure = None
         try:
-            cur, _ = rk45_step(cur, traj.params, h, filt, floor)
+            nxt, err = rk45_step(cur, traj.params, h, filt, floor)
         except ArcChordError:
-            traj.status = STATUS_ARC_CHORD
-            traj.events.append((t, STATUS_ARC_CHORD))
-            break
+            failure = STATUS_ARC_CHORD
         except NanEncountered:
-            traj.status = STATUS_NAN
-            traj.events.append((t, STATUS_NAN))
+            failure = STATUS_NAN
+        if ctl.mode == "adaptive":
+            if failure is None:
+                scale = ctl.abs_tol + ctl.rel_tol * max(
+                    float(np.max(np.abs(cur.p1))),
+                    float(np.max(np.abs(cur.z2))), 1.0)
+                # local error of the propagated member is O(h^5)
+                grow = ctl.safety * (scale / err) ** 0.2 if err > 0 else 5.0
+                dt = float(np.clip(abs(h) * min(grow, 5.0), ctl.min_dt,
+                                   ctl.max_dt))
+                if err > scale:
+                    # a rejection that can only end the run at min_dt
+                    failure = STATUS_STEP_UNDERFLOW
+            else:
+                dt = max(abs(h) * _FAILED_STEP_SHRINK, ctl.min_dt)
+            if failure is not None:
+                traj.rejected_steps += 1
+                if abs(h) > ctl.min_dt * (1.0 + 1e-9):
+                    continue
+        if failure is not None:
+            traj.status = failure
+            traj.events.append((t, failure))
             break
         if traj.smoothing_eps is not None:
-            cur = _smoothed(cur, traj.smoothing_eps)
+            nxt = _smoothed(nxt, traj.smoothing_eps)
+        traj.steps += 1
+        now_stable = _min_slope(nxt, filt) > 0.0
+        if now_stable != stable:
+            kind = EVENT_ENTER_STABLE if now_stable else EVENT_ENTER_UNSTABLE
+            traj.brackets.append((t, cur, h, kind))
+            stable = now_stable
+        cur = nxt
         t += h
         done = (t_goal - t) * sgn <= tiny
         due = snapshot_every is not None and (
@@ -173,83 +228,25 @@ def _march_fixed(traj: Trajectory, t_goal: float, dt_signed: float,
         traj.snapshots.append(cur)
 
 
-def _march_adaptive(traj: Trajectory, t_goal: float, filt: FilterSpec,
-                    floor: float, snapshot_every: float | None,
-                    stop_when: Callable[[float, SampledCurve], bool] | None):
-    ctl = traj.control
-    t = traj.times[-1]
-    cur = traj.snapshots[-1]
-    last_rec = t
-    dt = ctl.dt
-    tiny = 1e-12 * max(1.0, abs(t_goal))
-    while t_goal - t > tiny:
-        h = min(dt, t_goal - t)
-        try:
-            cand, err = rk45_step(cur, traj.params, h, filt, floor)
-        except ArcChordError:
-            traj.status = STATUS_ARC_CHORD
-            traj.events.append((t, STATUS_ARC_CHORD))
-            break
-        except NanEncountered:
-            traj.status = STATUS_NAN
-            traj.events.append((t, STATUS_NAN))
-            break
-        scale = ctl.abs_tol + ctl.rel_tol * max(
-            float(np.max(np.abs(cur.p1))), float(np.max(np.abs(cur.z2))), 1.0)
-        if err <= scale:
-            cur = cand
-            if traj.smoothing_eps is not None:
-                cur = _smoothed(cur, traj.smoothing_eps)
-            t += h
-            done = t_goal - t <= tiny
-            due = snapshot_every is not None and (
-                t - last_rec >= snapshot_every * (1.0 - 1e-9))
-            if due or done:
-                traj.times.append(t)
-                traj.snapshots.append(cur)
-                last_rec = t
-            if stop_when is not None and stop_when(t, cur):
-                if traj.times[-1] != t:
-                    traj.times.append(t)
-                    traj.snapshots.append(cur)
-                traj.events.append((t, EVENT_EARLY_STOP))
-                break
-        # local error of the propagated member is O(h^5)
-        grow = ctl.safety * (scale / err) ** 0.2 if err > 0 else 5.0
-        dt = float(np.clip(h * min(grow, 5.0), ctl.min_dt, ctl.max_dt))
-        if err > scale and h <= ctl.min_dt * (1.0 + 1e-9):
-            traj.status = STATUS_NAN
-            traj.events.append((t, "STEP_UNDERFLOW"))
-            break
-    if traj.times[-1] != t and traj.status == STATUS_OK:
-        traj.times.append(t)
-        traj.snapshots.append(cur)
-
-
 def evolve_forward(curve: SampledCurve, params: PhysicalParams, t_end: float,
                    control: StepControl | None = None, *, t0: float = 0.0,
                    snapshot_every: float | None = None,
                    stop_when: Callable[[float, SampledCurve], bool] | None = None,
                    filt: FilterSpec = DEFAULT_FILTER,
                    floor: float = ARC_CHORD_FLOOR) -> Trajectory:
-    """March from t0 to t_end; arc-chord or NaN failures end the run early
-    with the last valid state retained and the status field set."""
-    control = control or StepControl()
+    """March from t0 to t_end; arc-chord, NaN or step-underflow failures end
+    the run early with the last valid state retained and the status set."""
     if not t_end > t0:
         raise ValueError(f"need t_end > t0, got {t_end} <= {t0}")
     traj = Trajectory(times=[float(t0)], snapshots=[curve], events=[],
-                      params=params, control=control)
-    if control.mode == "fixed":
-        _march_fixed(traj, float(t_end), control.dt, filt, floor,
-                     snapshot_every, stop_when)
-    else:
-        _march_adaptive(traj, float(t_end), filt, floor, snapshot_every,
-                        stop_when)
+                      params=params, control=control or StepControl())
+    _march(traj, float(t_end), filt, floor, snapshot_every, stop_when)
     return traj
 
 
 def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
-                                t_final: float, *, dt: float = 4e-5,
+                                t_final: float,
+                                control: StepControl | None = None, *,
                                 eps: float = 1e-6,
                                 snapshot_every: float | None = None,
                                 filt: FilterSpec = DEFAULT_FILTER,
@@ -258,16 +255,17 @@ def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
 
     The backward problem is ill posed; the spectral threshold eps is the
     regularization and the run is only meaningful while it stays stable.
-    NaN or arc-chord failures stop the run with the last valid state kept.
+    Smoothing follows every accepted step, so an adaptive run, which takes
+    fewer and longer steps, is a different regularization from a fixed one.
+    Failures stop the run with the last valid state kept.
     """
     if not t_final < 0.0:
         raise ValueError(f"need t_final < 0, got {t_final}")
-    control = StepControl(mode="fixed", dt=float(dt))
     traj = Trajectory(times=[0.0], snapshots=[_smoothed(curve, eps)],
-                      events=[], params=params, control=control,
+                      events=[], params=params,
+                      control=control or StepControl(),
                       smoothing_eps=float(eps))
-    _march_fixed(traj, float(t_final), -control.dt, filt, floor,
-                 snapshot_every, None)
+    _march(traj, float(t_final), filt, floor, snapshot_every, None)
     return traj
 
 
@@ -275,55 +273,34 @@ def detect_event_times(traj: Trajectory, tol: float = 1e-8,
                        filt: FilterSpec = DEFAULT_FILTER,
                        floor: float = ARC_CHORD_FLOOR
                        ) -> list[tuple[float, str]]:
-    """Locate sign changes of min d_alpha z1 between stored snapshots.
+    """Locate the sign changes of min d_alpha z1 the march stepped over.
 
-    Each bracketing snapshot gap is re-integrated with the trajectory's own
-    step (and smoothing, if any) until one step straddles the flip, then the
-    crossing is bisected with partial steps from the pre-crossing state down
-    to width tol. Gaps whose endpoints agree in sign are not searched, so a
-    double flip between consecutive snapshots goes unreported.
+    Each bracket in traj.brackets is bisected to width tol with partial
+    steps from its pre-crossing state, smoothed as the run was. Every flip
+    is found whatever the snapshot cadence; a Trajectory built by hand has
+    no brackets and so no events.
     """
-    if len(traj.snapshots) < 2:
-        return []
-    sgn = float(traj.direction)
-    step = sgn * traj.control.dt
     eps = traj.smoothing_eps
 
     def advance(state: SampledCurve, h: float) -> SampledCurve:
         nxt, _ = rk45_step(state, traj.params, h, filt, floor)
         return _smoothed(nxt, eps) if eps is not None else nxt
 
-    stable = [_min_slope(c, filt) > 0.0 for c in traj.snapshots]
     events: list[tuple[float, str]] = []
-    for i in range(len(stable) - 1):
-        if stable[i] == stable[i + 1]:
-            continue
-        kind = EVENT_ENTER_STABLE if stable[i + 1] else EVENT_ENTER_UNSTABLE
-        t_a = traj.times[i]
-        cur = traj.snapshots[i]
-        s_a = stable[i]
-        gap_end = traj.times[i + 1]
+    for t_a, cur, h, kind in traj.brackets:
+        was_stable = kind == EVENT_ENTER_UNSTABLE
+        lo, hi = t_a, t_a + h
         try:
-            while (gap_end - t_a) * sgn > 1e-15:
-                h = step
-                if (gap_end - (t_a + h)) * sgn < 0.0:
-                    h = gap_end - t_a
-                nxt = advance(cur, h)
-                if (_min_slope(nxt, filt) > 0.0) != s_a:
-                    lo, hi = t_a, t_a + h
-                    while abs(hi - lo) > tol:
-                        mid = 0.5 * (lo + hi)
-                        probe = advance(cur, mid - t_a)
-                        if (_min_slope(probe, filt) > 0.0) == s_a:
-                            lo = mid
-                        else:
-                            hi = mid
-                    events.append((0.5 * (lo + hi), kind))
-                    break
-                t_a += h
-                cur = nxt
+            while abs(hi - lo) > tol:
+                mid = 0.5 * (lo + hi)
+                probe = advance(cur, mid - t_a)
+                if (_min_slope(probe, filt) > 0.0) == was_stable:
+                    lo = mid
+                else:
+                    hi = mid
         except (ArcChordError, NanEncountered):
-            # the gap cannot be re-integrated (run died nearby); leave the
-            # crossing unrefined rather than fail the whole scan
+            # a partial step failed (the run died nearby); leave the
+            # crossing out rather than fail the whole scan
             continue
+        events.append((0.5 * (lo + hi), kind))
     return events

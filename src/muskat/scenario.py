@@ -117,6 +117,9 @@ class RunManifest:
     outputs: dict[str, str]
     wall_time: float
     error: str | None = None
+    grid_n: int | None = None  # size of the grid run; None when nothing ran
+    steps: int = 0  # accepted steps, summed over all legs
+    rejected_steps: int = 0
     trajectory: Trajectory | None = None  # in-memory only, not serialized
 
     def to_text(self) -> str:
@@ -124,10 +127,14 @@ class RunManifest:
             "[manifest]",
             f"scenario = {self.scenario}",
             f"status = {self.status}",
+            f"steps = {self.steps}",
+            f"rejected_steps = {self.rejected_steps}",
             f"wall_time_s = {self.wall_time:.3f}",
             f"package_version = {__version__}",
             f"numpy_version = {np.__version__}",
         ]
+        if self.grid_n is not None:
+            lines.append(f"grid_n = {self.grid_n}")
         if self.error is not None:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]
@@ -279,10 +286,10 @@ def _analyze(traj: Trajectory, outdir: Path, outputs: dict[str, str],
 def run_scenario(config: RunConfig) -> RunManifest:
     """Execute one scenario and write its artifacts under config.out_dir.
 
-    Numerical failures (arc-chord collapse, NaN) are recorded in the
-    manifest status rather than raised; unexpected exceptions produce
-    status ERROR with the message preserved. The manifest file is always
-    written.
+    Numerical failures (arc-chord collapse, NaN, step underflow) are
+    recorded in the manifest status rather than raised; unexpected
+    exceptions produce status ERROR with the message preserved. The
+    manifest file is always written.
     """
     started = _time.perf_counter()
     outdir = Path(config.out_dir)
@@ -291,7 +298,7 @@ def run_scenario(config: RunConfig) -> RunManifest:
     events: tuple[tuple[float, str], ...] = ()
     status = STATUS_OK
     error = None
-    traj = None
+    legs: tuple[Trajectory, ...] = ()
     try:
         if config.scenario == "LEMMA_VERIFY":
             from .lemma import verification_report
@@ -299,9 +306,10 @@ def run_scenario(config: RunConfig) -> RunManifest:
             (outdir / "lemma_report.txt").write_text(report)
             outputs["report"] = "lemma_report.txt"
         else:
-            traj, events = _run_evolution(config, outdir, outputs)
-            status = traj.status
-            events = tuple(events) + tuple(traj.events)
+            legs, events = _run_evolution(config, outdir, outputs)
+            status = next((leg.status for leg in legs
+                           if leg.status != STATUS_OK), STATUS_OK)
+            events = events + tuple(ev for leg in legs for ev in leg.events)
     except Exception as exc:
         status = STATUS_ERROR
         error = f"{type(exc).__name__}: {exc}"
@@ -309,13 +317,18 @@ def run_scenario(config: RunConfig) -> RunManifest:
         scenario=config.scenario, status=status, config=config,
         events=events, outputs=outputs,
         wall_time=_time.perf_counter() - started, error=error,
-        trajectory=traj)
+        grid_n=legs[0].final.grid.n if legs else None,
+        steps=sum(leg.steps for leg in legs),
+        rejected_steps=sum(leg.rejected_steps for leg in legs),
+        trajectory=legs[0] if legs else None)
     (outdir / "manifest.txt").write_text(manifest.to_text())
     return manifest
 
 
 def _run_evolution(config: RunConfig, outdir: Path,
                    outputs: dict[str, str]):
+    """Run the scenario's legs; returns the tuple of leg trajectories and
+    the refined flip events of all legs."""
     params = config.physical_params()
     t_final = config.resolved_t_final
 
@@ -331,7 +344,7 @@ def _run_evolution(config: RunConfig, outdir: Path,
             raise ValueError(f"t_final: need a value past {t0}, got {t_final}")
         traj = evolve_forward(curve, params, t_final, config.step_control(),
                               t0=t0, snapshot_every=config.snapshot_every)
-        return traj, _analyze(traj, outdir, outputs)
+        return (traj,), _analyze(traj, outdir, outputs)
 
     grid = make_grid(config.n)
     if config.scenario == "BACKWARD_SEED":
@@ -342,9 +355,9 @@ def _run_evolution(config: RunConfig, outdir: Path,
         export_snapshot(curve, outdir / "initial.dat", time=0.0)
         outputs["initial"] = "initial.dat"
         traj = evolve_backward_regularized(
-            curve, params, t_final, dt=config.dt, eps=config.eps,
+            curve, params, t_final, config.step_control(), eps=config.eps,
             snapshot_every=config.snapshot_every)
-        return traj, _analyze(traj, outdir, outputs)
+        return (traj,), _analyze(traj, outdir, outputs)
 
     if config.scenario == "CONJ_TURNOVER":
         if not t_final > 0:
@@ -357,7 +370,7 @@ def _run_evolution(config: RunConfig, outdir: Path,
         traj = evolve_forward(curve, params, t_final, config.step_control(),
                               snapshot_every=config.snapshot_every,
                               stop_when=stop)
-        return traj, _analyze(traj, outdir, outputs)
+        return (traj,), _analyze(traj, outdir, outputs)
 
     if config.scenario == "DELTA_TILT":
         if not t_final > 0:
@@ -370,11 +383,9 @@ def _run_evolution(config: RunConfig, outdir: Path,
                              snapshot_every=config.snapshot_every)
         ev_f = _analyze(fwd, outdir, outputs, tag="forward")
         bwd = evolve_backward_regularized(
-            curve, params, -t_final, dt=config.dt, eps=config.eps,
+            curve, params, -t_final, config.step_control(), eps=config.eps,
             snapshot_every=config.snapshot_every)
         ev_b = _analyze(bwd, outdir, outputs, tag="backward")
-        if bwd.status != STATUS_OK and fwd.status == STATUS_OK:
-            fwd.status = bwd.status
-        return fwd, ev_f + ev_b
+        return (fwd, bwd), ev_f + ev_b
 
     raise ValueError(f"scenario: no handler for {config.scenario!r}")

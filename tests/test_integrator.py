@@ -8,16 +8,18 @@ from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
 from muskat.integrator import (
     EVENT_EARLY_STOP,
     EVENT_ENTER_STABLE,
+    EVENT_ENTER_UNSTABLE,
     STATUS_ARC_CHORD,
     STATUS_NAN,
     STATUS_OK,
+    STATUS_STEP_UNDERFLOW,
     StepControl,
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
     rk45_step,
 )
-from muskat.velocity import VelocityField
+from muskat.velocity import VelocityField, periodic_rhs
 
 
 def test_step_control_validation():
@@ -150,7 +152,8 @@ def test_backward_smooths_the_initial_state(grid64, params):
     # before the first step is taken
     curve = make_curve(grid64, np.zeros(grid64.n),
                        1e-9 * np.sin(grid64.nodes))
-    traj = evolve_backward_regularized(curve, params, -1e-4, dt=1e-4)
+    traj = evolve_backward_regularized(curve, params, -1e-4,
+                                       StepControl(dt=1e-4))
     assert traj.smoothing_eps == 1e-6
     assert np.max(np.abs(traj.snapshots[0].z2)) < 1e-20
     assert traj.status == STATUS_OK
@@ -182,3 +185,46 @@ def test_event_refinement_is_bracketed_by_tol(grid64, params):
     fine = detect_event_times(traj, tol=1e-9)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0][0] - fine[0][0]) < 1e-5
+
+
+def test_event_detection_is_independent_of_snapshot_cadence(grid64, params):
+    # both flips of the seed run fall inside one 1e-2 snapshot gap
+    curve = sample_preset("SEED_T0", grid64)
+    found = []
+    for every in (1e-3, 1e-2):
+        traj = evolve_backward_regularized(curve, params, -1e-2,
+                                           snapshot_every=every)
+        assert traj.status == STATUS_OK
+        found.append(detect_event_times(traj))
+    assert found[0] == found[1]
+    assert [kind for _, kind in found[0]] == [EVENT_ENTER_STABLE,
+                                             EVENT_ENTER_UNSTABLE]
+
+
+def test_adaptive_step_underflow_has_its_own_status(grid64, params):
+    curve = sample_preset("CONJ_T0", grid64)
+    ctl = StepControl(mode="adaptive", dt=1e-4, min_dt=1e-4, max_dt=1e-4,
+                      rel_tol=1e-30, abs_tol=1e-30)
+    traj = evolve_forward(curve, params, 1e-3, ctl)
+    assert traj.status == STATUS_STEP_UNDERFLOW
+    assert traj.events == [(0.0, STATUS_STEP_UNDERFLOW)]
+    assert (traj.steps, traj.rejected_steps) == (0, 1)
+
+
+def test_adaptive_retries_a_failed_trial_step(flat64, params, monkeypatch):
+    calls = []
+
+    def nan_once(curve, prm, filt, floor):
+        calls.append(1)
+        if len(calls) == 1:
+            n = curve.grid.n
+            return VelocityField(v1=np.full(n, np.nan), v2=np.zeros(n))
+        return periodic_rhs(curve, prm, filt, floor)
+
+    monkeypatch.setattr(integrator, "periodic_rhs", nan_once)
+    traj = evolve_forward(flat64, params, 1e-3,
+                          StepControl(mode="adaptive", dt=1e-4))
+    assert traj.status == STATUS_OK
+    assert traj.events == []
+    assert traj.rejected_steps == 1
+    assert abs(traj.final_time - 1e-3) < 1e-12

@@ -5,6 +5,7 @@ import configparser
 import numpy as np
 import pytest
 
+import muskat.integrator as integrator
 from muskat.cli import main
 from muskat.core import UNIT_PREFACTOR_DENSITY_JUMP, make_curve, make_grid, sample_preset
 from muskat.scenario import (
@@ -147,6 +148,12 @@ def test_import_rejects_malformed_files(tmp_path):
         import_snapshot(skewed)
 
 
+def _manifest_section(out):
+    parsed = configparser.ConfigParser()
+    parsed.read_string((out / "manifest.txt").read_text())
+    return parsed["manifest"]
+
+
 def test_lemma_verify_scenario(tmp_path):
     cfg = RunConfig(scenario="LEMMA_VERIFY", out_dir=str(tmp_path / "lem"))
     manifest = run_scenario(cfg)
@@ -176,6 +183,47 @@ def test_delta_tilt_scenario_writes_both_legs(tmp_path):
         assert (out / manifest.outputs[name]).exists()
     assert manifest.trajectory is not None
     assert manifest.trajectory.final_time == pytest.approx(2e-4)
+    # two steps per leg, both legs counted
+    head = _manifest_section(out)
+    assert (head["grid_n"], head["steps"], head["rejected_steps"]) == \
+        ("32", "4", "0")
+
+
+def test_delta_tilt_keeps_backward_leg_failure(tmp_path, monkeypatch):
+    real_step = integrator.rk45_step
+    backward_steps = []
+
+    def second_backward_step_fails(curve, prm, dt, *args):
+        if dt < 0.0:
+            backward_steps.append(dt)
+            if len(backward_steps) == 2:
+                raise integrator.NanEncountered("injected")
+        return real_step(curve, prm, dt, *args)
+
+    monkeypatch.setattr(integrator, "rk45_step", second_backward_step_fails)
+    out = tmp_path / "tilt"
+    cfg = RunConfig(scenario="DELTA_TILT", n=32, t_final=2e-4, dt=1e-4,
+                    snapshot_every=1e-4, out_dir=str(out))
+    manifest = run_scenario(cfg)
+    assert manifest.status == integrator.STATUS_NAN
+    assert manifest.events[-1] == (pytest.approx(-1e-4),
+                                   integrator.STATUS_NAN)
+    assert manifest.steps == 3
+
+
+def test_backward_seed_honours_adaptive_mode(tmp_path):
+    runs = {}
+    for mode in ("fixed", "adaptive"):
+        cfg = RunConfig(scenario="BACKWARD_SEED", n=64, t_final=-1e-2,
+                        mode=mode, out_dir=str(tmp_path / mode))
+        runs[mode] = run_scenario(cfg)
+        assert runs[mode].status == "OK"
+    assert runs["fixed"].steps == 250
+    assert runs["adaptive"].steps < 25
+    kinds = {mode: [k for _, k in m.events if k.startswith("ENTER_")]
+             for mode, m in runs.items()}
+    assert kinds["adaptive"] == kinds["fixed"] == ["ENTER_STABLE",
+                                                   "ENTER_UNSTABLE"]
 
 
 def test_backward_seed_scenario_small(tmp_path):
@@ -217,6 +265,9 @@ def test_forward_rerun_consumes_a_snapshot(tmp_path):
     assert manifest.trajectory.times[0] == -1e-3
     assert manifest.trajectory.final_time == pytest.approx(1e-3)
     assert (out / manifest.outputs["final"]).exists()
+    # the grid is the snapshot's, not the config default
+    head = _manifest_section(out)
+    assert (head["grid_n"], head["steps"]) == ("64", "8")
 
 
 def test_scenario_outputs_are_deterministic(tmp_path):
