@@ -1,141 +1,12 @@
 """Contour-dynamics simulator and verification toolkit for the two-phase
-Muskat interface problem."""
+Muskat interface problem.
+
+The top level exports the scenario entry points; everything else is
+imported from its submodule (muskat.core, muskat.diagnostics, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .core import (
-    GRAPH_SLOPE_TOL,
-    UNIT_PREFACTOR_DENSITY_JUMP,
-    GraphView,
-    Grid,
-    NotAGraphError,
-    PhysicalParams,
-    SampledCurve,
-    make_curve,
-    make_grid,
-    sample_preset,
-    to_graph,
-)
-from .diagnostics import (
-    NormSeries,
-    TurningReport,
-    classify_slope,
-    near_critical_minima,
-    norm_series,
-    regime_timeline,
-    turning_report,
-)
-from .integrator import (
-    NanEncountered,
-    StepControl,
-    Trajectory,
-    detect_event_times,
-    evolve_backward_regularized,
-    evolve_forward,
-    rk45_step,
-)
-from .lemma import (
-    Blocks,
-    ConditionReport,
-    build_blocks,
-    cc_integrals,
-    min_admissible_R,
-    predictor_crosscheck,
-    tail_bounds,
-    tt_integrals,
-    verification_report,
-    verify_conditions,
-)
-from .piecewise import Piece, PiecewiseCurve, PiecewisePoly
-from .scenario import (
-    RunConfig,
-    RunManifest,
-    export_snapshot,
-    import_snapshot,
-    load_config,
-    run_scenario,
-)
-from .spectral import (
-    DEFAULT_FILTER,
-    FilterSpec,
-    Spectrum,
-    TrigInterpolant,
-    analyze,
-    filtered_derivative,
-    synthesize,
-    threshold_smooth,
-)
-from .velocity import (
-    ArcChordError,
-    ArcChordReport,
-    PreconditionError,
-    QuadratureError,
-    VelocityField,
-    periodic_rhs,
-    rt_profile,
-    turnover_predictor,
-)
+from .scenario import RunConfig, load_config, run_scenario
 
-__all__ = [
-    "__version__",
-    "GRAPH_SLOPE_TOL",
-    "UNIT_PREFACTOR_DENSITY_JUMP",
-    "GraphView",
-    "Grid",
-    "NotAGraphError",
-    "PhysicalParams",
-    "SampledCurve",
-    "make_curve",
-    "make_grid",
-    "sample_preset",
-    "to_graph",
-    "NormSeries",
-    "TurningReport",
-    "classify_slope",
-    "near_critical_minima",
-    "norm_series",
-    "regime_timeline",
-    "turning_report",
-    "NanEncountered",
-    "StepControl",
-    "Trajectory",
-    "detect_event_times",
-    "evolve_backward_regularized",
-    "evolve_forward",
-    "rk45_step",
-    "Blocks",
-    "ConditionReport",
-    "build_blocks",
-    "cc_integrals",
-    "min_admissible_R",
-    "predictor_crosscheck",
-    "tail_bounds",
-    "tt_integrals",
-    "verification_report",
-    "verify_conditions",
-    "Piece",
-    "PiecewiseCurve",
-    "PiecewisePoly",
-    "RunConfig",
-    "RunManifest",
-    "export_snapshot",
-    "import_snapshot",
-    "load_config",
-    "run_scenario",
-    "DEFAULT_FILTER",
-    "FilterSpec",
-    "Spectrum",
-    "TrigInterpolant",
-    "analyze",
-    "filtered_derivative",
-    "synthesize",
-    "threshold_smooth",
-    "ArcChordError",
-    "ArcChordReport",
-    "PreconditionError",
-    "QuadratureError",
-    "VelocityField",
-    "periodic_rhs",
-    "rt_profile",
-    "turnover_predictor",
-]
+__all__ = ["__version__", "RunConfig", "load_config", "run_scenario"]

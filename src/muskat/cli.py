@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .diagnostics import turning_report
+from .diagnostics import near_critical_minima, regime_pattern, turning_report
 from .integrator import STATUS_OK
 from .lemma import verification_report
 from .scenario import (
@@ -20,6 +20,36 @@ from .scenario import (
     load_config,
     run_scenario,
 )
+
+
+# float options of `muskat run`, with their help text
+_FLOAT_FLAGS = {
+    "--dt": "fixed step size",
+    "--eps": "spectral threshold",
+    "--density-jump": "density jump rho- - rho+",
+    "--t-final": "final time (negative for backward runs)",
+    "--snapshot-every": "snapshot cadence",
+}
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a float flag and a negative value into one `--flag=value` token.
+
+    argparse takes only plain negative decimals such as -0.5 for values and
+    reads -8e-5 as an unknown option; the joined form parses in every case.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_FLAGS and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,11 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", choices=SCENARIOS)
     run.add_argument("--out", help="output directory")
     run.add_argument("--n", type=int, help="grid size (even)")
-    run.add_argument("--dt", type=float, help="fixed step size")
-    run.add_argument("--eps", type=float, help="spectral threshold")
-    run.add_argument("--density-jump", type=float, dest="density_jump")
-    run.add_argument("--t-final", type=float, dest="t_final")
-    run.add_argument("--snapshot-every", type=float, dest="snapshot_every")
+    for flag, text in _FLOAT_FLAGS.items():
+        run.add_argument(flag, type=float, help=text)
     run.add_argument("--input", dest="input_snapshot",
                      help="snapshot file consumed by FORWARD_RERUN")
     run.set_defaults(func=_cmd_run)
@@ -78,6 +105,11 @@ def _cmd_run(args) -> int:
         print(f"error = {manifest.error}")
     for t, kind in manifest.events:
         print(f"event: t = {t:.9g}  {kind}")
+    traj = manifest.trajectory
+    if traj is not None:
+        print(f"pattern = {regime_pattern(manifest.timeline)}")
+        print("terminal state:")
+        _print_turning_report(traj.final, traj.final_time)
     for name, rel in sorted(manifest.outputs.items()):
         print(f"wrote {name}: {config.out_dir}/{rel}")
     print(f"wrote manifest: {config.out_dir}/manifest.txt")
@@ -95,8 +127,14 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_inspect(args) -> int:
     curve, time = import_snapshot(args.snapshot)
-    rep = turning_report(curve)
     print(f"snapshot: {args.snapshot}")
+    _print_turning_report(curve, time)
+    return 0
+
+
+def _print_turning_report(curve, time: float) -> None:
+    """Minimum slope, regime, vertical tangents and near-critical minima."""
+    rep = turning_report(curve)
     print(f"time = {time:.9g}")
     print(f"n = {curve.grid.n}")
     print(f"min_slope = {rep.min_slope:.9e} at alpha = {rep.argmin:.9f}")
@@ -107,13 +145,18 @@ def _cmd_inspect(args) -> int:
                   f" point = ({x:.9f}, {y:.9f})")
     else:
         print("vertical tangents: none")
-    return 0
+    minima = near_critical_minima(curve)
+    for a, slope in minima:
+        print(f"near-critical minimum: alpha = {a:.9f}, slope = {slope:.9e}")
+    if not minima:
+        print("near-critical minima: none")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage problems; fold that into our code 1
         return 0 if exc.code == 0 else 1

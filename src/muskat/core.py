@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import DEFAULT_FILTER, FilterSpec, filtered_derivative
-
 #: density_jump value that makes the velocity prefactor (rho- - rho+)/(4 pi)
 #: equal to one; the scenario defaults use it.
 UNIT_PREFACTOR_DENSITY_JUMP = 4.0 * math.pi
 
-# Slopes below this are treated as vanishing in the graph test; the seed
-# curve's exact zero at alpha = 0 lands at +-1e-16 after the FFT round trip.
+# Slopes below this are treated as vanishing when a curve is read as a graph;
+# the seed curve's exact zero at alpha = 0 lands at +-1e-16 after the FFT
+# round trip.
 GRAPH_SLOPE_TOL = 1e-12
 
 
@@ -84,49 +83,19 @@ def make_curve(grid: Grid, p1, z2) -> SampledCurve:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Density jump rho- - rho+ across the interface; gravity is rescaled
-    to one and kept only so the Rayleigh-Taylor profile reads literally."""
+    """Density jump rho- - rho+ across the interface, gravity rescaled to
+    one."""
 
     density_jump: float = UNIT_PREFACTOR_DENSITY_JUMP
-    gravity: float = 1.0
 
     def __post_init__(self):
         if self.density_jump == 0:
             raise ValueError("density_jump must be nonzero")
-        if self.gravity != 1.0:
-            raise ValueError("gravity is fixed to 1 in this rescaling")
 
     @property
     def prefactor(self) -> float:
         """The velocity prefactor (rho- - rho+)/(4 pi)."""
         return self.density_jump / (4.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class GraphView:
-    """A curve re-read as a graph: f(x) sampled at strictly increasing x."""
-
-    x: np.ndarray
-    f: np.ndarray
-    slope: np.ndarray
-
-    def __post_init__(self):
-        if not (self.x.shape == self.f.shape == self.slope.shape):
-            raise ValueError("x, f and slope must share a shape")
-        if np.any(np.diff(self.x) <= 0):
-            raise ValueError("graph abscissae must be strictly increasing")
-
-
-class NotAGraphError(ValueError):
-    """Raised when dz1/dalpha fails to stay positive at every node."""
-
-    def __init__(self, nodes: np.ndarray, alphas: np.ndarray):
-        self.nodes = tuple(int(i) for i in nodes)
-        self.alphas = tuple(float(a) for a in alphas)
-        locs = ", ".join(f"{a:.6g}" for a in self.alphas[:8])
-        more = "" if len(self.alphas) <= 8 else ", ..."
-        super().__init__(
-            f"curve is not a graph: dz1/dalpha <= 0 at alpha = {locs}{more}")
 
 
 _PRESET_CALL = re.compile(r"^DELTA_TILT\(([^)]+)\)$", re.IGNORECASE)
@@ -167,19 +136,3 @@ def sample_preset(name: str, grid: Grid, delta: float | None = None) -> SampledC
     else:
         raise ValueError(f"unknown preset {name!r}")
     return make_curve(grid, p1, z2)
-
-
-def to_graph(curve: SampledCurve, filt: FilterSpec = DEFAULT_FILTER,
-             tol: float = GRAPH_SLOPE_TOL) -> GraphView:
-    """Reinterpret the curve as a graph f(x), or raise NotAGraphError.
-
-    The slope test uses the filtered spectral derivative; nodes where
-    dz1/dalpha <= tol are reported as offenders.
-    """
-    dz1 = 1.0 + filtered_derivative(curve.p1, 1, filt)
-    bad = np.flatnonzero(dz1 <= tol)
-    if bad.size:
-        raise NotAGraphError(bad, curve.grid.nodes[bad])
-    dz2 = filtered_derivative(curve.z2, 1, filt)
-    return GraphView(x=_frozen_array(curve.z1), f=_frozen_array(curve.z2),
-                     slope=_frozen_array(dz2 / dz1))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import GRAPH_SLOPE_TOL, SampledCurve
-from .integrator import Trajectory, detect_event_times
+from .integrator import Trajectory, detect_event_times, slope_profile
 from .spectral import DEFAULT_FILTER, FilterSpec, TrigInterpolant, filtered_derivative
 
 REGIME_STABLE = "STABLE"
@@ -83,7 +83,7 @@ def turning_report(curve: SampledCurve, slope_tol: float = SLOPE_TOL,
     duplicates from a slope grazing zero at a node collapse to one point.
     """
     grid = curve.grid
-    s = 1.0 + filtered_derivative(curve.p1, 1, filt)
+    s = slope_profile(curve, filt)
     i_min = int(np.argmin(s))
     argmin, min_slope = _refine_minimum(grid.nodes, s, i_min, grid.spacing)
 
@@ -127,7 +127,7 @@ def near_critical_minima(curve: SampledCurve,
     graph; each entry is (alpha, slope).
     """
     grid = curve.grid
-    s = 1.0 + filtered_derivative(curve.p1, 1, filt)
+    s = slope_profile(curve, filt)
     n = grid.n
     out = []
     for i in range(n):
@@ -146,7 +146,7 @@ def norm_series(traj: Trajectory,
     sup_slope = np.empty(len(times))
     for i, c in enumerate(traj.snapshots):
         sup_f[i] = np.max(np.abs(c.z2))
-        dz1 = 1.0 + filtered_derivative(c.p1, 1, filt)
+        dz1 = slope_profile(c, filt)
         dz2 = filtered_derivative(c.z2, 1, filt)
         if np.min(dz1) > GRAPH_SLOPE_TOL:
             sup_slope[i] = np.max(np.abs(dz2 / dz1))
@@ -170,9 +170,8 @@ def regime_timeline(traj: Trajectory, slope_tol: float = SLOPE_TOL,
     times = traj.times
     if len(times) < 2:
         raise ValueError("timeline needs at least two snapshots")
-    regs = [classify_slope(
-        float(np.min(1.0 + filtered_derivative(c.p1, 1, filt))), slope_tol)
-        for c in traj.snapshots]
+    regs = [classify_slope(float(slope_profile(c, filt).min()), slope_tol)
+            for c in traj.snapshots]
     if events is None:
         events = tuple(detect_event_times(traj, filt=filt))
     sgn = float(traj.direction)
@@ -192,3 +191,16 @@ def regime_timeline(traj: Trajectory, slope_tol: float = SLOPE_TOL,
         seg_start = boundary
     segments.append(((seg_start, times[-1]), regs[-1]))
     return tuple(segments)
+
+
+def regime_pattern(segments) -> str:
+    """The regimes of a timeline in order, with critical slivers and repeats
+    collapsed, e.g. "UNSTABLE -> STABLE -> UNSTABLE".
+
+    A timeline that is critical throughout reads "CRITICAL".
+    """
+    pattern: list[str] = []
+    for _, reg in segments:
+        if reg != REGIME_CRITICAL and (not pattern or pattern[-1] != reg):
+            pattern.append(reg)
+    return " -> ".join(pattern) or REGIME_CRITICAL

@@ -144,8 +144,14 @@ def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
                               threshold_smooth(curve.z2, eps))
 
 
-def _min_slope(curve: SampledCurve, filt: FilterSpec) -> float:
-    return float(np.min(1.0 + filtered_derivative(curve.p1, 1, filt)))
+def slope_profile(curve: SampledCurve,
+                  filt: FilterSpec = DEFAULT_FILTER) -> np.ndarray:
+    """d_alpha z1 = 1 + d_alpha p1 at every node.
+
+    Its minimum is the stability indicator: positive while the interface is
+    a graph (the stable regime), negative once it has turned over.
+    """
+    return 1.0 + filtered_derivative(curve.p1, 1, filt)
 
 
 def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
@@ -163,7 +169,7 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
     t = traj.times[-1]
     cur = traj.snapshots[-1]
     sgn = 1.0 if t_goal > t else -1.0
-    stable = _min_slope(cur, filt) > 0.0
+    stable = slope_profile(cur, filt).min() > 0.0
     last_rec = t
     dt = ctl.dt
     tiny = 1e-12 * max(1.0, abs(t_goal), abs(t))
@@ -203,7 +209,7 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
         if traj.smoothing_eps is not None:
             nxt = _smoothed(nxt, traj.smoothing_eps)
         traj.steps += 1
-        now_stable = _min_slope(nxt, filt) > 0.0
+        now_stable = slope_profile(nxt, filt).min() > 0.0
         if now_stable != stable:
             kind = EVENT_ENTER_STABLE if now_stable else EVENT_ENTER_UNSTABLE
             traj.brackets.append((t, cur, h, kind))
@@ -300,7 +306,7 @@ def detect_event_times(traj: Trajectory, tol: float = 1e-8,
             while abs(hi - lo) > tol:
                 mid = 0.5 * (lo + hi)
                 probe = advance(cur, mid - t_a)
-                if (_min_slope(probe, filt) > 0.0) == was_stable:
+                if (slope_profile(probe, filt).min() > 0.0) == was_stable:
                     lo = mid
                 else:
                     hi = mid

@@ -25,7 +25,7 @@ from .core import (
     make_grid,
     sample_preset,
 )
-from .diagnostics import norm_series, regime_timeline
+from .diagnostics import classify_slope, norm_series, regime_timeline
 from .integrator import (
     STATUS_OK,
     StepControl,
@@ -33,6 +33,7 @@ from .integrator import (
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
+    slope_profile,
 )
 from .spectral import filtered_derivative
 
@@ -51,6 +52,10 @@ _DEFAULT_T_FINAL = {
     "DELTA_TILT": 2e-3,
     "LEMMA_VERIFY": 0.0,
 }
+
+# initial curve of each scenario that starts from a preset
+_PRESET = {"BACKWARD_SEED": "SEED_T0", "CONJ_TURNOVER": "CONJ_T0",
+           "DELTA_TILT": "DELTA_TILT"}
 
 _SNAPSHOT_HEADER = "alpha, z1, z2, dz1, dz2"
 
@@ -121,6 +126,7 @@ class RunManifest:
     steps: int = 0  # accepted steps, summed over all legs
     rejected_steps: int = 0
     trajectory: Trajectory | None = None  # in-memory only, not serialized
+    timeline: tuple = ()  # regime segments of `trajectory`, in-memory only
 
     def to_text(self) -> str:
         lines = [
@@ -195,7 +201,7 @@ def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
     derivatives and are informational; import ignores them.
     """
     path = Path(path)
-    dz1 = 1.0 + filtered_derivative(curve.p1, 1)
+    dz1 = slope_profile(curve)
     dz2 = filtered_derivative(curve.z2, 1)
     rows = [f"# time = {time:.17g}", _SNAPSHOT_HEADER]
     for cols in zip(curve.grid.nodes, curve.z1, curve.z2, dz1, dz2):
@@ -263,13 +269,10 @@ def _write_timeline(segments, events, path: Path) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def _min_slope_of(curve: SampledCurve) -> float:
-    return float(np.min(1.0 + filtered_derivative(curve.p1, 1)))
-
-
 def _analyze(traj: Trajectory, outdir: Path, outputs: dict[str, str],
-             tag: str = "") -> tuple[tuple[float, str], ...]:
-    """Write final snapshot, norms, and timeline; returns refined events."""
+             tag: str = "") -> tuple[tuple, tuple]:
+    """Write final snapshot, norms, and timeline; returns the refined events
+    and the timeline segments."""
     suffix = f"_{tag}" if tag else ""
     final_name = f"final{suffix}.dat"
     export_snapshot(traj.final, outdir / final_name, time=traj.final_time)
@@ -277,10 +280,16 @@ def _analyze(traj: Trajectory, outdir: Path, outputs: dict[str, str],
     _write_norms(traj, outdir / f"norms{suffix}.dat")
     outputs[f"norms{suffix}"] = f"norms{suffix}.dat"
     events = tuple(detect_event_times(traj))
-    segments = regime_timeline(traj, events=events)
+    if len(traj.times) > 1:
+        segments = regime_timeline(traj, events=events)
+    else:
+        # the first step failed: the leg is its initial state alone
+        t = traj.final_time
+        regime = classify_slope(float(slope_profile(traj.final).min()))
+        segments = (((t, t), regime),)
     _write_timeline(segments, events, outdir / f"timeline{suffix}.txt")
     outputs[f"timeline{suffix}"] = f"timeline{suffix}.txt"
-    return events
+    return events, segments
 
 
 def run_scenario(config: RunConfig) -> RunManifest:
@@ -299,6 +308,7 @@ def run_scenario(config: RunConfig) -> RunManifest:
     status = STATUS_OK
     error = None
     legs: tuple[Trajectory, ...] = ()
+    timeline = ()
     try:
         if config.scenario == "LEMMA_VERIFY":
             from .lemma import verification_report
@@ -306,7 +316,7 @@ def run_scenario(config: RunConfig) -> RunManifest:
             (outdir / "lemma_report.txt").write_text(report)
             outputs["report"] = "lemma_report.txt"
         else:
-            legs, events = _run_evolution(config, outdir, outputs)
+            legs, events, timeline = _run_evolution(config, outdir, outputs)
             status = next((leg.status for leg in legs
                            if leg.status != STATUS_OK), STATUS_OK)
             events = events + tuple(ev for leg in legs for ev in leg.events)
@@ -320,72 +330,55 @@ def run_scenario(config: RunConfig) -> RunManifest:
         grid_n=legs[0].final.grid.n if legs else None,
         steps=sum(leg.steps for leg in legs),
         rejected_steps=sum(leg.rejected_steps for leg in legs),
-        trajectory=legs[0] if legs else None)
+        trajectory=legs[0] if legs else None, timeline=timeline)
     (outdir / "manifest.txt").write_text(manifest.to_text())
     return manifest
 
 
 def _run_evolution(config: RunConfig, outdir: Path,
                    outputs: dict[str, str]):
-    """Run the scenario's legs; returns the tuple of leg trajectories and
-    the refined flip events of all legs."""
+    """Run the scenario's legs; returns the tuple of leg trajectories, the
+    refined flip events of all legs and the first leg's timeline."""
     params = config.physical_params()
     t_final = config.resolved_t_final
-
+    control = config.step_control()
+    every = config.snapshot_every
     if config.scenario == "FORWARD_RERUN":
         if config.input_snapshot is None:
             raise ValueError(
                 "input_snapshot: FORWARD_RERUN needs the exported terminal"
                 " snapshot of a BACKWARD_SEED run")
         curve, t0 = import_snapshot(config.input_snapshot)
-        export_snapshot(curve, outdir / "initial.dat", time=t0)
-        outputs["initial"] = "initial.dat"
-        if not t_final > t0:
-            raise ValueError(f"t_final: need a value past {t0}, got {t_final}")
-        traj = evolve_forward(curve, params, t_final, config.step_control(),
-                              t0=t0, snapshot_every=config.snapshot_every)
-        return (traj,), _analyze(traj, outdir, outputs)
+    else:
+        delta = config.delta if config.scenario == "DELTA_TILT" else None
+        curve = sample_preset(_PRESET[config.scenario], make_grid(config.n),
+                              delta=delta)
+        t0 = 0.0
+    backward = config.scenario == "BACKWARD_SEED"
+    if not (t_final < t0 if backward else t_final > t0):
+        raise ValueError(f"t_final: {config.scenario} needs a value"
+                         f" {'below' if backward else 'past'} {t0},"
+                         f" got {t_final}")
+    export_snapshot(curve, outdir / "initial.dat", time=t0)
+    outputs["initial"] = "initial.dat"
 
-    grid = make_grid(config.n)
-    if config.scenario == "BACKWARD_SEED":
-        if not t_final < 0:
-            raise ValueError(f"t_final: backward run needs t_final < 0,"
-                             f" got {t_final}")
-        curve = sample_preset("SEED_T0", grid)
-        export_snapshot(curve, outdir / "initial.dat", time=0.0)
-        outputs["initial"] = "initial.dat"
-        traj = evolve_backward_regularized(
-            curve, params, t_final, config.step_control(), eps=config.eps,
-            snapshot_every=config.snapshot_every)
-        return (traj,), _analyze(traj, outdir, outputs)
-
-    if config.scenario == "CONJ_TURNOVER":
-        if not t_final > 0:
-            raise ValueError(f"t_final: forward run needs t_final > 0,"
-                             f" got {t_final}")
-        curve = sample_preset("CONJ_T0", grid)
-        export_snapshot(curve, outdir / "initial.dat", time=0.0)
-        outputs["initial"] = "initial.dat"
-        stop = lambda t, c: _min_slope_of(c) < TURNOVER_STOP_SLOPE
-        traj = evolve_forward(curve, params, t_final, config.step_control(),
-                              snapshot_every=config.snapshot_every,
-                              stop_when=stop)
-        return (traj,), _analyze(traj, outdir, outputs)
-
-    if config.scenario == "DELTA_TILT":
-        if not t_final > 0:
-            raise ValueError(f"t_final: tilt horizon must be positive,"
-                             f" got {t_final}")
-        curve = sample_preset("DELTA_TILT", grid, delta=config.delta)
-        export_snapshot(curve, outdir / "initial.dat", time=0.0)
-        outputs["initial"] = "initial.dat"
-        fwd = evolve_forward(curve, params, t_final, config.step_control(),
-                             snapshot_every=config.snapshot_every)
-        ev_f = _analyze(fwd, outdir, outputs, tag="forward")
-        bwd = evolve_backward_regularized(
-            curve, params, -t_final, config.step_control(), eps=config.eps,
-            snapshot_every=config.snapshot_every)
-        ev_b = _analyze(bwd, outdir, outputs, tag="backward")
-        return (fwd, bwd), ev_f + ev_b
-
-    raise ValueError(f"scenario: no handler for {config.scenario!r}")
+    if backward:
+        traj = evolve_backward_regularized(curve, params, t_final, control,
+                                           eps=config.eps,
+                                           snapshot_every=every)
+    elif config.scenario == "DELTA_TILT":
+        fwd = evolve_forward(curve, params, t_final, control,
+                             snapshot_every=every)
+        ev_f, timeline = _analyze(fwd, outdir, outputs, tag="forward")
+        bwd = evolve_backward_regularized(curve, params, -t_final, control,
+                                          eps=config.eps,
+                                          snapshot_every=every)
+        ev_b, _ = _analyze(bwd, outdir, outputs, tag="backward")
+        return (fwd, bwd), ev_f + ev_b, timeline
+    else:
+        stop = None
+        if config.scenario == "CONJ_TURNOVER":
+            stop = lambda t, c: slope_profile(c).min() < TURNOVER_STOP_SLOPE
+        traj = evolve_forward(curve, params, t_final, control, t0=t0,
+                              snapshot_every=every, stop_when=stop)
+    return ((traj,), *_analyze(traj, outdir, outputs))

@@ -1,4 +1,5 @@
-"""Fourier analysis on the uniform periodic grid.
+"""Spectral derivatives, smoothing and interpolation on the uniform periodic
+grid.
 
 All routines share one normalization: for a real vector v sampled on the n
 nodes alpha_j = -pi + 2*pi*j/n, the coefficient of wavenumber k is
@@ -44,27 +45,6 @@ class FilterSpec:
 DEFAULT_FILTER = FilterSpec()
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Coefficients c_k for k = -n/2+1 .. n/2 (in that order)."""
-
-    coeffs: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.n,):
-            raise ValueError("coefficient array must have length n")
-
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(-self.n // 2 + 1, self.n // 2 + 1)
-
-    def coefficient(self, k: int) -> complex:
-        """The coefficient of wavenumber k."""
-        if not -self.n // 2 + 1 <= k <= self.n // 2:
-            raise ValueError(f"wavenumber {k} outside -n/2+1..n/2")
-        return complex(self.coeffs[k + self.n // 2 - 1])
-
-
 def _check_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 4 or arr.size % 2:
@@ -74,46 +54,26 @@ def _check_vector(values) -> np.ndarray:
     return arr
 
 
-def _to_numpy_order(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Reorder centered coefficients (k = -n/2+1..n/2) into numpy FFT bins,
-    with the (-1)**k phase that accounts for the grid starting at -pi."""
-    k = np.arange(-n // 2 + 1, n // 2 + 1)
-    out = np.zeros(n, dtype=complex)
-    out[np.mod(k, n)] = coeffs * np.where(k % 2 == 0, 1.0, -1.0)
-    return out
+def _derivative_multiplier(n: int, order: int, filt: FilterSpec) -> np.ndarray:
+    """(ik)**order * rho(k) in numpy FFT ordering for an n-point grid.
 
-
-def analyze(values) -> Spectrum:
-    """Forward transform of a real grid vector."""
-    v = _check_vector(values)
-    n = v.size
-    raw = np.fft.fft(v) / n
-    k = np.arange(-n // 2 + 1, n // 2 + 1)
-    coeffs = raw[np.mod(k, n)] * np.where(k % 2 == 0, 1.0, -1.0)
-    return Spectrum(coeffs=coeffs, n=n)
-
-
-def synthesize(spectrum: Spectrum) -> np.ndarray:
-    """Inverse of analyze; returns the real grid vector."""
-    raw = _to_numpy_order(spectrum.coeffs, spectrum.n)
-    return np.fft.ifft(raw * spectrum.n).real
-
-
-def filtered_derivative(values, order: int = 1,
-                        filt: FilterSpec = DEFAULT_FILTER) -> np.ndarray:
-    """Spectral derivative of the given order (1..4) with cutoff filter.
-
-    The Nyquist mode is zeroed for odd orders: it aliases +n/2 and -n/2 and
+    The Nyquist bin is zeroed for odd orders: it aliases +n/2 and -n/2 and
     carries no usable sign for odd powers of (ik).
     """
-    v = _check_vector(values)
     if order not in (1, 2, 3, 4):
         raise ValueError("derivative order must be 1, 2, 3 or 4")
-    n = v.size
     k = np.fft.fftfreq(n, 1.0 / n)
     mult = (1j * k) ** order * filt.profile(n)
     if order % 2:
         mult[n // 2] = 0.0
+    return mult
+
+
+def filtered_derivative(values, order: int = 1,
+                        filt: FilterSpec = DEFAULT_FILTER) -> np.ndarray:
+    """Spectral derivative of the given order (1..4) with cutoff filter."""
+    v = _check_vector(values)
+    mult = _derivative_multiplier(v.size, order, filt)
     return np.fft.ifft(np.fft.fft(v) * mult).real
 
 
@@ -166,13 +126,9 @@ class TrigInterpolant:
 
     def __call__(self, x, order: int = 0):
         x = np.asarray(x, dtype=float)
-        coeffs = self._raw.copy()
+        coeffs = self._raw
         if order:
-            if order not in (1, 2, 3, 4):
-                raise ValueError("derivative order must be 0..4")
-            coeffs *= (1j * self._k) ** order * self._filt.profile(self.n)
-            if order % 2:
-                coeffs[self.n // 2] = 0.0
+            coeffs = coeffs * _derivative_multiplier(self.n, order, self._filt)
         # Node j sits at alpha_j = -pi + j*h, so the bin phases need x + pi.
         phases = np.exp(1j * np.multiply.outer(x + np.pi, self._k))
         out = (phases @ coeffs).real

@@ -102,13 +102,6 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams,
     return VelocityField(v1=scale * v1, v2=scale * v2)
 
 
-def rt_profile(curve: SampledCurve, params: PhysicalParams,
-               filt: FilterSpec = DEFAULT_FILTER) -> np.ndarray:
-    """Pointwise Rayleigh-Taylor function g * jump * d_alpha z1."""
-    dz1 = 1.0 + filtered_derivative(curve.p1, 1, filt)
-    return params.gravity * params.density_jump * dz1
-
-
 def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):
     """Smooth quadrature panels covering the z2 support, split at alpha0."""
     cuts = set(curve.breakpoints)

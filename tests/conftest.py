@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat import PhysicalParams, make_curve, make_grid
+from muskat.core import PhysicalParams, make_curve, make_grid
 
 # acceptance results registry, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []

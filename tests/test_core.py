@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat import (
-    GraphView,
-    NotAGraphError,
-    PhysicalParams,
-    make_curve,
-    make_grid,
-    sample_preset,
-    to_graph,
-)
+from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
 
 from conftest import mirror
 
@@ -63,8 +55,6 @@ def test_physical_params_defaults():
     assert p.prefactor == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         PhysicalParams(density_jump=0.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(gravity=2.0)
 
 
 def test_seed_preset(grid64):
@@ -116,28 +106,3 @@ def test_presets_are_odd(grid64):
         c = sample_preset(name, grid64)
         assert np.max(np.abs(c.p1 + mirror(c.p1))) < 1e-13
         assert np.max(np.abs(c.z2 + mirror(c.z2))) < 1e-13
-
-
-def test_to_graph_on_stable_curve(grid64):
-    c = make_curve(grid64, -0.3 * np.sin(grid64.nodes),
-                   0.1 * np.sin(grid64.nodes))
-    view = to_graph(c)
-    assert isinstance(view, GraphView)
-    assert np.all(np.diff(view.x) > 0)
-    expect = 0.1 * np.cos(grid64.nodes) / (1 - 0.3 * np.cos(grid64.nodes))
-    assert np.max(np.abs(view.slope - expect)) < 1e-11
-
-
-def test_to_graph_rejects_critical_seed(grid64):
-    c = sample_preset("SEED_T0", grid64)  # slope 1 - cos touches zero
-    with pytest.raises(NotAGraphError) as err:
-        to_graph(c)
-    bad = err.value
-    assert len(bad.alphas) >= 1
-    assert min(abs(a) for a in bad.alphas) < 1e-12
-
-
-def test_graph_view_requires_increasing_x():
-    x = np.array([0.0, 1.0, 0.5])
-    with pytest.raises(ValueError):
-        GraphView(x, np.zeros(3), np.zeros(3))

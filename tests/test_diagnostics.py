@@ -11,6 +11,7 @@ from muskat.diagnostics import (
     classify_slope,
     near_critical_minima,
     norm_series,
+    regime_pattern,
     regime_timeline,
     turning_report,
 )
@@ -20,8 +21,8 @@ from muskat.integrator import (
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
+    slope_profile,
 )
-from muskat.velocity import rt_profile
 
 
 def overturned_curve(n=256, amp=1.2):
@@ -146,15 +147,15 @@ def test_backward_timeline_tiles_and_aligns_with_events(grid64, params):
         0.5 * (traj.times[0] + traj.times[1]))
 
 
-def test_rt_profile_sign_matches_slope_classification(grid64, params):
+def test_slope_profile_sign_matches_slope_classification(grid64, params):
     curve = sample_preset("SEED_T0", grid64)
     traj = evolve_backward_regularized(curve, params, -2e-3,
                                        snapshot_every=5e-4)
     for snap in traj.snapshots:
         rep = turning_report(snap)
-        rt_min = float(np.min(rt_profile(snap, params)))
+        grid_min = float(np.min(slope_profile(snap)))
         if abs(rep.min_slope) > 1e-10:
-            assert (rt_min > 0.0) == (rep.min_slope > 0.0)
+            assert (grid_min > 0.0) == (rep.min_slope > 0.0)
 
 
 def test_timeline_requires_two_snapshots(flat64, params):
@@ -162,3 +163,14 @@ def test_timeline_requires_two_snapshots(flat64, params):
                       params=params, control=StepControl())
     with pytest.raises(ValueError, match="two snapshots"):
         regime_timeline(traj)
+
+
+def test_regime_pattern_collapses_slivers_and_repeats():
+    seg = lambda reg: ((0.0, 1.0), reg)
+    timeline = [seg(REGIME_UNSTABLE), seg(REGIME_CRITICAL),
+                seg(REGIME_UNSTABLE), seg(REGIME_STABLE),
+                seg(REGIME_CRITICAL), seg(REGIME_UNSTABLE)]
+    assert regime_pattern(timeline) == "UNSTABLE -> STABLE -> UNSTABLE"
+    assert regime_pattern([seg(REGIME_CRITICAL), seg(REGIME_STABLE)]) == \
+        "STABLE"
+    assert regime_pattern([seg(REGIME_CRITICAL)]) == "CRITICAL"

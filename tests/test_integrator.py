@@ -18,6 +18,7 @@ from muskat.integrator import (
     evolve_backward_regularized,
     evolve_forward,
     rk45_step,
+    slope_profile,
 )
 from muskat.velocity import VelocityField, periodic_rhs
 
@@ -42,6 +43,14 @@ def test_zero_step_is_identity(grid64, params):
     assert stepped is not curve
     assert np.array_equal(stepped.p1, curve.p1)
     assert np.array_equal(stepped.z2, curve.z2)
+
+
+def test_slope_profile_of_flat_and_seed_curves(flat64, grid64):
+    assert np.max(np.abs(slope_profile(flat64) - 1.0)) < 1e-12
+    # the seed has d_alpha z1 = 1 - cos(alpha), a double zero at alpha = 0
+    seed = sample_preset("SEED_T0", grid64)
+    expect = 1.0 - np.cos(grid64.nodes)
+    assert np.max(np.abs(slope_profile(seed) - expect)) < 1e-10
 
 
 def test_fixed_step_global_order_four():

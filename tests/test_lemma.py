@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from muskat import (
+from muskat.lemma import (
     build_blocks,
     cc_integrals,
     min_admissible_R,

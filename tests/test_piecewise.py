@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat import Piece, PiecewiseCurve, PiecewisePoly
+from muskat.piecewise import Piece, PiecewiseCurve, PiecewisePoly
 
 
 def test_piece_evaluates_in_local_coordinates():

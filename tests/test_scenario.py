@@ -16,6 +16,7 @@ from muskat.scenario import (
     load_config,
     run_scenario,
 )
+from muskat.velocity import ARC_CHORD_FLOOR, ArcChordError, ArcChordReport
 
 
 def test_config_defaults():
@@ -211,6 +212,30 @@ def test_delta_tilt_keeps_backward_leg_failure(tmp_path, monkeypatch):
     assert manifest.steps == 3
 
 
+def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
+                                                        monkeypatch):
+    def collapse(curve, *args):
+        raise ArcChordError(ArcChordReport(
+            min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),)))
+
+    monkeypatch.setattr(integrator, "rk45_step", collapse)
+    out = tmp_path / "bwd"
+    cfg = RunConfig(scenario="BACKWARD_SEED", n=32, t_final=-4e-4, dt=1e-4,
+                    out_dir=str(out))
+    manifest = run_scenario(cfg)
+    assert manifest.status == integrator.STATUS_ARC_CHORD
+    assert manifest.error is None
+    assert manifest.events == ((0.0, integrator.STATUS_ARC_CHORD),)
+    assert manifest.steps == 0
+    # the leg is its initial state alone: one point of the timeline
+    assert manifest.timeline == (((0.0, 0.0), "CRITICAL"),)
+    text = (out / "manifest.txt").read_text()
+    assert "status = ARC_CHORD_FAILURE" in text
+    assert "event_0 = 0 ARC_CHORD_FAILURE" in text
+    for name in ("final", "norms", "timeline"):
+        assert (out / manifest.outputs[name]).exists()
+
+
 def test_backward_seed_honours_adaptive_mode(tmp_path):
     runs = {}
     for mode in ("fixed", "adaptive"):
@@ -290,11 +315,36 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert code == 0
     assert "status = OK" in captured.out
     assert "wrote manifest" in captured.out
+    assert "pattern = STABLE\n" in captured.out
+    assert "terminal state:" in captured.out
+    # the tilt keeps min d_alpha z1 near delta, inside the near-critical band
+    assert "near-critical minimum: alpha = " in captured.out
 
     code = main(["inspect", str(out / "final_forward.dat")])
     captured = capsys.readouterr()
     assert code == 0
     assert "regime = " in captured.out
+    assert "near-critical minimum: alpha = " in captured.out
+
+
+def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
+    out = tmp_path / "bwd"
+    code = main(["run", "--scenario", "BACKWARD_SEED", "--n", "32",
+                 "--t-final", "-8e-5", "--dt", "4e-5", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert "t_final = -8e-05" in (out / "manifest.txt").read_text()
+    assert "pattern = " in capsys.readouterr().out
+
+    # every float flag takes such a value; the config, not the parser,
+    # then judges it (FORWARD_RERUN without --input stops before running)
+    for flag, message in (("--dt", "dt: must be positive"),
+                          ("--eps", "eps: must be nonnegative"),
+                          ("--snapshot-every", "snapshot_every"),
+                          ("--density-jump", "needs --input"),
+                          ("--t-final", "needs --input")):
+        assert main(["run", "--scenario", "FORWARD_RERUN", flag,
+                     "-2.5e-3"]) == 1
+        assert message in capsys.readouterr().err, flag
 
 
 def test_cli_verify_lemma(tmp_path, capsys):

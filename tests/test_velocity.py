@@ -9,7 +9,6 @@ from muskat.velocity import (
     ArcChordError,
     PreconditionError,
     periodic_rhs,
-    rt_profile,
     turnover_predictor,
 )
 
@@ -92,19 +91,6 @@ def test_collided_nodes_raise_arc_chord():
     assert len(report.pairs) == 16
     assert all((i + j) % 2 == 1 for i, j in report.pairs)
     assert "arc-chord" in str(info.value)
-
-
-def test_rt_profile_signs(flat64, grid64):
-    params = PhysicalParams()
-    rt = rt_profile(flat64, params)
-    assert np.max(np.abs(rt - params.density_jump)) < 1e-12
-
-    heavy_on_top = PhysicalParams(density_jump=-2.0)
-    assert np.all(rt_profile(flat64, heavy_on_top) < 0.0)
-
-    seed = sample_preset("SEED_T0", grid64)
-    expect = params.density_jump * (1.0 - np.cos(grid64.nodes))
-    assert np.max(np.abs(rt_profile(seed, params) - expect)) < 1e-10
 
 
 def test_predictor_on_seed_is_negative():
