@@ -15,6 +15,7 @@ different filter is supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,11 +55,13 @@ def _check_vector(values) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=64)
 def _derivative_multiplier(n: int, order: int, filt: FilterSpec) -> np.ndarray:
     """(ik)**order * rho(k) in numpy FFT ordering for an n-point grid.
 
     The Nyquist bin is zeroed for odd orders: it aliases +n/2 and -n/2 and
-    carries no usable sign for odd powers of (ik).
+    carries no usable sign for odd powers of (ik). Cached per (n, order,
+    filt), so the result is read-only.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError("derivative order must be 1, 2, 3 or 4")
@@ -66,6 +69,7 @@ def _derivative_multiplier(n: int, order: int, filt: FilterSpec) -> np.ndarray:
     mult = (1j * k) ** order * filt.profile(n)
     if order % 2:
         mult[n // 2] = 0.0
+    mult.flags.writeable = False
     return mult
 
 

@@ -9,6 +9,7 @@ from muskat.spectral import (
     DEFAULT_FILTER,
     FilterSpec,
     TrigInterpolant,
+    _derivative_multiplier,
     filtered_derivative,
     threshold_smooth,
 )
@@ -31,6 +32,18 @@ def test_higher_derivatives():
     assert np.max(np.abs(filtered_derivative(v, 2) + 4 * v)) < 1e-11
     # round-off in the high modes is amplified by k**4 under order 4
     assert np.max(np.abs(filtered_derivative(v, 4) - 16 * v)) < 1e-8
+
+
+def test_cached_multiplier_is_read_only_and_exact():
+    g = make_grid(256)
+    v = np.exp(np.cos(g.nodes)) + 0.3 * np.sin(5 * g.nodes)
+    for order in (1, 2, 3, 4):
+        mult = _derivative_multiplier(256, order, DEFAULT_FILTER)
+        assert mult is _derivative_multiplier(256, order, DEFAULT_FILTER)
+        assert not mult.flags.writeable
+        fresh = _derivative_multiplier.__wrapped__(256, order, DEFAULT_FILTER)
+        expect = np.fft.ifft(np.fft.fft(v) * fresh).real
+        assert np.array_equal(filtered_derivative(v, order), expect)
 
 
 def test_derivative_of_smooth_nonpolynomial():

@@ -1,9 +1,13 @@
 """Periodic velocity kernel and the turnover sign predictor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from muskat import velocity
 from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+from muskat.spectral import filtered_derivative
 from muskat.velocity import (
     ARC_CHORD_FLOOR,
     ArcChordError,
@@ -13,6 +17,56 @@ from muskat.velocity import (
 )
 
 from conftest import mirror
+
+
+def _two_half_sum(curve, params, floor=ARC_CHORD_FLOOR):
+    """Reference pair sum: both parity halves formed in full.
+
+    Returns (v1, v2, min_denominator, offenders); the velocities are None
+    when some denominator is at or below the floor.
+    """
+    n = curve.grid.n
+    z1, z2 = curve.z1, curve.z2
+    dz1 = 1.0 + filtered_derivative(curve.p1, 1)
+    dz2 = filtered_derivative(curve.z2, 1)
+    even = np.arange(0, n, 2)
+    odd = np.arange(1, n, 2)
+    halves = []
+    worst = np.inf
+    offenders = []
+    for tgt, src in ((even, odd), (odd, even)):
+        d1 = z1[tgt][:, None] - z1[src][None, :]
+        d2 = z2[tgt][:, None] - z2[src][None, :]
+        den = np.cosh(d2) - np.cos(d1)
+        worst = min(worst, float(den.min()))
+        bad = np.argwhere(den <= floor)
+        offenders += [(int(tgt[i]), int(src[j])) for i, j in bad[:16]]
+        halves.append((tgt, src, d1, den))
+    if offenders:
+        return None, None, worst, tuple(offenders[:16])
+    v1 = np.empty(n)
+    v2 = np.empty(n)
+    for tgt, src, d1, den in halves:
+        ker = np.sin(d1) / den
+        v1[tgt] = ((dz1[tgt][:, None] - dz1[src][None, :]) * ker).sum(axis=1)
+        v2[tgt] = ((dz2[tgt][:, None] - dz2[src][None, :]) * ker).sum(axis=1)
+    scale = 2.0 * curve.grid.spacing * params.prefactor
+    return scale * v1, scale * v2, worst, ()
+
+
+def _test_curve(name, n):
+    grid = make_grid(n)
+    if name == "ASYMMETRIC":
+        # every preset is odd; this one is not
+        curve = sample_preset("DELTA_TILT(0.3)", grid)
+        return curve.with_samples(
+            curve.p1, curve.z2 + 0.2 * np.cos(2.0 * grid.nodes) + 0.1)
+    return sample_preset(name, grid)
+
+
+def _max_rel_diff(field, v1, v2):
+    return max(np.max(np.abs(field.v1 - v1)) / np.max(np.abs(v1)),
+               np.max(np.abs(field.v2 - v2)) / np.max(np.abs(v2)))
 
 
 def test_flat_interface_is_stationary(flat64, params):
@@ -79,6 +133,25 @@ def test_velocity_linear_in_density_jump():
     assert np.allclose(two.v2, 2.0 * one.v2, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("name", ["SEED_T0", "CONJ_T0", "ASYMMETRIC"])
+def test_kernel_matches_two_half_pair_sum(name, n):
+    curve = _test_curve(name, n)
+    params = PhysicalParams()
+    v1, v2, _, _ = _two_half_sum(curve, params)
+    assert _max_rel_diff(periodic_rhs(curve, params), v1, v2) <= 1e-13
+
+
+def test_kernel_is_independent_of_row_chunking(monkeypatch):
+    curve = _test_curve("ASYMMETRIC", 512)
+    params = PhysicalParams()
+    base = periodic_rhs(curve, params)
+    # 7 rows per chunk leave a short last chunk of the 256 even rows
+    monkeypatch.setattr(velocity, "_CHUNK_PAIRS", 7 * 256 + 3)
+    chunked = periodic_rhs(curve, params)
+    assert _max_rel_diff(chunked, base.v1, base.v2) <= 1e-14
+
+
 def test_collided_nodes_raise_arc_chord():
     grid = make_grid(64)
     # p1 = -alpha collapses every node onto z = (0, 0)
@@ -91,6 +164,42 @@ def test_collided_nodes_raise_arc_chord():
     assert len(report.pairs) == 16
     assert all((i + j) % 2 == 1 for i, j in report.pairs)
     assert "arc-chord" in str(info.value)
+    _, _, worst, pairs = _two_half_sum(curve, PhysicalParams())
+    assert report.min_denominator == worst
+    assert report.pairs == pairs
+
+
+def test_near_collision_in_middle_chunks_reports_like_two_halves():
+    # at n = 1024 the even rows 200 and 300 fall in two middle chunks; node
+    # 400 (row 200) sits just left of node 601 and node 600 (row 300) just
+    # right of node 401, so the (even, odd) and (odd, even) offenders come
+    # in different orders
+    grid = make_grid(1024)
+    p1 = np.zeros(grid.n)
+    p1[400] = grid.nodes[601] - grid.nodes[400] - 1e-7
+    p1[600] = grid.nodes[401] - grid.nodes[600] + 2e-7
+    curve = make_curve(grid, p1, np.zeros(grid.n))
+    with pytest.raises(ArcChordError) as info:
+        periodic_rhs(curve, PhysicalParams())
+    report = info.value.report
+    _, _, worst, pairs = _two_half_sum(curve, PhysicalParams())
+    assert pairs == ((400, 601), (600, 401), (401, 600), (601, 400))
+    assert report.min_denominator == worst
+    assert report.pairs == pairs
+
+
+def test_kernel_memory_is_bounded_at_n2048():
+    curve = sample_preset("SEED_T0", make_grid(2048))
+    params = PhysicalParams()
+    periodic_rhs(curve, params)
+    tracemalloc.start()
+    try:
+        periodic_rhs(curve, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two full 1024 x 1024 pair arrays would take 16 MiB
+    assert peak < 4 * 2**20
 
 
 def test_predictor_on_seed_is_negative():
