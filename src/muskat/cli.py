@@ -10,10 +10,16 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .diagnostics import near_critical_minima, regime_pattern, turning_report
+from .diagnostics import (
+    SLOPE_TOL,
+    near_critical_minima,
+    regime_pattern,
+    turning_report,
+)
 from .integrator import STATUS_OK
 from .lemma import verification_report
 from .scenario import (
+    _SCHEMA,
     SCENARIOS,
     RunConfig,
     import_snapshot,
@@ -21,26 +27,22 @@ from .scenario import (
     run_scenario,
 )
 
-
-# float options of `muskat run`, with their help text
-_FLOAT_FLAGS = {
-    "--dt": "fixed step size",
-    "--eps": "spectral threshold",
-    "--density-jump": "density jump rho- - rho+",
-    "--t-final": "final time (negative for backward runs)",
-    "--snapshot-every": "snapshot cadence",
-}
+# `muskat run` flag of each config key: the key with dashes, except two
+# shorter spellings
+_RUN_FLAGS = {key: "--" + key.replace("_", "-")
+              for section in _SCHEMA.values() for key in section}
+_RUN_FLAGS.update(out_dir="--out", input_snapshot="--input")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join a float flag and a negative value into one `--flag=value` token.
+    """Join a config flag and a negative number into one `--flag=value` token.
 
     argparse takes only plain negative decimals such as -0.5 for values and
     reads -8e-5 as an unknown option; the joined form parses in every case.
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _FLOAT_FLAGS and tok.startswith("-"):
+        if out and out[-1] in _RUN_FLAGS.values() and tok.startswith("-"):
             try:
                 float(tok)
             except ValueError:
@@ -61,13 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one scenario")
     run.add_argument("--config", help="INI config file; defaults otherwise")
-    run.add_argument("--scenario", choices=SCENARIOS)
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--n", type=int, help="grid size (even)")
-    for flag, text in _FLOAT_FLAGS.items():
-        run.add_argument(flag, type=float, help=text)
-    run.add_argument("--input", dest="input_snapshot",
-                     help="snapshot file consumed by FORWARD_RERUN")
+    for section, keys in _SCHEMA.items():
+        for key, caster in keys.items():
+            run.add_argument(_RUN_FLAGS[key], dest=key, type=caster,
+                             choices=SCENARIOS if key == "scenario" else None,
+                             help=f"config key {key} of [{section}]")
     run.set_defaults(func=_cmd_run)
 
     lemma = sub.add_parser("verify-lemma",
@@ -84,15 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name, value in (("scenario", args.scenario), ("out_dir", args.out),
-                        ("n", args.n), ("dt", args.dt), ("eps", args.eps),
-                        ("density_jump", args.density_jump),
-                        ("t_final", args.t_final),
-                        ("snapshot_every", args.snapshot_every),
-                        ("input_snapshot", args.input_snapshot)):
-        if value is not None:
-            overrides[name] = value
+    overrides = {key: getattr(args, key) for key in _RUN_FLAGS
+                 if getattr(args, key) is not None}
     if overrides:
         config = replace(config, **overrides)
     if config.scenario == "FORWARD_RERUN" and config.input_snapshot is None:
@@ -137,8 +130,10 @@ def _print_turning_report(curve, time: float) -> None:
     rep = turning_report(curve)
     print(f"time = {time:.9g}")
     print(f"n = {curve.grid.n}")
-    print(f"min_slope = {rep.min_slope:.9e} at alpha = {rep.argmin:.9f}")
-    print(f"regime = {rep.regime} (tol {rep.slope_tol:g})")
+    print(f"min_slope estimate = {rep.min_slope:.9e} at alpha ="
+          f" {rep.argmin:.9f} (parabola fit)")
+    print(f"regime = {rep.regime} (grid min_slope = {rep.grid_min:.9e},"
+          f" tol {SLOPE_TOL:g})")
     if rep.tangent_points:
         for a, x, y in rep.tangent_points:
             print(f"vertical tangent: alpha = {a:.9f},"
@@ -147,7 +142,8 @@ def _print_turning_report(curve, time: float) -> None:
         print("vertical tangents: none")
     minima = near_critical_minima(curve)
     for a, slope in minima:
-        print(f"near-critical minimum: alpha = {a:.9f}, slope = {slope:.9e}")
+        print(f"near-critical minimum: alpha = {a:.9f},"
+              f" slope estimate = {slope:.9e}")
     if not minima:
         print("near-critical minima: none")
 

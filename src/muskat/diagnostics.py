@@ -1,15 +1,17 @@
 """Interface diagnostics: turning state, norm histories, regime timelines.
 
 Everything here is read-only over curves and trajectories. Stability is
-judged by m = min_alpha d_alpha z1 with a small tolerance band:
+judged by the grid minimum m = integrator.grid_min_slope(curve), the value
+the march and the event search use, with a small tolerance band:
 
-    STABLE     m > slope_tol
-    CRITICAL   |m| <= slope_tol
-    UNSTABLE   m < -slope_tol
+    STABLE     m > SLOPE_TOL
+    CRITICAL   |m| <= SLOPE_TOL
+    UNSTABLE   m < -SLOPE_TOL
 
 so a curve whose graph property degenerates at isolated points (slope
 touching zero) is reported as critical rather than flapping between the
-other two regimes under roundoff.
+other two regimes under roundoff. The parabola-refined minimum of a turning
+report is an estimate of the continuous minimum and judges nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import GRAPH_SLOPE_TOL, SampledCurve
-from .integrator import Trajectory, detect_event_times, slope_profile
-from .spectral import DEFAULT_FILTER, FilterSpec, TrigInterpolant, filtered_derivative
+from .integrator import Trajectory, grid_min_slope, slope_profile
+from .spectral import TrigInterpolant, filtered_derivative
 
 REGIME_STABLE = "STABLE"
 REGIME_CRITICAL = "CRITICAL"
@@ -36,12 +38,17 @@ TANGENT_ROOT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TurningReport:
-    """Turning state of a single curve."""
+    """Turning state of a single curve.
+
+    regime is classified from grid_min, the grid minimum of d_alpha z1.
+    min_slope and argmin are the parabola-refined estimate of the minimum
+    between the nodes; they can differ from grid_min in sign near turnover.
+    """
     min_slope: float
     argmin: float
+    grid_min: float
     regime: str
     tangent_points: tuple[tuple[float, float, float], ...]
-    slope_tol: float
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,10 @@ class NormSeries:
     sup_slope: np.ndarray
 
 
-def classify_slope(min_slope: float, slope_tol: float = SLOPE_TOL) -> str:
-    if min_slope > slope_tol:
+def classify_slope(min_slope: float) -> str:
+    if min_slope > SLOPE_TOL:
         return REGIME_STABLE
-    if min_slope < -slope_tol:
+    if min_slope < -SLOPE_TOL:
         return REGIME_UNSTABLE
     return REGIME_CRITICAL
 
@@ -74,8 +81,7 @@ def _refine_minimum(alphas: np.ndarray, s: np.ndarray, i: int,
     return float(alphas[i] + off * h), float(val)
 
 
-def turning_report(curve: SampledCurve, slope_tol: float = SLOPE_TOL,
-                   filt: FilterSpec = DEFAULT_FILTER) -> TurningReport:
+def turning_report(curve: SampledCurve) -> TurningReport:
     """Minimum slope, its refined location, regime, and vertical tangents.
 
     Tangent points are sign changes of d_alpha z1 along the period,
@@ -83,12 +89,13 @@ def turning_report(curve: SampledCurve, slope_tol: float = SLOPE_TOL,
     duplicates from a slope grazing zero at a node collapse to one point.
     """
     grid = curve.grid
-    s = slope_profile(curve, filt)
+    s = slope_profile(curve)
     i_min = int(np.argmin(s))
     argmin, min_slope = _refine_minimum(grid.nodes, s, i_min, grid.spacing)
+    grid_min = grid_min_slope(curve)
 
-    p1_i = TrigInterpolant(curve.p1, filt)
-    z2_i = TrigInterpolant(curve.z2, filt)
+    p1_i = TrigInterpolant(curve.p1)
+    z2_i = TrigInterpolant(curve.z2)
     slope = lambda a: 1.0 + p1_i(a, order=1)
 
     n = grid.n
@@ -113,41 +120,38 @@ def turning_report(curve: SampledCurve, slope_tol: float = SLOPE_TOL,
             merged.append(r)
     points = tuple((r, r + float(p1_i(r)), float(z2_i(r))) for r in merged)
     return TurningReport(min_slope=min_slope, argmin=argmin,
-                         regime=classify_slope(min_slope, slope_tol),
-                         tangent_points=points, slope_tol=slope_tol)
+                         grid_min=grid_min, regime=classify_slope(grid_min),
+                         tangent_points=points)
 
 
-def near_critical_minima(curve: SampledCurve,
-                         band: float = NEAR_CRITICAL_BAND,
-                         filt: FilterSpec = DEFAULT_FILTER
+def near_critical_minima(curve: SampledCurve
                          ) -> tuple[tuple[float, float], ...]:
-    """Refined local minima of the slope with value within band of zero.
+    """Refined local minima of the slope within NEAR_CRITICAL_BAND of zero.
 
     These are the candidate turnover sites while the interface is still a
     graph; each entry is (alpha, slope).
     """
     grid = curve.grid
-    s = slope_profile(curve, filt)
+    s = slope_profile(curve)
     n = grid.n
     out = []
     for i in range(n):
         if s[i] < s[(i - 1) % n] and s[i] <= s[(i + 1) % n]:
             alpha, val = _refine_minimum(grid.nodes, s, i, grid.spacing)
-            if abs(val) <= band:
+            if abs(val) <= NEAR_CRITICAL_BAND:
                 out.append((alpha, val))
     return tuple(sorted(out))
 
 
-def norm_series(traj: Trajectory,
-                filt: FilterSpec = DEFAULT_FILTER) -> NormSeries:
+def norm_series(traj: Trajectory) -> NormSeries:
     """sup |z2| and, while the curve is a graph, sup |dz2/dz1| per snapshot."""
     times = np.array(traj.times, dtype=float)
     sup_f = np.empty(len(times))
     sup_slope = np.empty(len(times))
     for i, c in enumerate(traj.snapshots):
         sup_f[i] = np.max(np.abs(c.z2))
-        dz1 = slope_profile(c, filt)
-        dz2 = filtered_derivative(c.z2, 1, filt)
+        dz1 = slope_profile(c)
+        dz2 = filtered_derivative(c.z2, 1)
         if np.min(dz1) > GRAPH_SLOPE_TOL:
             sup_slope[i] = np.max(np.abs(dz2 / dz1))
         else:
@@ -155,25 +159,20 @@ def norm_series(traj: Trajectory,
     return NormSeries(times=times, sup_f=sup_f, sup_slope=sup_slope)
 
 
-def regime_timeline(traj: Trajectory, slope_tol: float = SLOPE_TOL,
-                    filt: FilterSpec = DEFAULT_FILTER,
-                    events: tuple[tuple[float, str], ...] | None = None
+def regime_timeline(traj: Trajectory, events: tuple[tuple[float, str], ...]
                     ) -> tuple[tuple[tuple[float, float], str], ...]:
     """Partition of [t0, t_end] into constant-regime segments.
 
-    Segment boundaries between stable and unstable snapshots are refined by
-    detect_event_times (pass precomputed events to skip that work); other
-    boundaries, and gaps without a located event, fall back to the midpoint
-    of the enclosing snapshot gap. Intervals are in stored (possibly
-    reversed) time order and tile the full run exactly.
+    A boundary between snapshots of different regimes sits at the first of
+    the given events (the flips detect_event_times located) inside that
+    snapshot gap; a gap without one falls back to its midpoint. Intervals
+    are in stored (possibly reversed) time order and tile the full run
+    exactly.
     """
     times = traj.times
     if len(times) < 2:
         raise ValueError("timeline needs at least two snapshots")
-    regs = [classify_slope(float(slope_profile(c, filt).min()), slope_tol)
-            for c in traj.snapshots]
-    if events is None:
-        events = tuple(detect_event_times(traj, filt=filt))
+    regs = [classify_slope(grid_min_slope(c)) for c in traj.snapshots]
     sgn = float(traj.direction)
 
     segments: list[tuple[tuple[float, float], str]] = []

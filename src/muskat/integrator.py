@@ -7,10 +7,11 @@ fixed-step convergence is globally O(dt^4). The backward solver follows the
 regularized recipe: march with a negative step and re-threshold the spectra
 of p1 and z2 after every accepted step.
 
-After every accepted step the march takes the sign of min d_alpha z1 (one
-FFT). A step across which the sign changes is recorded as a bracket, and
-detect_event_times bisects each bracket, so every regime flip the march
-steps over is located, whatever the snapshot cadence.
+After every accepted step the march takes the sign of grid_min_slope, the
+grid minimum of d_alpha z1 (one FFT). A step across which the sign changes
+is recorded as a bracket, and detect_event_times bisects each bracket, so
+every regime flip the march steps over is located, whatever the snapshot
+cadence. The diagnostics judge regimes from the same grid minimum.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysicalParams, SampledCurve
-from .spectral import DEFAULT_FILTER, FilterSpec, filtered_derivative, threshold_smooth
-from .velocity import ARC_CHORD_FLOOR, ArcChordError, periodic_rhs
+from .spectral import filtered_derivative, threshold_smooth
+from .velocity import ArcChordError, periodic_rhs
 
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -49,6 +50,11 @@ EVENT_EARLY_STOP = "EARLY_STOP"
 
 # Adaptive mode: a trial step that raised is retried with h times this.
 _FAILED_STEP_SHRINK = 0.25
+# Adaptive mode: the step-size update (scale/err)**(1/5) is damped by this.
+_STEP_SAFETY = 0.9
+
+# detect_event_times bisects each flip bracket down to this width in t.
+_EVENT_BRACKET_WIDTH = 1e-8
 
 
 class NanEncountered(RuntimeError):
@@ -62,7 +68,6 @@ class StepControl:
     dt: float = 4e-5
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    safety: float = 0.9
     min_dt: float = 1e-12
     max_dt: float = 1e-2
 
@@ -112,9 +117,8 @@ class Trajectory:
         return -1 if self.times[-1] < self.times[0] else 1
 
 
-def rk45_step(curve: SampledCurve, params: PhysicalParams, dt: float,
-              filt: FilterSpec = DEFAULT_FILTER,
-              floor: float = ARC_CHORD_FLOOR) -> tuple[SampledCurve, float]:
+def rk45_step(curve: SampledCurve, params: PhysicalParams,
+              dt: float) -> tuple[SampledCurve, float]:
     """One Dormand-Prince step of size dt (dt = 0 is the identity).
 
     Returns the fourth-order update together with the embedded-pair
@@ -129,8 +133,7 @@ def rk45_step(curve: SampledCurve, params: PhysicalParams, dt: float,
                                                     axes=1)
         if not np.isfinite(yi).all():
             raise NanEncountered(f"non-finite state in stage {i}")
-        vf = periodic_rhs(curve.with_samples(yi[0], yi[1]), params, filt,
-                          floor)
+        vf = periodic_rhs(curve.with_samples(yi[0], yi[1]), params)
         stages[i] = (vf.v1, vf.v2)
     y4 = y + dt * np.tensordot(_DP_B4, stages, axes=1)
     y5 = y + dt * np.tensordot(_DP_B5, stages, axes=1)
@@ -144,18 +147,22 @@ def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
                               threshold_smooth(curve.z2, eps))
 
 
-def slope_profile(curve: SampledCurve,
-                  filt: FilterSpec = DEFAULT_FILTER) -> np.ndarray:
-    """d_alpha z1 = 1 + d_alpha p1 at every node.
+def slope_profile(curve: SampledCurve) -> np.ndarray:
+    """d_alpha z1 = 1 + d_alpha p1 at every node."""
+    return 1.0 + filtered_derivative(curve.p1, 1)
 
-    Its minimum is the stability indicator: positive while the interface is
-    a graph (the stable regime), negative once it has turned over.
+
+def grid_min_slope(curve: SampledCurve) -> float:
+    """The stability indicator: the minimum of slope_profile over the nodes.
+
+    Positive while the interface is a graph (the stable regime), negative
+    once it has turned over. Every regime judgement of the march, the event
+    search and the diagnostics is read off this value.
     """
-    return 1.0 + filtered_derivative(curve.p1, 1, filt)
+    return float(slope_profile(curve).min())
 
 
-def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
-           snapshot_every: float | None,
+def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
            stop_when: Callable[[float, SampledCurve], bool] | None):
     """Advance traj in place to t_goal, in either direction.
 
@@ -169,7 +176,7 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
     t = traj.times[-1]
     cur = traj.snapshots[-1]
     sgn = 1.0 if t_goal > t else -1.0
-    stable = slope_profile(cur, filt).min() > 0.0
+    stable = grid_min_slope(cur) > 0.0
     last_rec = t
     dt = ctl.dt
     tiny = 1e-12 * max(1.0, abs(t_goal), abs(t))
@@ -179,7 +186,7 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
             h = t_goal - t
         failure = None
         try:
-            nxt, err = rk45_step(cur, traj.params, h, filt, floor)
+            nxt, err = rk45_step(cur, traj.params, h)
         except ArcChordError:
             failure = STATUS_ARC_CHORD
         except NanEncountered:
@@ -190,7 +197,7 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
                     float(np.max(np.abs(cur.p1))),
                     float(np.max(np.abs(cur.z2))), 1.0)
                 # local error of the propagated member is O(h^5)
-                grow = ctl.safety * (scale / err) ** 0.2 if err > 0 else 5.0
+                grow = _STEP_SAFETY * (scale / err) ** 0.2 if err > 0 else 5.0
                 dt = float(np.clip(abs(h) * min(grow, 5.0), ctl.min_dt,
                                    ctl.max_dt))
                 if err > scale:
@@ -209,7 +216,7 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
         if traj.smoothing_eps is not None:
             nxt = _smoothed(nxt, traj.smoothing_eps)
         traj.steps += 1
-        now_stable = slope_profile(nxt, filt).min() > 0.0
+        now_stable = grid_min_slope(nxt) > 0.0
         if now_stable != stable:
             kind = EVENT_ENTER_STABLE if now_stable else EVENT_ENTER_UNSTABLE
             traj.brackets.append((t, cur, h, kind))
@@ -237,16 +244,15 @@ def _march(traj: Trajectory, t_goal: float, filt: FilterSpec, floor: float,
 def evolve_forward(curve: SampledCurve, params: PhysicalParams, t_end: float,
                    control: StepControl | None = None, *, t0: float = 0.0,
                    snapshot_every: float | None = None,
-                   stop_when: Callable[[float, SampledCurve], bool] | None = None,
-                   filt: FilterSpec = DEFAULT_FILTER,
-                   floor: float = ARC_CHORD_FLOOR) -> Trajectory:
+                   stop_when: Callable[[float, SampledCurve], bool] | None = None
+                   ) -> Trajectory:
     """March from t0 to t_end; arc-chord, NaN or step-underflow failures end
     the run early with the last valid state retained and the status set."""
     if not t_end > t0:
         raise ValueError(f"need t_end > t0, got {t_end} <= {t0}")
     traj = Trajectory(times=[float(t0)], snapshots=[curve], events=[],
                       params=params, control=control or StepControl())
-    _march(traj, float(t_end), filt, floor, snapshot_every, stop_when)
+    _march(traj, float(t_end), snapshot_every, stop_when)
     return traj
 
 
@@ -254,9 +260,8 @@ def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
                                 t_final: float,
                                 control: StepControl | None = None, *,
                                 eps: float = 1e-6,
-                                snapshot_every: float | None = None,
-                                filt: FilterSpec = DEFAULT_FILTER,
-                                floor: float = ARC_CHORD_FLOOR) -> Trajectory:
+                                snapshot_every: float | None = None
+                                ) -> Trajectory:
     """March from t = 0 down to t_final < 0, re-thresholding after each step.
 
     The backward problem is ill posed; the spectral threshold eps is the
@@ -277,25 +282,22 @@ def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
                       events=[], params=params,
                       control=control or StepControl(),
                       smoothing_eps=float(eps))
-    _march(traj, float(t_final), filt, floor, snapshot_every, None)
+    _march(traj, float(t_final), snapshot_every, None)
     return traj
 
 
-def detect_event_times(traj: Trajectory, tol: float = 1e-8,
-                       filt: FilterSpec = DEFAULT_FILTER,
-                       floor: float = ARC_CHORD_FLOOR
-                       ) -> list[tuple[float, str]]:
-    """Locate the sign changes of min d_alpha z1 the march stepped over.
+def detect_event_times(traj: Trajectory) -> list[tuple[float, str]]:
+    """Locate the sign changes of grid_min_slope the march stepped over.
 
-    Each bracket in traj.brackets is bisected to width tol with partial
-    steps from its pre-crossing state, smoothed as the run was. Every flip
-    is found whatever the snapshot cadence; a Trajectory built by hand has
-    no brackets and so no events.
+    Each bracket in traj.brackets is bisected to width _EVENT_BRACKET_WIDTH
+    with partial steps from its pre-crossing state, smoothed as the run
+    was. Every flip is found whatever the snapshot cadence; a Trajectory
+    built by hand has no brackets and so no events.
     """
     eps = traj.smoothing_eps
 
     def advance(state: SampledCurve, h: float) -> SampledCurve:
-        nxt, _ = rk45_step(state, traj.params, h, filt, floor)
+        nxt, _ = rk45_step(state, traj.params, h)
         return _smoothed(nxt, eps) if eps is not None else nxt
 
     events: list[tuple[float, str]] = []
@@ -303,10 +305,10 @@ def detect_event_times(traj: Trajectory, tol: float = 1e-8,
         was_stable = kind == EVENT_ENTER_UNSTABLE
         lo, hi = t_a, t_a + h
         try:
-            while abs(hi - lo) > tol:
+            while abs(hi - lo) > _EVENT_BRACKET_WIDTH:
                 mid = 0.5 * (lo + hi)
                 probe = advance(cur, mid - t_a)
-                if (slope_profile(probe, filt).min() > 0.0) == was_stable:
+                if (grid_min_slope(probe) > 0.0) == was_stable:
                     lo = mid
                 else:
                     hi = mid

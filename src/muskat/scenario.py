@@ -33,6 +33,7 @@ from .integrator import (
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
+    grid_min_slope,
     slope_profile,
 )
 from .spectral import filtered_derivative
@@ -281,11 +282,11 @@ def _analyze(traj: Trajectory, outdir: Path, outputs: dict[str, str],
     outputs[f"norms{suffix}"] = f"norms{suffix}.dat"
     events = tuple(detect_event_times(traj))
     if len(traj.times) > 1:
-        segments = regime_timeline(traj, events=events)
+        segments = regime_timeline(traj, events)
     else:
         # the first step failed: the leg is its initial state alone
         t = traj.final_time
-        regime = classify_slope(float(slope_profile(traj.final).min()))
+        regime = classify_slope(grid_min_slope(traj.final))
         segments = (((t, t), regime),)
     _write_timeline(segments, events, outdir / f"timeline{suffix}.txt")
     outputs[f"timeline{suffix}"] = f"timeline{suffix}.txt"
@@ -378,7 +379,7 @@ def _run_evolution(config: RunConfig, outdir: Path,
     else:
         stop = None
         if config.scenario == "CONJ_TURNOVER":
-            stop = lambda t, c: slope_profile(c).min() < TURNOVER_STOP_SLOPE
+            stop = lambda t, c: grid_min_slope(c) < TURNOVER_STOP_SLOPE
         traj = evolve_forward(curve, params, t_final, control, t0=t0,
                               snapshot_every=every, stop_when=stop)
     return ((traj,), *_analyze(traj, outdir, outputs))

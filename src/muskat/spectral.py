@@ -7,14 +7,13 @@ nodes alpha_j = -pi + 2*pi*j/n, the coefficient of wavenumber k is
     c_k = (1/n) * sum_j v_j * exp(-i*k*alpha_j),   k = -n/2+1, ..., n/2,
 
 so sin(alpha) has c_[+1] = -i/2 and c_[-1] = +i/2. Differentiation and the
-smoothing threshold both live in this convention. Derivatives carry the
-exponential cutoff filter rho(k) = exp(-strength*(2|k|/n)**exponent) unless a
-different filter is supplied.
+smoothing threshold both live in this convention. Every derivative, on the
+grid or off it, carries the one exponential cutoff filter
+rho(k) = exp(-10*(2|k|/n)**25).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,26 +23,11 @@ import numpy as np
 _ROUNDOFF_FLOOR = 64.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Exponential cutoff filter rho(k) = exp(-strength*(2|k|/n)**exponent)."""
-
-    strength: float = 10.0
-    exponent: int = 25
-
-    def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("filter strength must be nonnegative")
-        if self.exponent < 1:
-            raise ValueError("filter exponent must be a positive integer")
-
-    def profile(self, n: int) -> np.ndarray:
-        """Filter values in numpy FFT ordering for an n-point grid."""
-        k = np.abs(np.fft.fftfreq(n, 1.0 / n))
-        return np.exp(-self.strength * (2.0 * k / n) ** self.exponent)
-
-
-DEFAULT_FILTER = FilterSpec()
+def _filter_profile(n: int) -> np.ndarray:
+    """Cutoff filter rho(k) = exp(-10*(2|k|/n)**25) in numpy FFT ordering
+    for an n-point grid."""
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    return np.exp(-10.0 * (2.0 * k / n) ** 25)
 
 
 def _check_vector(values) -> np.ndarray:
@@ -56,28 +40,27 @@ def _check_vector(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _derivative_multiplier(n: int, order: int, filt: FilterSpec) -> np.ndarray:
+def _derivative_multiplier(n: int, order: int) -> np.ndarray:
     """(ik)**order * rho(k) in numpy FFT ordering for an n-point grid.
 
     The Nyquist bin is zeroed for odd orders: it aliases +n/2 and -n/2 and
-    carries no usable sign for odd powers of (ik). Cached per (n, order,
-    filt), so the result is read-only.
+    carries no usable sign for odd powers of (ik). Cached per (n, order),
+    so the result is read-only.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError("derivative order must be 1, 2, 3 or 4")
     k = np.fft.fftfreq(n, 1.0 / n)
-    mult = (1j * k) ** order * filt.profile(n)
+    mult = (1j * k) ** order * _filter_profile(n)
     if order % 2:
         mult[n // 2] = 0.0
     mult.flags.writeable = False
     return mult
 
 
-def filtered_derivative(values, order: int = 1,
-                        filt: FilterSpec = DEFAULT_FILTER) -> np.ndarray:
+def filtered_derivative(values, order: int = 1) -> np.ndarray:
     """Spectral derivative of the given order (1..4) with cutoff filter."""
     v = _check_vector(values)
-    mult = _derivative_multiplier(v.size, order, filt)
+    mult = _derivative_multiplier(v.size, order)
     return np.fft.ifft(np.fft.fft(v) * mult).real
 
 
@@ -121,18 +104,17 @@ class TrigInterpolant:
     with the grid-side derivative routines.
     """
 
-    def __init__(self, values, filt: FilterSpec = DEFAULT_FILTER):
+    def __init__(self, values):
         v = _check_vector(values)
         self.n = v.size
         self._raw = np.fft.fft(v) / self.n
         self._k = np.fft.fftfreq(self.n, 1.0 / self.n)
-        self._filt = filt
 
     def __call__(self, x, order: int = 0):
         x = np.asarray(x, dtype=float)
         coeffs = self._raw
         if order:
-            coeffs = coeffs * _derivative_multiplier(self.n, order, self._filt)
+            coeffs = coeffs * _derivative_multiplier(self.n, order)
         # Node j sits at alpha_j = -pi + j*h, so the bin phases need x + pi.
         phases = np.exp(1j * np.multiply.outer(x + np.pi, self._k))
         out = (phases @ coeffs).real

@@ -1,4 +1,5 @@
-"""Interface velocity: periodic contour kernel and turnover predictor.
+"""Interface velocity: periodic contour kernel and, for the spliced
+piecewise curves of the lemma, the turnover predictor.
 
 The evolution velocity at node i sums derivative differences against the
 periodized Birkhoff-Rott kernel,
@@ -32,7 +33,7 @@ from scipy.integrate import quad
 
 from .core import PhysicalParams, SampledCurve
 from .piecewise import PiecewiseCurve
-from .spectral import DEFAULT_FILTER, FilterSpec, TrigInterpolant, filtered_derivative
+from .spectral import filtered_derivative
 
 ARC_CHORD_FLOOR = 1e-12
 
@@ -76,21 +77,20 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
 
-def periodic_rhs(curve: SampledCurve, params: PhysicalParams,
-                 filt: FilterSpec = DEFAULT_FILTER,
-                 floor: float = ARC_CHORD_FLOOR) -> VelocityField:
+def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
     """Evolution velocity of a sampled interface.
 
     Raises ArcChordError, without dividing by it, if some denominator is at
-    or below `floor`; the report gives the smallest denominator and lists up
-    to 16 offending (i, j) pairs, (even, odd) ones first.
+    or below ARC_CHORD_FLOOR; the report gives the smallest denominator and
+    lists up to 16 offending (i, j) pairs, (even, odd) ones first.
     """
+    floor = ARC_CHORD_FLOOR
     n = curve.grid.n
     h = curve.grid.spacing
     z1 = curve.z1
     z2 = curve.z2
-    dp1 = filtered_derivative(curve.p1, 1, filt)
-    dz2 = filtered_derivative(curve.z2, 1, filt)
+    dp1 = filtered_derivative(curve.p1, 1)
+    dz2 = filtered_derivative(curve.z2, 1)
 
     m = n // 2
     z1e, z1o = z1[0::2], z1[1::2]
@@ -149,9 +149,8 @@ def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):
     return panels
 
 
-def turnover_predictor(curve: PiecewiseCurve | SampledCurve, alpha0: float,
-                       quad_tol: float = 1e-10,
-                       filt: FilterSpec = DEFAULT_FILTER) -> float:
+def turnover_predictor(curve: PiecewiseCurve, alpha0: float,
+                       quad_tol: float = 1e-10) -> float:
     """Sign predictor d_alpha v1 at a locally flat point of the interface.
 
     Requires z1'(alpha0) = z1''(alpha0) = z2(alpha0) = 0 (to PRECONDITION_TOL);
@@ -164,23 +163,9 @@ def turnover_predictor(curve: PiecewiseCurve | SampledCurve, alpha0: float,
     restores the graph property.
     """
     alpha0 = float(alpha0)
-    if isinstance(curve, PiecewiseCurve):
-        z1, dz1, ddz1 = curve.z1, curve.dz1, curve.ddz1
-        z2, dz2 = curve.z2, curve.dz2
-        panels = _piecewise_panels(curve, alpha0)
-    elif isinstance(curve, SampledCurve):
-        p1_i = TrigInterpolant(curve.p1, filt)
-        z2_i = TrigInterpolant(curve.z2, filt)
-        z1 = lambda b: b + p1_i(b)
-        dz1 = lambda b: 1.0 + p1_i(b, order=1)
-        ddz1 = lambda b: p1_i(b, order=2)
-        z2 = z2_i
-        dz2 = lambda b: z2_i(b, order=1)
-        # One period centered on the target; the kernel is 2 pi periodic in
-        # label only through the samples, so this is a diagnostic estimate.
-        panels = [(alpha0 - np.pi, alpha0), (alpha0, alpha0 + np.pi)]
-    else:
-        raise TypeError(f"unsupported curve type {type(curve).__name__}")
+    z1, dz1, ddz1 = curve.z1, curve.dz1, curve.ddz1
+    z2, dz2 = curve.z2, curve.dz2
+    panels = _piecewise_panels(curve, alpha0)
 
     flat = (abs(dz1(alpha0)), abs(ddz1(alpha0)), abs(z2(alpha0)))
     if max(flat) > PRECONDITION_TOL:

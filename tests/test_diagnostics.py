@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import muskat.diagnostics as diagnostics
 from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
 from muskat.diagnostics import (
     REGIME_CRITICAL,
@@ -21,6 +22,7 @@ from muskat.integrator import (
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
+    grid_min_slope,
     slope_profile,
 )
 
@@ -31,12 +33,13 @@ def overturned_curve(n=256, amp=1.2):
                       0.3 * np.sin(grid.nodes))
 
 
-def test_classify_slope_bands():
+def test_classify_slope_bands(monkeypatch):
     assert classify_slope(0.5) == REGIME_STABLE
     assert classify_slope(-0.5) == REGIME_UNSTABLE
     assert classify_slope(0.0) == REGIME_CRITICAL
     assert classify_slope(5e-11) == REGIME_CRITICAL
-    assert classify_slope(5e-11, slope_tol=1e-12) == REGIME_STABLE
+    monkeypatch.setattr(diagnostics, "SLOPE_TOL", 1e-12)
+    assert classify_slope(5e-11) == REGIME_STABLE
 
 
 def test_turning_report_on_stable_graph(flat64):
@@ -119,7 +122,7 @@ def test_single_regime_timeline(flat64, params):
     traj = evolve_forward(flat64, params, 1e-3,
                           StepControl(mode="fixed", dt=2e-4),
                           snapshot_every=5e-4)
-    timeline = regime_timeline(traj)
+    timeline = regime_timeline(traj, tuple(detect_event_times(traj)))
     assert timeline == (((0.0, traj.final_time), REGIME_STABLE),)
 
 
@@ -154,6 +157,8 @@ def test_slope_profile_sign_matches_slope_classification(grid64, params):
     for snap in traj.snapshots:
         rep = turning_report(snap)
         grid_min = float(np.min(slope_profile(snap)))
+        assert rep.grid_min == grid_min_slope(snap) == grid_min
+        assert rep.regime == classify_slope(grid_min)
         if abs(rep.min_slope) > 1e-10:
             assert (grid_min > 0.0) == (rep.min_slope > 0.0)
 
@@ -162,7 +167,7 @@ def test_timeline_requires_two_snapshots(flat64, params):
     traj = Trajectory(times=[0.0], snapshots=[flat64], events=[],
                       params=params, control=StepControl())
     with pytest.raises(ValueError, match="two snapshots"):
-        regime_timeline(traj)
+        regime_timeline(traj, ())
 
 
 def test_regime_pattern_collapses_slivers_and_repeats():

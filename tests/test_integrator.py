@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import muskat.integrator as integrator
+import muskat.velocity as velocity
 from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
 from muskat.integrator import (
     EVENT_EARLY_STOP,
@@ -105,10 +106,11 @@ def test_stop_when_records_early_stop(flat64, params):
     assert abs(traj.final_time - 5e-4) < 1e-12
 
 
-def test_arc_chord_failure_keeps_last_state(flat64, params):
+def test_arc_chord_failure_keeps_last_state(flat64, params, monkeypatch):
     # an absurd floor makes the very first step fail
+    monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", 10.0)
     traj = evolve_forward(flat64, params, 1e-3,
-                          StepControl(mode="fixed", dt=1e-4), floor=10.0)
+                          StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_ARC_CHORD
     assert traj.events == [(0.0, STATUS_ARC_CHORD)]
     assert len(traj.snapshots) == 1
@@ -116,7 +118,7 @@ def test_arc_chord_failure_keeps_last_state(flat64, params):
 
 
 def test_nan_abort(flat64, params, monkeypatch):
-    def poisoned(curve, prm, filt, floor):
+    def poisoned(curve, prm):
         n = curve.grid.n
         return VelocityField(v1=np.full(n, np.nan), v2=np.zeros(n))
 
@@ -186,12 +188,14 @@ def test_backward_seed_run_and_event_search(grid64, params):
     assert -4e-5 < t_star < 0.0
 
 
-def test_event_refinement_is_bracketed_by_tol(grid64, params):
+def test_event_refinement_is_bracketed_by_tol(grid64, params, monkeypatch):
     curve = sample_preset("SEED_T0", grid64)
     traj = evolve_backward_regularized(curve, params, -1e-3,
                                        snapshot_every=1e-3)
-    coarse = detect_event_times(traj, tol=1e-5)
-    fine = detect_event_times(traj, tol=1e-9)
+    monkeypatch.setattr(integrator, "_EVENT_BRACKET_WIDTH", 1e-5)
+    coarse = detect_event_times(traj)
+    monkeypatch.setattr(integrator, "_EVENT_BRACKET_WIDTH", 1e-9)
+    fine = detect_event_times(traj)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0][0] - fine[0][0]) < 1e-5
 
@@ -223,12 +227,12 @@ def test_adaptive_step_underflow_has_its_own_status(grid64, params):
 def test_adaptive_retries_a_failed_trial_step(flat64, params, monkeypatch):
     calls = []
 
-    def nan_once(curve, prm, filt, floor):
+    def nan_once(curve, prm):
         calls.append(1)
         if len(calls) == 1:
             n = curve.grid.n
             return VelocityField(v1=np.full(n, np.nan), v2=np.zeros(n))
-        return periodic_rhs(curve, prm, filt, floor)
+        return periodic_rhs(curve, prm)
 
     monkeypatch.setattr(integrator, "periodic_rhs", nan_once)
     traj = evolve_forward(flat64, params, 1e-3,

@@ -149,10 +149,10 @@ def test_import_rejects_malformed_files(tmp_path):
         import_snapshot(skewed)
 
 
-def _manifest_section(out):
+def _manifest_section(out, section="manifest"):
     parsed = configparser.ConfigParser()
     parsed.read_string((out / "manifest.txt").read_text())
-    return parsed["manifest"]
+    return parsed[section]
 
 
 def test_lemma_verify_scenario(tmp_path):
@@ -340,11 +340,45 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
     for flag, message in (("--dt", "dt: must be positive"),
                           ("--eps", "eps: must be nonnegative"),
                           ("--snapshot-every", "snapshot_every"),
+                          ("--rel-tol", "rel_tol: must be positive"),
+                          ("--abs-tol", "abs_tol: must be positive"),
+                          ("--delta", "delta: need 0 < delta < 1"),
                           ("--density-jump", "needs --input"),
                           ("--t-final", "needs --input")):
         assert main(["run", "--scenario", "FORWARD_RERUN", flag,
                      "-2.5e-3"]) == 1
         assert message in capsys.readouterr().err, flag
+
+
+def test_cli_run_sets_every_config_key(tmp_path, capsys):
+    out = tmp_path / "adaptive"
+    code = main(["run", "--scenario", "DELTA_TILT", "--n", "32",
+                 "--t-final", "2e-4", "--mode", "adaptive", "--rel-tol",
+                 "1e-9", "--abs-tol", "1e-11", "--delta", "0.2",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    config = _manifest_section(out, "config")
+    assert [config[k] for k in ("mode", "rel_tol", "abs_tol", "delta")] == \
+        ["adaptive", "1e-09", "1e-11", "0.2"]
+
+
+def test_cli_pattern_events_and_terminal_regime_agree(tmp_path, capsys):
+    # At n = 32 the terminal state's parabola-refined minimum slope dips
+    # below zero between two nodes while the grid minimum stays positive;
+    # the pattern, the events and the terminal regime all follow the grid.
+    code = main(["run", "--scenario", "BACKWARD_SEED", "--n", "32",
+                 "--t-final=-1e-2", "--out", str(tmp_path / "bwd")])
+    text = capsys.readouterr().out
+    assert code == 0
+    lines = text.splitlines()
+    pattern = next(ln for ln in lines if ln.startswith("pattern = "))
+    regime = next(ln for ln in lines if ln.startswith("regime = "))
+    flips = [ln.split()[-1] for ln in lines
+             if ln.startswith("event: ") and "ENTER_" in ln]
+    terminal = regime.split()[2]
+    assert pattern.split()[-1] == terminal
+    assert flips[-1] == "ENTER_" + terminal
+    assert ("vertical tangents: none" in lines) == (terminal == "STABLE")
 
 
 def test_cli_verify_lemma(tmp_path, capsys):

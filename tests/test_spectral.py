@@ -6,10 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from muskat.core import make_grid
 from muskat.spectral import (
-    DEFAULT_FILTER,
-    FilterSpec,
     TrigInterpolant,
     _derivative_multiplier,
+    _filter_profile,
     filtered_derivative,
     threshold_smooth,
 )
@@ -38,10 +37,10 @@ def test_cached_multiplier_is_read_only_and_exact():
     g = make_grid(256)
     v = np.exp(np.cos(g.nodes)) + 0.3 * np.sin(5 * g.nodes)
     for order in (1, 2, 3, 4):
-        mult = _derivative_multiplier(256, order, DEFAULT_FILTER)
-        assert mult is _derivative_multiplier(256, order, DEFAULT_FILTER)
+        mult = _derivative_multiplier(256, order)
+        assert mult is _derivative_multiplier(256, order)
         assert not mult.flags.writeable
-        fresh = _derivative_multiplier.__wrapped__(256, order, DEFAULT_FILTER)
+        fresh = _derivative_multiplier.__wrapped__(256, order)
         expect = np.fft.ifft(np.fft.fft(v) * fresh).real
         assert np.array_equal(filtered_derivative(v, order), expect)
 
@@ -74,8 +73,7 @@ def test_derivative_rejects_bad_input():
 
 
 def test_filter_profile_shape():
-    f = FilterSpec()
-    prof = f.profile(64)
+    prof = _filter_profile(64)
     assert prof[0] == 1.0
     assert abs(prof[32] - np.exp(-10.0)) < 1e-15
     k = np.fft.fftfreq(64, d=1 / 64)
@@ -85,7 +83,7 @@ def test_filter_profile_shape():
 
 def test_filter_negligible_on_low_modes():
     # modes up to n/4 pass essentially untouched
-    prof = DEFAULT_FILTER.profile(512)
+    prof = _filter_profile(512)
     assert abs(prof[128] - 1.0) < 1e-6
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from muskat import velocity
 from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+from muskat.lemma import build_blocks
 from muskat.spectral import filtered_derivative
 from muskat.velocity import (
     ARC_CHORD_FLOOR,
@@ -202,20 +203,8 @@ def test_kernel_memory_is_bounded_at_n2048():
     assert peak < 4 * 2**20
 
 
-def test_predictor_on_seed_is_negative():
-    grid = make_grid(512)
-    curve = sample_preset("SEED_T0", grid)
-    value = turnover_predictor(curve, 0.0)
-    assert value < 0.0
-
-
 def test_predictor_rejects_sloped_point():
-    grid = make_grid(256)
-    curve = sample_preset("SEED_T0", grid)
-    with pytest.raises(PreconditionError):
-        turnover_predictor(curve, np.pi / 3.0)
-
-
-def test_predictor_rejects_unknown_curve_type():
-    with pytest.raises(TypeError):
-        turnover_predictor([0.0, 1.0], 0.0)
+    # on the spliced curve z1 is the identity on [1, 7], so z1' = 1 there
+    curve = build_blocks(18.0).spliced
+    with pytest.raises(PreconditionError, match="not flat enough"):
+        turnover_predictor(curve, 3.0)
