@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import GRAPH_SLOPE_TOL, SampledCurve
-from .integrator import Trajectory, grid_min_slope, slope_profile
+from .integrator import (EVENT_ENTER_STABLE, Trajectory, grid_min_slope,
+                         slope_profile)
 from .spectral import TrigInterpolant, filtered_derivative
 
 REGIME_STABLE = "STABLE"
@@ -163,32 +164,44 @@ def regime_timeline(traj: Trajectory, events: tuple[tuple[float, str], ...]
                     ) -> tuple[tuple[tuple[float, float], str], ...]:
     """Partition of [t0, t_end] into constant-regime segments.
 
-    A boundary between snapshots of different regimes sits at the first of
-    the given events (the flips detect_event_times located) inside that
-    snapshot gap; a gap without one falls back to its midpoint. Intervals
-    are in stored (possibly reversed) time order and tile the full run
-    exactly.
+    Every one of the given events (the flips detect_event_times located) is
+    a boundary, wherever it falls: two flips inside one snapshot gap give
+    the regime of the first flip between them. A gap without events between
+    snapshots of different regimes falls back to a boundary at its
+    midpoint. Neighbouring segments differ in regime; intervals are in
+    stored (possibly reversed) time order and tile the full run exactly.
     """
     times = traj.times
     if len(times) < 2:
         raise ValueError("timeline needs at least two snapshots")
     regs = [classify_slope(grid_min_slope(c)) for c in traj.snapshots]
     sgn = float(traj.direction)
+    flips = sorted(events, key=lambda ev: sgn * ev[0])
+
+    # (boundary, regime after it), in stored time order
+    cuts: list[tuple[float, str]] = []
+    k = 0
+    for i in range(1, len(regs)):
+        lo, hi = times[i - 1], times[i]
+        inside = []
+        while k < len(flips) and (hi - flips[k][0]) * sgn >= 0.0:
+            if (flips[k][0] - lo) * sgn >= 0.0:
+                inside.append(flips[k])
+            k += 1
+        if inside:
+            cuts += [(t_ev, REGIME_STABLE if kind == EVENT_ENTER_STABLE
+                      else REGIME_UNSTABLE) for t_ev, kind in inside[:-1]]
+            cuts.append((inside[-1][0], regs[i]))
+        elif regs[i] != regs[i - 1]:
+            cuts.append((0.5 * (lo + hi), regs[i]))
 
     segments: list[tuple[tuple[float, float], str]] = []
-    seg_start = times[0]
-    for i in range(1, len(regs)):
-        if regs[i] == regs[i - 1]:
-            continue
-        lo, hi = times[i - 1], times[i]
-        boundary = 0.5 * (lo + hi)
-        for t_ev, _ in events:
-            if (t_ev - lo) * sgn >= 0.0 and (hi - t_ev) * sgn >= 0.0:
-                boundary = t_ev
-                break
-        segments.append(((seg_start, boundary), regs[i - 1]))
-        seg_start = boundary
-    segments.append(((seg_start, times[-1]), regs[-1]))
+    seg_start, reg = times[0], regs[0]
+    for t_cut, after in cuts:
+        if after != reg:
+            segments.append(((seg_start, t_cut), reg))
+            seg_start, reg = t_cut, after
+    segments.append(((seg_start, times[-1]), reg))
     return tuple(segments)
 
 

@@ -17,6 +17,8 @@ from muskat.diagnostics import (
     turning_report,
 )
 from muskat.integrator import (
+    EVENT_ENTER_STABLE,
+    EVENT_ENTER_UNSTABLE,
     StepControl,
     Trajectory,
     detect_event_times,
@@ -148,6 +150,21 @@ def test_backward_timeline_tiles_and_aligns_with_events(grid64, params):
     fallback = regime_timeline(traj, events=())
     assert fallback[0][0][1] == pytest.approx(
         0.5 * (traj.times[0] + traj.times[1]))
+
+
+@pytest.mark.parametrize("sgn", [1.0, -1.0])
+def test_two_flips_inside_one_snapshot_gap(flat64, params, sgn):
+    # both snapshots are stable, so only the refined events can show the
+    # unstable excursion between them
+    traj = Trajectory(times=[0.0, sgn], snapshots=[flat64, flat64],
+                      events=[], params=params, control=StepControl())
+    events = ((0.25 * sgn, EVENT_ENTER_UNSTABLE),
+              (0.5 * sgn, EVENT_ENTER_STABLE))
+    timeline = regime_timeline(traj, events)
+    assert timeline == (((0.0, 0.25 * sgn), REGIME_STABLE),
+                        ((0.25 * sgn, 0.5 * sgn), REGIME_UNSTABLE),
+                        ((0.5 * sgn, sgn), REGIME_STABLE))
+    assert regime_pattern(timeline) == "STABLE -> UNSTABLE -> STABLE"
 
 
 def test_slope_profile_sign_matches_slope_classification(grid64, params):
