@@ -75,12 +75,15 @@ class StepControl:
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown stepping mode {self.mode!r}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt: must be positive and finite, got {self.dt}")
         if self.mode == "adaptive":
             if self.rel_tol <= 0 or self.abs_tol <= 0:
                 raise ValueError("adaptive tolerances must be positive")
             if not 0 < self.min_dt <= self.dt <= self.max_dt:
-                raise ValueError("need min_dt <= dt <= max_dt, all positive")
+                raise ValueError(
+                    f"dt: adaptive mode needs min_dt <= dt <= max_dt, all"
+                    f" positive; got min_dt = {self.min_dt:g}, dt = {self.dt},"
+                    f" max_dt = {self.max_dt:g}")
 
 
 @dataclass

@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError(f"delta: need 0 < delta < 1, got {self.delta}")
         if self.t_final is not None and not np.isfinite(self.t_final):
             raise ValueError("t_final: must be finite")
+        # the stepper's own checks, so a dt it rejects is a config error
+        self.step_control()
 
     @property
     def resolved_t_final(self) -> float:

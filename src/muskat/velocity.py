@@ -36,35 +36,27 @@ with dzeta = zeta_i - zeta_j. One complex exponential per node replaces
 the sin, cos and cosh per pair, whose sin and cos were most of a
 right-hand side at n = 2048; a chunk is then two small matrix products
 (dP and dQ, then the numerator), a sum of squares and a division. The chunks
-hold K/2 and the factor 2 sits in the final scale. Two exceptions keep the
-velocity within 1e-13 of the sin/cos formula on every pair, the formula
-the perfbench reference and the acceptance numbers were computed with:
+hold K/2 and the factor 2 sits in the final scale.
 
-* Near-diagonal band. The pairs with cyclic |i - j| <= _BAND take the
-  sin/cos formula. This buys agreement, not accuracy: on a close pair
-  cosh(d2) - cos(d1) cancels to a relative error of about eps/den, the
-  Cauchy denominator to about eps/sqrt(den), so the close pairs are where
-  the two forms differ most (up to 6e-11 in the velocity at n = 2048
-  without the band).
-* Arc-chord screen. Since cosh(d2) - cos(d1) = |dzeta|^2/(2|zeta_i||zeta_j|),
-  a chunk whose far pairs (those outside the band) have smallest |dzeta|^2
-  above 2 max(_SCREEN_DELTA, 2 floor) max|zeta_e| max|zeta_o| has no far
-  real denominator at or below max(_SCREEN_DELTA, 2 floor). The band's
-  denominators are the real ones and meet the floor directly; they stay
-  out of the |dzeta|^2 bound, which is loose by the spread of
-  |zeta| = exp(-z2): on the paper's seed (z2 spans 6.2) it would flag
-  adjacent pairs in a quarter of the chunks at n = 512. A chunk that fails
-  either test takes the sin/cos formula throughout, denominators,
-  offenders and kernel, so an ArcChordReport is exactly that of the
-  sin/cos sum and a far pair in near collision gets the sin/cos value. The
-  threshold follows ARC_CHORD_FLOOR, which callers may raise; the factor 2
-  on the floor covers the roundoff of both forms.
+Near pairs. Since cosh(d2) - cos(d1) = |dzeta|^2/(2|zeta_i||zeta_j|), a
+pair whose |dzeta|^2 exceeds 2 max(_SCREEN_DELTA, 2 floor) max|zeta_e|
+max|zeta_o| has a real denominator above max(_SCREEN_DELTA, 2 floor). A
+row chunk whose smallest |dzeta|^2 is at or below that bound picks out the
+pairs that are, and forms their real denominators in the cancellation-free
+form 2 (sinh^2(d2/2) + sin^2(d1/2)), which is accurate to a few eps
+however close the pair. Only these denominators meet ARC_CHORD_FLOOR, so
+an ArcChordReport lists them, and only these kernel entries are replaced
+by sin(d1)/(2 den), K/2 in the real form. Every other pair keeps the
+Cauchy form, whose relative error of about eps/sqrt(den) is below the
+eps/den of cosh(d2) - cos(d1) as written. The bound follows
+ARC_CHORD_FLOOR, which callers may raise; the factor 2 on the floor
+covers the roundoff of the |dzeta|^2 screen. On the paper's seed at
+n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -78,26 +70,19 @@ ARC_CHORD_FLOOR = 1e-12
 PRECONDITION_TOL = 1e-10
 
 # Target-source pairs per row chunk of the pair sum: 16 K pairs keep each
-# of the two chunk buffers at 128 KiB, well inside L2, and the peak RSS of
-# a run where the sin/cos kernel left it. Per right-hand side on SEED_T0
-# (2-vCPU Xeon, medians of 11), 8 K / 16 K / 32 K pairs take
-# 1.48 / 1.21 / 1.08 ms at n = 512 and 15.4 / 11.5 / 9.6 ms at n = 2048,
-# where 32 K adds 0.6 MiB to the peak RSS; an unchunked 1024 x 1024 block
-# at n = 2048 takes 76 ms, about 7x slower.
+# of the two chunk buffers at 128 KiB, well inside L2, and off the peak RSS
+# of a run. Per right-hand side on SEED_T0 (2-vCPU Xeon, medians of 11),
+# 8 K / 16 K / 32 K pairs take 1.03 / 0.83 / 0.85 ms at n = 512 and
+# 10.8 / 8.7 / 7.7 ms at n = 2048, where 32 K adds 0.6 MiB to the peak RSS;
+# an unchunked 1024 x 1024 block at n = 2048 takes 19 ms, about 2x slower.
 _CHUNK_PAIRS = 1 << 14
 
-# Pairs with cyclic index distance |i - j| <= _BAND take the sin/cos formula.
-# Max relative difference of the velocity from the sin/cos formula on every
-# pair, n = 2048, SEED_T0 / CONJ_T0 / an asymmetric curve: 5.7e-11 /
-# 4.3e-11 / 8.3e-12 without a band, 3.7e-13 / 7.3e-13 / 1.1e-13 at 8 and
-# 5.2e-14 / 6.5e-14 / 1.4e-14 at 32.
-_BAND = 32
-
-# Chunks that may hold a far-pair real denominator at or below this (or
-# 2 floor) take the sin/cos formula throughout. A far pair just above the
-# screen takes the Cauchy form, which moves the velocity from the sin/cos
-# value by 2.1e-12 relative at denominator 1e-7 and 6.6e-14 at 1e-6 (n = 1024,
-# nodes 201 apart, as in the tests).
+# Pairs whose real denominator may be at or below this (or 2 floor) take the
+# real form of the kernel. With one pair 201 nodes apart at denominator
+# 1e-8, 1e-7 or 1e-6 (n = 1024, as in the tests) the velocity is within
+# 1.3e-14 relative of the cancellation-free pair sum; the Cauchy form alone
+# would leave 3.0e-14 / 1.4e-13 / 2.6e-12 with that pair at 1e-9 / 1e-10 /
+# 1e-11.
 _SCREEN_DELTA = 1e-8
 
 
@@ -109,7 +94,8 @@ class VelocityField:
 
 @dataclass(frozen=True)
 class ArcChordReport:
-    """Where cosh(dz2) - cos(dz1) fell to or below the floor."""
+    """Where cosh(dz2) - cos(dz1), evaluated as
+    2 (sinh^2(dz2/2) + sin^2(dz1/2)), fell to or below the floor."""
     min_denominator: float
     floor: float
     pairs: tuple[tuple[int, int], ...]
@@ -136,9 +122,13 @@ class QuadratureError(RuntimeError):
 def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
     """Evolution velocity of a sampled interface.
 
-    Raises ArcChordError, without dividing by it, if some denominator is at
-    or below ARC_CHORD_FLOOR; the report gives the smallest denominator and
-    lists up to 16 offending (i, j) pairs, (even, odd) ones first.
+    Raises ArcChordError, without dividing by it, if some real denominator
+    cosh(dz2) - cos(dz1) is at or below ARC_CHORD_FLOOR; the report gives
+    the smallest denominator and lists up to 16 offending (i, j) pairs,
+    (even, odd) ones first. Denominators are evaluated in the
+    cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
+    the near pairs the |dzeta|^2 screen picks out; every other pair's is
+    above max(_SCREEN_DELTA, 2 floor).
     """
     floor = ARC_CHORD_FLOOR
     n = curve.grid.n
@@ -167,13 +157,11 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
                      np.column_stack((Q[0::2], zero, -one))))
     right = np.vstack((one, P[1::2], Q[1::2]))
     cross = np.column_stack((Q[0::2], -P[0::2]))
-    # a chunk whose far pairs (outside the band) have min |dzeta|^2 above
-    # limit * max|zeta_e| has their real denominators
-    # |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
+    # a pair with |dzeta|^2 above limit * max|zeta_e| (chunk) has its real
+    # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
     limit = 2.0 * max(_SCREEN_DELTA, 2.0 * floor) * mod[1::2].max()
     mod_e = mod[0::2]
 
-    cols, flat = _band_layout(m, rows)
     buf = np.empty((2, rows, m))
     v_even = np.empty((m, 2))
     odd_acc = np.zeros((m, 2))
@@ -188,35 +176,29 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
         dQ *= dQ
         dP += dQ
         ker = np.matmul(cross[r0:r1], right[1:], out=dQ)
-        # band pairs leave the |dzeta|^2 screen: their denominators are
-        # formed in the sin/cos form and meet the floor directly
-        np.put(dP, flat[r0:r1], np.inf)
-        d1 = z1e[r0:r1, None] - z1o[cols[r0:r1]]
-        den = np.cosh(z2e[r0:r1, None] - z2o[cols[r0:r1]])
-        den -= np.cos(d1)
-        if den.min() > floor and dP.min() > limit * mod_e[r0:r1].max():
-            ker /= dP
-            band = np.sin(d1)
-            band /= den
-            band *= 0.5
-            np.put(ker, flat[r0:r1], band)
-        else:
-            d1 = z1e[r0:r1, None] - z1o[None, :]
-            den = np.cosh(z2e[r0:r1, None] - z2o[None, :])
-            den -= np.cos(d1)
+        bound = limit * mod_e[r0:r1].max()
+        near = None
+        if dP.min() <= bound:
+            # near pairs: real denominators, free of the cancellation of
+            # cosh(d2) - cos(d1) as written
+            near = np.nonzero(dP <= bound)
+            i, j = near[0] + r0, near[1]
+            d1 = z1e[i] - z1o[j]
+            den = np.sinh(0.5 * (z2e[i] - z2o[j])) ** 2
+            den += np.sin(0.5 * d1) ** 2
+            den *= 2.0
             worst = min(worst, float(den.min()))
             if worst <= floor:
-                bad = np.argwhere(den <= floor)
-                bad[:, 0] += r0
+                bad = np.column_stack((i, j))[den <= floor]
                 # (even, odd) offenders come in row-major order; the
                 # (odd, even) ones in row-major order of the transposed block
                 eo_bad = np.concatenate((eo_bad, bad[:16]))[:16]
                 oe_bad = np.concatenate((oe_bad, bad))
                 oe_bad = oe_bad[np.lexsort((oe_bad[:, 0], oe_bad[:, 1]))][:16]
                 continue
-            np.sin(d1, out=ker)
-            ker /= den
-            ker *= 0.5
+        ker /= dP
+        if near is not None:
+            ker[near] = 0.5 * np.sin(d1) / den
         v_even[r0:r1] = ae[r0:r1] * ker.sum(axis=1)[:, None] - ker @ ao
         odd_acc += ker.T @ ae[r0:r1]
         col_sum += ker.sum(axis=0)
@@ -232,19 +214,6 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
     # the chunks hold K/2
     scale = 4.0 * h * params.prefactor
     return VelocityField(v1=scale * v[:, 0], v2=scale * v[:, 1])
-
-
-@lru_cache(maxsize=16)
-def _band_layout(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd-node columns of the cyclic |i - j| <= _BAND pairs of each of the
-    m even rows, and their flat offsets within a chunk of `rows` rows.
-    Cached, so read-only."""
-    r = np.arange(m, dtype=np.int32)[:, None]
-    cols = (r + np.arange(-(_BAND // 2), _BAND // 2, dtype=np.int32)) % m
-    flat = (r % rows) * m + cols
-    cols.flags.writeable = False
-    flat.flags.writeable = False
-    return cols, flat
 
 
 def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):

@@ -165,7 +165,7 @@ def test_criterion_6_alternating_rule_vs_trapezoid():
     rel_hi = rel_gap(2048)
     # The alternating rule only sums the n/2 nodes of opposite parity, so at
     # n points it resolves like an n/2-point trapezoid. Its gap to the oracle
-    # converges geometrically (1.6e-2, 1.0e-4, 4.9e-8, 6.3e-14 at n = 256,
+    # converges geometrically (1.6e-2, 1.0e-4, 4.9e-8, 6.4e-14 at n = 256,
     # 512, 1024, 2048) while the oracle itself is good to ~3e-13 from 1024
     # points, so the n = 512 gap is the rule's own error, not a fault. The
     # bound is therefore asserted at the reference resolution n = 2048,

@@ -1,17 +1,27 @@
-"""The benchmark tracer's targets still name callables in the package.
+"""The benchmark still runs against the package and its reference.
 
 perfbench/spans.py wraps module-level bindings by name, and its span notes
 read arguments of some of them by position or keyword; a refactor that
 drops or renames a binding, or moves one of those arguments, would only
-surface when a traced benchmark run starts.
+surface when a traced benchmark run starts. Likewise a kernel change that
+moves a workload's outputs past the tolerances of perfbench/check.py would
+only surface in a benchmark run, so each workload is also run here, at
+seed 0, through the benchmark's own output check.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+from muskat import scenario
+from muskat.spectral import filtered_derivative
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # span name -> (position, keyword) of the argument its note reads; the
 # keyword is None where the note reads the position only
@@ -22,15 +32,18 @@ NOTE_ARGUMENTS = {
 }
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_trace_target_is_a_callable_binding():
-    spans = _load_spans()
+    spans = _load("spans")
     assert spans.TARGETS
     missing = [f"{mod}.{attr}" for mod, attr, _ in spans.TARGETS
                if not callable(getattr(importlib.import_module(mod), attr,
@@ -39,7 +52,7 @@ def test_every_trace_target_is_a_callable_binding():
 
 
 def test_span_notes_find_their_arguments():
-    spans = _load_spans()
+    spans = _load("spans")
     assert set(spans._NOTES) == set(NOTE_ARGUMENTS)
     positional = (inspect.Parameter.POSITIONAL_ONLY,
                   inspect.Parameter.POSITIONAL_OR_KEYWORD)
@@ -54,3 +67,19 @@ def test_span_notes_find_their_arguments():
         if keyword is not None:
             assert params[pos].name == keyword, \
                 f"{mod}.{attr}: argument {pos} is not {keyword!r}"
+
+
+@pytest.mark.parametrize("name", ["backward-512", "turnover-512",
+                                  "backward-2048"])
+def test_workload_passes_the_benchmark_output_check(tmp_path, name):
+    workloads, check = _load("workloads"), _load("check")
+    child = _load("child")
+    w = workloads.find(name)
+    config = scenario.RunConfig(out_dir=str(tmp_path),
+                                **workloads.config_fields(w, 0))
+    manifest = scenario.run_scenario(config)
+    observed = child._observe(manifest, w, tmp_path, scenario,
+                              filtered_derivative)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[name]
+    passed, _, _, why = check.compare(observed, reference)
+    assert passed, why

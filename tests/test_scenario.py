@@ -43,6 +43,8 @@ def test_config_defaults():
     ({"mode": "verlet"}, "mode"),
     ({"delta": 1.5}, "delta"),
     ({"t_final": float("inf")}, "t_final"),
+    ({"dt": float("inf")}, "dt: must be positive and finite"),
+    ({"mode": "adaptive", "dt": 0.05}, "dt: adaptive mode needs"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -397,6 +399,19 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
 
     assert main(["run", "--scenario", "FORWARD_RERUN"]) == 1
     assert "needs --input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--mode", "adaptive", "--dt", "0.05"],
+                                   ["--dt", "inf"]])
+def test_cli_step_control_errors_are_config_errors(tmp_path, capsys, flags):
+    # values the stepper rejects are refused before the run starts: exit
+    # code 1, the field named, and no manifest of a failed run
+    out = tmp_path / "run"
+    code = main(["run", "--scenario", "CONJ_TURNOVER", "--n", "16", *flags,
+                 "--out", str(out)])
+    assert code == 1
+    assert "error: dt:" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
 
 
 def test_cli_numerical_failure_exits_two(tmp_path, capsys):

@@ -13,6 +13,7 @@ from muskat.velocity import (
     ARC_CHORD_FLOOR,
     ArcChordError,
     PreconditionError,
+    VelocityField,
     periodic_rhs,
     turnover_predictor,
 )
@@ -38,7 +39,8 @@ def _two_half_sum(curve, params, floor=ARC_CHORD_FLOOR):
     for tgt, src in ((even, odd), (odd, even)):
         d1 = z1[tgt][:, None] - z1[src][None, :]
         d2 = z2[tgt][:, None] - z2[src][None, :]
-        den = np.cosh(d2) - np.cos(d1)
+        # cosh(d2) - cos(d1) without its cancellation on close pairs
+        den = 2.0 * (np.sinh(0.5 * d2) ** 2 + np.sin(0.5 * d1) ** 2)
         worst = min(worst, float(den.min()))
         bad = np.argwhere(den <= floor)
         offenders += [(int(tgt[i]), int(src[j])) for i, j in bad[:16]]
@@ -115,10 +117,9 @@ def test_vertical_translation_invariance():
 def test_label_shift_equivariance(n, m, tol):
     # relabeling alpha -> alpha - m h permutes the nodes; an even shift
     # keeps the alternating parity classes aligned, so the velocity just
-    # gets the same permutation. At n = 2048 the shift is wider than the
-    # near-diagonal band, so band rows change sides of the periodic seam;
-    # there the relabeling moves the velocity by 1.2e-11 in roundoff, as
-    # much as with the sin/cos formula on every pair
+    # gets the same permutation. At n = 2048 the relabeled nodes differ from
+    # the shifted ones in roundoff (z1 = alpha + p1 is re-rounded), which
+    # moves the velocity (max 12.7) by 1.1e-11 with either pair formula
     grid = make_grid(n)
     curve = sample_preset("SEED_T0", grid)
     shifted = curve.with_samples(
@@ -141,12 +142,39 @@ def test_velocity_linear_in_density_jump():
 @pytest.mark.parametrize("n", [64, 512, 2048])
 @pytest.mark.parametrize("name", ["SEED_T0", "CONJ_T0", "ASYMMETRIC"])
 def test_kernel_matches_two_half_pair_sum(name, n):
-    # at n = 64 the near-diagonal band covers every column; at 512 and 2048
-    # most pairs take the Cauchy form
+    # every pair takes the Cauchy form but the near ones (SEED_T0: 1, 17, 58
+    # at n = 64, 512, 2048; ASYMMETRIC: 0, 13, 42; CONJ_T0: none); with
+    # cosh(d2) - cos(d1) as written the oracle would carry up to 5.7e-11
     curve = _test_curve(name, n)
     params = PhysicalParams()
     v1, v2, _, _ = _two_half_sum(curve, params)
     assert _max_rel_diff(periodic_rhs(curve, params), v1, v2) <= 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("name", ["SEED_T0", "CONJ_T0"])
+def test_reference_pair_sum_matches_extended_precision(name, n):
+    # the oracle against the same pair sum in long double with
+    # cosh(d2) - cos(d1) as written, whose cancellation costs eps_ld / den,
+    # about 2e-14 on the adjacent pairs at n = 2048; that form in double
+    # would leave up to 5.7e-11
+    curve = _test_curve(name, n)
+    params = PhysicalParams()
+    v1, v2, _, _ = _two_half_sum(curve, params)
+    z1, z2 = curve.z1.astype(np.longdouble), curve.z2.astype(np.longdouble)
+    dz = np.stack((1.0 + filtered_derivative(curve.p1, 1),
+                   filtered_derivative(curve.z2, 1))).astype(np.longdouble)
+    ref = np.empty((2, n), dtype=np.longdouble)
+    for tgt in (slice(0, n, 2), slice(1, n, 2)):
+        src = slice(1 - tgt.start, n, 2)
+        d1 = z1[tgt, None] - z1[None, src]
+        d2 = z2[tgt, None] - z2[None, src]
+        ker = np.sin(d1) / (np.cosh(d2) - np.cos(d1))
+        ref[:, tgt] = dz[:, tgt] * ker.sum(axis=1) - (ker @ dz[:, src].T).T
+    ref *= 2.0 * curve.grid.spacing * params.prefactor
+    assert _max_rel_diff(VelocityField(v1, v2), *ref.astype(float)) <= 1e-13
 
 
 def test_kernel_is_independent_of_row_chunking(monkeypatch):
@@ -197,8 +225,8 @@ def test_near_collision_in_middle_chunks_reports_like_two_halves():
 
 def _far_pair_curve(den):
     """n = 1024 graph z2 = 0.1 sin(alpha) with node 400 moved next to node
-    601, so that this pair, 201 apart in index and so outside the
-    near-diagonal band, has real denominator about den."""
+    601, so that this pair, 201 apart in index, has real denominator about
+    den."""
     grid = make_grid(1024)
     p1 = np.zeros(grid.n)
     z2 = 0.1 * np.sin(grid.nodes)
@@ -219,11 +247,12 @@ def test_far_pair_below_floor_reports_like_two_halves():
     assert report.pairs == pairs
 
 
-@pytest.mark.parametrize("factor", [1.1, 1e3])
+@pytest.mark.parametrize("factor", [1.1, 1e3, 10.0])
 def test_far_pair_above_floor_matches_two_halves(factor):
-    # 1.1 floor sits just above the floor; 1e3 floor sits below the screen's
-    # _SCREEN_DELTA, where the real and Cauchy forms differ by about
-    # eps / den in that pair's kernel entry
+    # 1.1 floor sits just above the floor; 10 and 1e3 floor sit between
+    # 2 floor and the screen's _SCREEN_DELTA, where the pair takes the real
+    # form of the kernel: the Cauchy form alone, off by about eps / sqrt(den)
+    # in that entry, would miss the bound by 26x at 10 floor
     curve = _far_pair_curve(factor * ARC_CHORD_FLOOR)
     params = PhysicalParams()
     v1, v2, worst, pairs = _two_half_sum(curve, params)
