@@ -17,7 +17,6 @@ from .diagnostics import (
     turning_report,
 )
 from .integrator import STATUS_OK
-from .lemma import verification_report
 from .scenario import (
     _SCHEMA,
     SCENARIOS,
@@ -110,6 +109,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
+    from .lemma import verification_report
+
     report = verification_report()
     print(report, end="")
     if args.out:

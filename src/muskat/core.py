@@ -10,7 +10,6 @@ point there.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,11 +17,6 @@ import numpy as np
 #: density_jump value that makes the velocity prefactor (rho- - rho+)/(4 pi)
 #: equal to one; the scenario defaults use it.
 UNIT_PREFACTOR_DENSITY_JUMP = 4.0 * math.pi
-
-# Slopes below this are treated as vanishing when a curve is read as a graph;
-# the seed curve's exact zero at alpha = 0 lands at +-1e-16 after the FFT
-# round trip.
-GRAPH_SLOPE_TOL = 1e-12
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -98,26 +92,16 @@ class PhysicalParams:
         return self.density_jump / (4.0 * math.pi)
 
 
-_PRESET_CALL = re.compile(r"^DELTA_TILT\(([^)]+)\)$", re.IGNORECASE)
-
-
 def sample_preset(name: str, grid: Grid, delta: float | None = None) -> SampledCurve:
     """Sample one of the named initial conditions on the grid.
 
     SEED_T0        z1 = alpha - sin(alpha),
                    z2 = (3 sin(alpha) + 8 sin(2 alpha) + 3 sin(3 alpha))/4
     CONJ_T0        z1 = alpha - 0.96 sin(alpha), z2 = (2/3) sin(3 alpha)
-    DELTA_TILT     z1 = alpha - (1-delta) sin(alpha), seed z2; delta through
-                   the keyword or inline as "DELTA_TILT(0.1)"
+    DELTA_TILT     z1 = alpha - (1-delta) sin(alpha), seed z2; needs delta
     """
     a = grid.nodes
     key = name.strip().upper()
-    call = _PRESET_CALL.match(name.strip())
-    if call:
-        key = "DELTA_TILT"
-        if delta is not None:
-            raise ValueError("delta given both inline and as a keyword")
-        delta = float(call.group(1))
     if key in ("SEED_T0", "CONJ_T0") and delta is not None:
         raise ValueError(f"preset {key} takes no delta")
     if key == "SEED_T0":

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import GRAPH_SLOPE_TOL, SampledCurve
+from .core import SampledCurve
 from .integrator import (EVENT_ENTER_STABLE, Trajectory, grid_min_slope,
                          slope_profile)
 from .spectral import TrigInterpolant, filtered_derivative
@@ -89,6 +88,8 @@ def turning_report(curve: SampledCurve) -> TurningReport:
     polished on the band-limited interpolant to |slope| < 1e-8; nearby
     duplicates from a slope grazing zero at a node collapse to one point.
     """
+    from scipy.optimize import brentq
+
     grid = curve.grid
     s = slope_profile(curve)
     i_min = int(np.argmin(s))
@@ -145,7 +146,11 @@ def near_critical_minima(curve: SampledCurve
 
 
 def norm_series(traj: Trajectory) -> NormSeries:
-    """sup |z2| and, while the curve is a graph, sup |dz2/dz1| per snapshot."""
+    """sup |z2| and, while the curve is a graph, sup |dz2/dz1| per snapshot.
+
+    A snapshot counts as a graph when classify_slope calls it STABLE, so
+    norms.dat and timeline.txt never disagree on a snapshot.
+    """
     times = np.array(traj.times, dtype=float)
     sup_f = np.empty(len(times))
     sup_slope = np.empty(len(times))
@@ -153,7 +158,8 @@ def norm_series(traj: Trajectory) -> NormSeries:
         sup_f[i] = np.max(np.abs(c.z2))
         dz1 = slope_profile(c)
         dz2 = filtered_derivative(c.z2, 1)
-        if np.min(dz1) > GRAPH_SLOPE_TOL:
+        # dz1.min() is grid_min_slope(c)
+        if classify_slope(float(dz1.min())) == REGIME_STABLE:
             sup_slope[i] = np.max(np.abs(dz2 / dz1))
         else:
             sup_slope[i] = np.nan

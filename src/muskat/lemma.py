@@ -15,20 +15,37 @@ Every integral in this module is a contribution to
 at a0 = 0 (center conditions, I_cc and I_tc) or a0 = R (tail conditions,
 I_tt and I_ct); a negative value at the center forces the interface past
 vertical while a positive value at the tails keeps the ends graph-like.
+turnover_predictor evaluates it directly on a piecewise curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from .piecewise import Piece, PiecewiseCurve, PiecewisePoly
-from .velocity import QuadratureError, turnover_predictor
 
 MIN_SPLICE_R = 9.0  # blocks overlap for smaller R; R > 9 keeps them disjoint
 
 I_TT_LOWER_BOUND = 0.25  # I_tt^1 + I_tt^3 = 1/4 exactly and I_tt^2 > 0
+
+PRECONDITION_TOL = 1e-10
+
+# relative tolerances of the adaptive quadratures: the center and same-tail
+# integrals I_cc^1, I_tt^2, and the predictor with the cross terms its
+# block decomposition adds
+_BLOCK_TOL = 1e-12
+_PREDICTOR_TOL = 1e-10
+
+
+class PreconditionError(ValueError):
+    """The target point violates the predictor's flatness assumptions."""
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature did not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -151,16 +168,11 @@ def build_blocks(R: float) -> Blocks:
     return Blocks(tail=tail, center=center, spliced=PiecewiseCurve(c1, c2))
 
 
-def _quad(f, lo, hi, tol) -> tuple[float, float]:
-    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=tol, limit=200)
-    return val, err
-
-
 def _quad_sum(panels, tol, label) -> float:
     total = 0.0
     err = 0.0
     for f, lo, hi in panels:
-        val, e = _quad(f, lo, hi, tol)
+        val, e = quad(f, lo, hi, epsabs=1e-14, epsrel=tol, limit=200)
         total += val
         err += e
     if err > max(tol * abs(total), 1e-11):
@@ -169,7 +181,7 @@ def _quad_sum(panels, tol, label) -> float:
     return total
 
 
-def cc_integrals(quad_tol: float = 1e-12) -> CcIntegrals:
+def cc_integrals() -> CcIntegrals:
     """The four center-center pieces of d_alpha v1(z(0)).
 
     i1 has no elementary antiderivative and is integrated adaptively; the
@@ -184,7 +196,7 @@ def cc_integrals(quad_tol: float = 1e-12) -> CcIntegrals:
     i1 = _quad_sum(
         [(lambda x: -6.0 * x * x * (x * x - 3.0)
           / (2.0 * x ** 4 - 6.0 * x * x + 9.0) ** 2, 0.0, 1.0)],
-        quad_tol, "I_cc^1")
+        _BLOCK_TOL, "I_cc^1")
     F2 = lambda x: (10.0 * x - 7.0) / (26.0 * (26.0 * x * x - 70.0 * x + 49.0))
     F3 = lambda x: 3.0 / (9.0 + x * x)
     F4 = lambda x: 48.0 * (7.0 - 2.0 * x) / (338.0 * x * x - 3276.0 * x + 11466.0)
@@ -192,7 +204,7 @@ def cc_integrals(quad_tol: float = 1e-12) -> CcIntegrals:
                        i4=F4(7.0) - F4(5.0))
 
 
-def tt_integrals(quad_tol: float = 1e-12) -> TtIntegrals:
+def tt_integrals() -> TtIntegrals:
     """Same-tail pieces; the outer two telescope to exactly 1/8 each via
 
         G1(x) = (1 + x) / (4 (2 + 2x + x^2)),
@@ -202,7 +214,7 @@ def tt_integrals(quad_tol: float = 1e-12) -> TtIntegrals:
     G3 = lambda x: (x - 1.0) / (4.0 * (2.0 - 2.0 * x + x * x))
     i2 = _quad_sum(
         [(lambda x: 3.0 * x * x / (1.0 + x ** 4) ** 2, -1.0, 1.0)],
-        quad_tol, "I_tt^2")
+        _BLOCK_TOL, "I_tt^2")
     return TtIntegrals(i1=G1(-1.0) - G1(-2.0), i2=i2, i3=G3(2.0) - G3(1.0))
 
 
@@ -219,9 +231,9 @@ def tail_bounds(R: float) -> TailBounds:
     )
 
 
-def verify_conditions(R: float, quad_tol: float = 1e-12) -> ConditionReport:
+def verify_conditions(R: float) -> ConditionReport:
     """Check the two sign conditions at splice radius R."""
-    cc = cc_integrals(quad_tol)
+    cc = cc_integrals()
     bounds = tail_bounds(R)
     return ConditionReport(
         R=float(R),
@@ -233,15 +245,72 @@ def verify_conditions(R: float, quad_tol: float = 1e-12) -> ConditionReport:
     )
 
 
-def min_admissible_R(r_max: int = 60, quad_tol: float = 1e-12) -> int:
-    """Smallest integer R (scanned from 10) satisfying both conditions."""
-    cc_total = cc_integrals(quad_tol).total
-    for R in range(10, r_max + 1):
-        bounds = tail_bounds(R)
-        if (cc_total + bounds.tc < 0.0
-                and I_TT_LOWER_BOUND - (bounds.ct1 + bounds.ct2) > 0.0):
+def min_admissible_R() -> int:
+    """Smallest integer R in [10, 60] satisfying both conditions."""
+    for R in range(10, 61):
+        rep = verify_conditions(R)
+        if rep.center_ok and rep.tail_ok:
             return R
-    raise RuntimeError(f"no admissible R found up to {r_max}")
+    raise RuntimeError("no admissible R found up to 60")
+
+
+def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):
+    """Smooth quadrature panels covering the z2 support, split at alpha0."""
+    cuts = set(curve.breakpoints)
+    cuts.add(alpha0)
+    panels = []
+    for lo, hi in curve.support2():
+        inner = sorted([lo, hi] + [c for c in cuts if lo < c < hi])
+        panels += list(zip(inner[:-1], inner[1:]))
+    return panels
+
+
+def turnover_predictor(curve: PiecewiseCurve, alpha0: float) -> float:
+    """Sign predictor d_alpha v1 at a locally flat point of the interface.
+
+    Requires z1'(alpha0) = z1''(alpha0) = z2(alpha0) = 0 (to PRECONDITION_TOL);
+    under these the quantity reduces to
+
+        z2'(alpha0) * Int (z1(b) - z1(alpha0)) z1'(b) z2(b)
+                          / ((z1(alpha0) - z1(b))^2 + z2(b)^2)^2 db.
+
+    A negative value drives the tangent past vertical, a positive one
+    restores the graph property.
+    """
+    alpha0 = float(alpha0)
+    z1, dz1, ddz1 = curve.z1, curve.dz1, curve.ddz1
+    z2, dz2 = curve.z2, curve.dz2
+    panels = _piecewise_panels(curve, alpha0)
+
+    flat = (abs(dz1(alpha0)), abs(ddz1(alpha0)), abs(z2(alpha0)))
+    if max(flat) > PRECONDITION_TOL:
+        raise PreconditionError(
+            f"point alpha0={alpha0} is not flat enough:"
+            f" |z1'|={flat[0]:.2e}, |z1''|={flat[1]:.2e}, |z2|={flat[2]:.2e}")
+
+    x0 = float(z1(alpha0))
+
+    def integrand(b):
+        d = z1(b) - x0
+        w = z2(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = d * dz1(b) * w / (d * d + w * w) ** 2
+        # b -> alpha0 is removable: numerator ~ (b - alpha0)^4 against
+        # denominator ~ (b - alpha0)^2 under the flatness preconditions.
+        return val if np.isfinite(val) else 0.0
+
+    total = 0.0
+    err = 0.0
+    for lo, hi in panels:
+        val, e = quad(integrand, lo, hi, epsabs=1e-14, epsrel=_PREDICTOR_TOL,
+                      limit=200)
+        total += val
+        err += e
+    if err > max(_PREDICTOR_TOL * abs(total), 1e-9):
+        raise QuadratureError(
+            f"turnover predictor at alpha0={alpha0}: quadrature error"
+            f" {err:.3e} exceeds tolerance")
+    return float(dz2(alpha0)) * total
 
 
 def _kernel(x0: float):
@@ -254,8 +323,7 @@ def _kernel(x0: float):
     return make
 
 
-def predictor_crosscheck(R: float = 18.0,
-                         quad_tol: float = 1e-10) -> CrosscheckReport:
+def predictor_crosscheck(R: float = 18.0) -> CrosscheckReport:
     """Compare the direct predictor on z^R against its block decomposition.
 
     The direct route integrates over the spliced curve's full z2 support;
@@ -264,28 +332,28 @@ def predictor_crosscheck(R: float = 18.0,
     """
     R = float(R)
     blocks = build_blocks(R)
-    at_center = turnover_predictor(blocks.spliced, 0.0, quad_tol)
-    at_tail = turnover_predictor(blocks.spliced, R, quad_tol)
+    at_center = turnover_predictor(blocks.spliced, 0.0)
+    at_tail = turnover_predictor(blocks.spliced, R)
 
     tail, center = blocks.tail, blocks.center
     # Tail at +R seen from the center (x0 = 0): z1 = t1(s) + R on s in [-2,2],
     # and its mirror image contributes equally, hence the factor 2.
     f_tc = _kernel(0.0)(lambda s: tail.z1(s) + R, tail.dz1, tail.z2)
     i_tc = 2.0 * _quad_sum([(f_tc, -2.0, -1.0), (f_tc, -1.0, 1.0),
-                            (f_tc, 1.0, 2.0)], quad_tol, "I_tc")
+                            (f_tc, 1.0, 2.0)], _PREDICTOR_TOL, "I_tc")
     # Center seen from the tail point (x0 = R).
     f_ct1 = _kernel(R)(center.z1, center.dz1, center.z2)
     i_ct1 = _quad_sum(
         [(f_ct1, a, b) for a, b in zip((-7.0, -5.0, -2.0, -1.0, 1.0, 2.0, 5.0),
                                        (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0, 7.0))],
-        quad_tol, "I_ct^1")
+        _PREDICTOR_TOL, "I_ct^1")
     # Far tail at -R seen from +R: z1 = t1(s) - R, so z1 - R = t1(s) - 2R.
     f_ct2 = _kernel(2.0 * R)(tail.z1, tail.dz1, tail.z2)
     i_ct2 = _quad_sum([(f_ct2, -2.0, -1.0), (f_ct2, -1.0, 1.0),
-                       (f_ct2, 1.0, 2.0)], quad_tol, "I_ct^2")
+                       (f_ct2, 1.0, 2.0)], _PREDICTOR_TOL, "I_ct^2")
 
-    cc = cc_integrals(min(quad_tol, 1e-12))
-    tt = tt_integrals(min(quad_tol, 1e-12))
+    cc = cc_integrals()
+    tt = tt_integrals()
     return CrosscheckReport(
         R=R,
         at_center=at_center,
@@ -299,10 +367,10 @@ def predictor_crosscheck(R: float = 18.0,
     )
 
 
-def verification_report(quad_tol: float = 1e-10) -> str:
+def verification_report() -> str:
     """Human-readable verification of every condition, as structured text."""
-    cc = cc_integrals(min(quad_tol, 1e-12))
-    tt = tt_integrals(min(quad_tol, 1e-12))
+    cc = cc_integrals()
+    tt = tt_integrals()
     r_min = min_admissible_R()
     lines = [
         "turnover construction verification",
@@ -333,7 +401,7 @@ def verification_report(quad_tol: float = 1e-10) -> str:
     lines.append(f"  min_admissible_R = {r_min}")
     lines.append("")
     lines.append(f"predictor cross-check at R = {r_min}")
-    xc = predictor_crosscheck(float(r_min), quad_tol)
+    xc = predictor_crosscheck(float(r_min))
     lines += [
         f"  d_alpha v1 at center: direct = {xc.at_center:+.9f},"
         f" reconstruction 3(I_cc + I_tc) = {xc.recon_center:+.9f}",

@@ -128,10 +128,6 @@ class PiecewiseCurve:
             raise ValueError(f"curve is not odd (defect {bad:.3e})")
 
     @property
-    def span(self) -> tuple[float, float]:
-        return (self.c1.lo, self.c1.hi)
-
-    @property
     def breakpoints(self) -> np.ndarray:
         return np.unique(np.concatenate([self.c1.breakpoints,
                                          self.c2.breakpoints]))

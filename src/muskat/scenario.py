@@ -1,10 +1,10 @@
 """Preset experiments, configuration files, and run artifacts.
 
-A scenario is one batch experiment: it reads a RunConfig, evolves (or, for
-LEMMA_VERIFY, only verifies), and leaves plain-text artifacts in the output
-directory. Snapshot files are comma-delimited with 17 significant digits so
-they round-trip bitwise; the manifest is INI-style text and is written even
-when the run fails, with a status other than OK.
+A scenario is one batch experiment: it reads a RunConfig, evolves, and
+leaves plain-text artifacts in the output directory. Snapshot files are
+comma-delimited with 17 significant digits so they round-trip bitwise; the
+manifest is INI-style text and is written even when the run fails, with a
+status other than OK.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .integrator import (
 )
 from .spectral import filtered_derivative
 
-SCENARIOS = ("BACKWARD_SEED", "FORWARD_RERUN", "CONJ_TURNOVER", "DELTA_TILT",
-             "LEMMA_VERIFY")
+SCENARIOS = ("BACKWARD_SEED", "FORWARD_RERUN", "CONJ_TURNOVER", "DELTA_TILT")
 
 STATUS_ERROR = "ERROR"
 
@@ -51,7 +50,6 @@ _DEFAULT_T_FINAL = {
     "FORWARD_RERUN": 6e-2,
     "CONJ_TURNOVER": 0.3,
     "DELTA_TILT": 2e-3,
-    "LEMMA_VERIFY": 0.0,
 }
 
 # initial curve of each scenario that starts from a preset
@@ -148,7 +146,10 @@ class RunManifest:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]
         for f in fields(RunConfig):
-            lines.append(f"{f.name} = {getattr(self.config, f.name)}")
+            value = getattr(self.config, f.name)
+            if f.name == "t_final":
+                value = self.config.resolved_t_final
+            lines.append(f"{f.name} = {value}")
         lines += ["", "[events]"]
         for i, (t, kind) in enumerate(self.events):
             lines.append(f"event_{i} = {t:.17g} {kind}")
@@ -313,16 +314,10 @@ def run_scenario(config: RunConfig) -> RunManifest:
     legs: tuple[Trajectory, ...] = ()
     timeline = ()
     try:
-        if config.scenario == "LEMMA_VERIFY":
-            from .lemma import verification_report
-            report = verification_report()
-            (outdir / "lemma_report.txt").write_text(report)
-            outputs["report"] = "lemma_report.txt"
-        else:
-            legs, events, timeline = _run_evolution(config, outdir, outputs)
-            status = next((leg.status for leg in legs
-                           if leg.status != STATUS_OK), STATUS_OK)
-            events = events + tuple(ev for leg in legs for ev in leg.events)
+        legs, events, timeline = _run_evolution(config, outdir, outputs)
+        status = next((leg.status for leg in legs
+                       if leg.status != STATUS_OK), STATUS_OK)
+        events = events + tuple(ev for leg in legs for ev in leg.events)
     except Exception as exc:
         status = STATUS_ERROR
         error = f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,4 @@
-"""Interface velocity: periodic contour kernel and, for the spliced
-piecewise curves of the lemma, the turnover predictor.
+"""Interface velocity of a sampled curve: the periodic contour kernel.
 
 The evolution velocity at node i sums derivative differences against the
 periodized Birkhoff-Rott kernel,
@@ -59,15 +58,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import PhysicalParams, SampledCurve
-from .piecewise import PiecewiseCurve
 from .spectral import filtered_derivative
 
 ARC_CHORD_FLOOR = 1e-12
-
-PRECONDITION_TOL = 1e-10
 
 # Target-source pairs per row chunk of the pair sum: 16 K pairs keep each
 # of the two chunk buffers at 128 KiB, well inside L2, and off the peak RSS
@@ -109,14 +104,6 @@ class ArcChordError(RuntimeError):
             f"arc-chord denominator {report.min_denominator:.3e} at or below"
             f" floor {report.floor:.3e} for {len(report.pairs)} node pair(s)")
         self.report = report
-
-
-class PreconditionError(ValueError):
-    """The target point violates the predictor's flatness assumptions."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
 
 
 def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
@@ -214,63 +201,3 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
     # the chunks hold K/2
     scale = 4.0 * h * params.prefactor
     return VelocityField(v1=scale * v[:, 0], v2=scale * v[:, 1])
-
-
-def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):
-    """Smooth quadrature panels covering the z2 support, split at alpha0."""
-    cuts = set(curve.breakpoints)
-    cuts.add(alpha0)
-    panels = []
-    for lo, hi in curve.support2():
-        inner = sorted([lo, hi] + [c for c in cuts if lo < c < hi])
-        panels += list(zip(inner[:-1], inner[1:]))
-    return panels
-
-
-def turnover_predictor(curve: PiecewiseCurve, alpha0: float,
-                       quad_tol: float = 1e-10) -> float:
-    """Sign predictor d_alpha v1 at a locally flat point of the interface.
-
-    Requires z1'(alpha0) = z1''(alpha0) = z2(alpha0) = 0 (to PRECONDITION_TOL);
-    under these the quantity reduces to
-
-        z2'(alpha0) * Int (z1(b) - z1(alpha0)) z1'(b) z2(b)
-                          / ((z1(alpha0) - z1(b))^2 + z2(b)^2)^2 db.
-
-    A negative value drives the tangent past vertical, a positive one
-    restores the graph property.
-    """
-    alpha0 = float(alpha0)
-    z1, dz1, ddz1 = curve.z1, curve.dz1, curve.ddz1
-    z2, dz2 = curve.z2, curve.dz2
-    panels = _piecewise_panels(curve, alpha0)
-
-    flat = (abs(dz1(alpha0)), abs(ddz1(alpha0)), abs(z2(alpha0)))
-    if max(flat) > PRECONDITION_TOL:
-        raise PreconditionError(
-            f"point alpha0={alpha0} is not flat enough:"
-            f" |z1'|={flat[0]:.2e}, |z1''|={flat[1]:.2e}, |z2|={flat[2]:.2e}")
-
-    x0 = float(z1(alpha0))
-
-    def integrand(b):
-        d = z1(b) - x0
-        w = z2(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = d * dz1(b) * w / (d * d + w * w) ** 2
-        # b -> alpha0 is removable: numerator ~ (b - alpha0)^4 against
-        # denominator ~ (b - alpha0)^2 under the flatness preconditions.
-        return val if np.isfinite(val) else 0.0
-
-    total = 0.0
-    err = 0.0
-    for lo, hi in panels:
-        val, e = quad(integrand, lo, hi, epsabs=1e-14, epsrel=quad_tol,
-                      limit=200)
-        total += val
-        err += e
-    if err > max(quad_tol * abs(total), 1e-9):
-        raise QuadratureError(
-            f"turnover predictor at alpha0={alpha0}: quadrature error"
-            f" {err:.3e} exceeds tolerance")
-    return float(dz2(alpha0)) * total

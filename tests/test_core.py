@@ -78,10 +78,8 @@ def test_conj_preset_slope(grid64):
 
 
 def test_delta_tilt_preset(grid64):
-    c = sample_preset("DELTA_TILT(0.25)", grid64)
+    c = sample_preset("DELTA_TILT", grid64, delta=0.25)
     assert np.array_equal(c.p1, -0.75 * np.sin(grid64.nodes))
-    c2 = sample_preset("DELTA_TILT", grid64, delta=0.25)
-    assert np.array_equal(c.p1, c2.p1)
     seed = sample_preset("SEED_T0", grid64)
     assert np.array_equal(c.z2, seed.z2)
 
@@ -94,15 +92,14 @@ def test_preset_errors(grid64):
     with pytest.raises(ValueError):
         sample_preset("DELTA_TILT", grid64)
     with pytest.raises(ValueError):
-        sample_preset("DELTA_TILT(nope)", grid64)
+        sample_preset("DELTA_TILT", grid64, delta=0.0)
     with pytest.raises(ValueError):
-        sample_preset("DELTA_TILT(0.2)", grid64, delta=0.3)
-    with pytest.raises(ValueError):
-        sample_preset("DELTA_TILT(0)", grid64)
+        sample_preset("DELTA_TILT", grid64, delta=1.0)
 
 
 def test_presets_are_odd(grid64):
-    for name in ("SEED_T0", "CONJ_T0", "DELTA_TILT(0.1)"):
-        c = sample_preset(name, grid64)
+    for name, delta in (("SEED_T0", None), ("CONJ_T0", None),
+                        ("DELTA_TILT", 0.1)):
+        c = sample_preset(name, grid64, delta=delta)
         assert np.max(np.abs(c.p1 + mirror(c.p1))) < 1e-13
         assert np.max(np.abs(c.z2 + mirror(c.z2))) < 1e-13

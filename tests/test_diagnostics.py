@@ -120,6 +120,17 @@ def test_norm_series_marks_overturned_snapshots():
     assert series.sup_f[1] == pytest.approx(0.3, abs=1e-12)
 
 
+def test_norm_series_agrees_with_the_regime_on_critical_snapshots():
+    # minimum slope 5e-11 at alpha = 0: inside the CRITICAL band, not a graph
+    grid = make_grid(64)
+    curve = make_curve(grid, -(1.0 - 5e-11) * np.sin(grid.nodes),
+                       0.3 * np.sin(grid.nodes))
+    traj = Trajectory(times=[0.0], snapshots=[curve], events=[],
+                      params=PhysicalParams(), control=StepControl())
+    assert classify_slope(grid_min_slope(curve)) == REGIME_CRITICAL
+    assert np.isnan(norm_series(traj).sup_slope[0])
+
+
 def test_single_regime_timeline(flat64, params):
     traj = evolve_forward(flat64, params, 1e-3,
                           StepControl(mode="fixed", dt=2e-4),

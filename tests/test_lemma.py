@@ -3,12 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from muskat.lemma import (
+    PreconditionError,
     build_blocks,
     cc_integrals,
     min_admissible_R,
     predictor_crosscheck,
     tail_bounds,
     tt_integrals,
+    turnover_predictor,
     verification_report,
     verify_conditions,
 )
@@ -120,7 +122,7 @@ def test_condition_scan():
 
 
 def test_predictor_crosscheck_routes_agree():
-    xc = predictor_crosscheck(18.0, quad_tol=1e-10)
+    xc = predictor_crosscheck(18.0)
     assert xc.at_center < 0.0
     assert xc.at_tail > 0.0
     assert xc.at_center == pytest.approx(xc.recon_center, rel=1e-8)
@@ -128,6 +130,13 @@ def test_predictor_crosscheck_routes_agree():
     assert abs(xc.i_tc) <= xc.bounds.tc
     assert abs(xc.i_ct1) <= xc.bounds.ct1
     assert abs(xc.i_ct2) <= xc.bounds.ct2
+
+
+def test_predictor_rejects_sloped_point():
+    # on the spliced curve z1 is the identity on [1, 7], so z1' = 1 there
+    curve = build_blocks(18.0).spliced
+    with pytest.raises(PreconditionError, match="not flat enough"):
+        turnover_predictor(curve, 3.0)
 
 
 def test_verification_report_contents():

@@ -1,4 +1,4 @@
-"""Periodic velocity kernel and the turnover sign predictor."""
+"""Periodic velocity kernel."""
 
 import tracemalloc
 
@@ -7,15 +7,12 @@ import pytest
 
 from muskat import velocity
 from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
-from muskat.lemma import build_blocks
 from muskat.spectral import filtered_derivative
 from muskat.velocity import (
     ARC_CHORD_FLOOR,
     ArcChordError,
-    PreconditionError,
     VelocityField,
     periodic_rhs,
-    turnover_predictor,
 )
 
 from conftest import mirror
@@ -61,7 +58,7 @@ def _test_curve(name, n):
     grid = make_grid(n)
     if name == "ASYMMETRIC":
         # every preset is odd; this one is not
-        curve = sample_preset("DELTA_TILT(0.3)", grid)
+        curve = sample_preset("DELTA_TILT", grid, delta=0.3)
         return curve.with_samples(
             curve.p1, curve.z2 + 0.2 * np.cos(2.0 * grid.nodes) + 0.1)
     return sample_preset(name, grid)
@@ -289,10 +286,3 @@ def test_kernel_memory_is_bounded_at_n2048():
         tracemalloc.stop()
     # two full 1024 x 1024 pair arrays would take 16 MiB
     assert peak < 4 * 2**20
-
-
-def test_predictor_rejects_sloped_point():
-    # on the spliced curve z1 is the identity on [1, 7], so z1' = 1 there
-    curve = build_blocks(18.0).spliced
-    with pytest.raises(PreconditionError, match="not flat enough"):
-        turnover_predictor(curve, 3.0)
