@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .diagnostics import (
     SLOPE_TOL,
@@ -82,11 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
     overrides = {key: getattr(args, key) for key in _RUN_FLAGS
                  if getattr(args, key) is not None}
-    if overrides:
-        config = replace(config, **overrides)
+    config = (load_config(args.config, **overrides) if args.config
+              else RunConfig(**overrides))
     if config.scenario == "FORWARD_RERUN" and config.input_snapshot is None:
         raise ValueError("FORWARD_RERUN needs --input (or input_snapshot"
                          " in the config)")

@@ -78,13 +78,13 @@ def make_curve(grid: Grid, p1, z2) -> SampledCurve:
 @dataclass(frozen=True)
 class PhysicalParams:
     """Density jump rho- - rho+ across the interface, gravity rescaled to
-    one."""
+    one; it must be finite and nonzero."""
 
     density_jump: float = UNIT_PREFACTOR_DENSITY_JUMP
 
     def __post_init__(self):
-        if self.density_jump == 0:
-            raise ValueError("density_jump must be nonzero")
+        if not (math.isfinite(self.density_jump) and self.density_jump != 0):
+            raise ValueError("density_jump: must be finite and nonzero")
 
     @property
     def prefactor(self) -> float:

@@ -175,11 +175,10 @@ def regime_timeline(traj: Trajectory, events: tuple[tuple[float, str], ...]
     the regime of the first flip between them. A gap without events between
     snapshots of different regimes falls back to a boundary at its
     midpoint. Neighbouring segments differ in regime; intervals are in
-    stored (possibly reversed) time order and tile the full run exactly.
+    stored (possibly reversed) time order and tile the full run exactly; a
+    run of one snapshot is the one segment ((t0, t0), regime).
     """
     times = traj.times
-    if len(times) < 2:
-        raise ValueError("timeline needs at least two snapshots")
     regs = [classify_slope(grid_min_slope(c)) for c in traj.snapshots]
     sgn = float(traj.direction)
     flips = sorted(events, key=lambda ev: sgn * ev[0])

@@ -53,6 +53,10 @@ _FAILED_STEP_SHRINK = 0.25
 # Adaptive mode: the step-size update (scale/err)**(1/5) is damped by this.
 _STEP_SAFETY = 0.9
 
+# Adaptive mode: bounds on |h| and so on an adaptive dt.
+_MIN_DT = 1e-12
+_MAX_DT = 1e-2
+
 # detect_event_times bisects each flip bracket down to this width in t.
 _EVENT_BRACKET_WIDTH = 1e-8
 
@@ -63,27 +67,28 @@ class NanEncountered(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Fixed or adaptive marching parameters."""
+    """Fixed or adaptive marching parameters, all checked in both modes.
+
+    Adaptive mode starts from dt and keeps |h| in [_MIN_DT, _MAX_DT].
+    """
     mode: str = "fixed"
     dt: float = 4e-5
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    min_dt: float = 1e-12
-    max_dt: float = 1e-2
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"unknown stepping mode {self.mode!r}")
+            raise ValueError(
+                f"mode: expected fixed or adaptive, got {self.mode!r}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt: must be positive and finite, got {self.dt}")
-        if self.mode == "adaptive":
-            if self.rel_tol <= 0 or self.abs_tol <= 0:
-                raise ValueError("adaptive tolerances must be positive")
-            if not 0 < self.min_dt <= self.dt <= self.max_dt:
-                raise ValueError(
-                    f"dt: adaptive mode needs min_dt <= dt <= max_dt, all"
-                    f" positive; got min_dt = {self.min_dt:g}, dt = {self.dt},"
-                    f" max_dt = {self.max_dt:g}")
+        for name in ("rel_tol", "abs_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive")
+        if self.mode == "adaptive" and not _MIN_DT <= self.dt <= _MAX_DT:
+            raise ValueError(
+                f"dt: adaptive mode needs {_MIN_DT:g} <= dt <= {_MAX_DT:g},"
+                f" got {self.dt}")
 
 
 @dataclass
@@ -173,7 +178,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
     land on t_goal, and ends the run at the first failed step. Adaptive mode
     rejects a trial step whose error estimate exceeds the tolerance, or that
     failed, and retries with a smaller h; the run ends only when a rejected
-    step was already at min_dt.
+    step was already at _MIN_DT.
     """
     ctl = traj.control
     t = traj.times[-1]
@@ -201,16 +206,15 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
                     float(np.max(np.abs(cur.z2))), 1.0)
                 # local error of the propagated member is O(h^5)
                 grow = _STEP_SAFETY * (scale / err) ** 0.2 if err > 0 else 5.0
-                dt = float(np.clip(abs(h) * min(grow, 5.0), ctl.min_dt,
-                                   ctl.max_dt))
+                dt = float(np.clip(abs(h) * min(grow, 5.0), _MIN_DT, _MAX_DT))
                 if err > scale:
-                    # a rejection that can only end the run at min_dt
+                    # a rejection that can only end the run at _MIN_DT
                     failure = STATUS_STEP_UNDERFLOW
             else:
-                dt = max(abs(h) * _FAILED_STEP_SHRINK, ctl.min_dt)
+                dt = max(abs(h) * _FAILED_STEP_SHRINK, _MIN_DT)
             if failure is not None:
                 traj.rejected_steps += 1
-                if abs(h) > ctl.min_dt * (1.0 + 1e-9):
+                if abs(h) > _MIN_DT * (1.0 + 1e-9):
                     continue
         if failure is not None:
             traj.status = failure

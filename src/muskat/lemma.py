@@ -74,7 +74,6 @@ class TtIntegrals:
     i1: float
     i2: float
     i3: float
-    lower_bound: float = I_TT_LOWER_BOUND
 
     @property
     def total(self) -> float:
@@ -93,7 +92,6 @@ class TailBounds:
 class ConditionReport:
     R: float
     i_cc: float
-    i_tt_lower: float
     bounds: TailBounds
     center_ok: bool
     tail_ok: bool
@@ -238,7 +236,6 @@ def verify_conditions(R: float) -> ConditionReport:
     return ConditionReport(
         R=float(R),
         i_cc=cc.total,
-        i_tt_lower=I_TT_LOWER_BOUND,
         bounds=bounds,
         center_ok=cc.total + bounds.tc < 0.0,
         tail_ok=I_TT_LOWER_BOUND - (bounds.ct1 + bounds.ct2) > 0.0,
@@ -299,17 +296,8 @@ def turnover_predictor(curve: PiecewiseCurve, alpha0: float) -> float:
         # denominator ~ (b - alpha0)^2 under the flatness preconditions.
         return val if np.isfinite(val) else 0.0
 
-    total = 0.0
-    err = 0.0
-    for lo, hi in panels:
-        val, e = quad(integrand, lo, hi, epsabs=1e-14, epsrel=_PREDICTOR_TOL,
-                      limit=200)
-        total += val
-        err += e
-    if err > max(_PREDICTOR_TOL * abs(total), 1e-9):
-        raise QuadratureError(
-            f"turnover predictor at alpha0={alpha0}: quadrature error"
-            f" {err:.3e} exceeds tolerance")
+    total = _quad_sum([(integrand, lo, hi) for lo, hi in panels],
+                      _PREDICTOR_TOL, f"turnover predictor at alpha0={alpha0}")
     return float(dz2(alpha0)) * total
 
 
@@ -396,7 +384,7 @@ def verification_report() -> str:
         lines.append(
             f"  R = {R:2d}: I_cc + bound_tc = {rep.i_cc + rep.bounds.tc:+.6f}"
             f" (center_ok={rep.center_ok}), 1/4 - bounds_ct ="
-            f" {rep.i_tt_lower - rep.bounds.ct1 - rep.bounds.ct2:+.6f}"
+            f" {I_TT_LOWER_BOUND - rep.bounds.ct1 - rep.bounds.ct2:+.6f}"
             f" (tail_ok={rep.tail_ok})")
     lines.append(f"  min_admissible_R = {r_min}")
     lines.append("")

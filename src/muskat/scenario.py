@@ -18,14 +18,13 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    UNIT_PREFACTOR_DENSITY_JUMP,
     PhysicalParams,
     SampledCurve,
     make_curve,
     make_grid,
     sample_preset,
 )
-from .diagnostics import classify_slope, norm_series, regime_timeline
+from .diagnostics import norm_series, regime_timeline
 from .integrator import (
     STATUS_OK,
     StepControl,
@@ -64,11 +63,11 @@ class RunConfig:
     """Validated scenario parameters; defaults reproduce the headline runs."""
     scenario: str = "BACKWARD_SEED"
     n: int = 2048
-    density_jump: float = UNIT_PREFACTOR_DENSITY_JUMP
-    mode: str = "fixed"
-    dt: float = 4e-5
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    density_jump: float = PhysicalParams.density_jump
+    mode: str = StepControl.mode
+    dt: float = StepControl.dt
+    rel_tol: float = StepControl.rel_tol
+    abs_tol: float = StepControl.abs_tol
     eps: float = 1e-6
     t_final: float | None = None
     snapshot_every: float = 1e-3
@@ -83,21 +82,17 @@ class RunConfig:
             raise ValueError(f"n: expected an integer, got {self.n!r}")
         if self.n < 16 or self.n % 2:
             raise ValueError(f"n: need an even grid size >= 16, got {self.n}")
-        for name in ("dt", "snapshot_every", "rel_tol", "abs_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be positive")
-        if not (np.isfinite(self.density_jump) and self.density_jump != 0):
-            raise ValueError("density_jump: must be finite and nonzero")
+        if not self.snapshot_every > 0:
+            raise ValueError("snapshot_every: must be positive")
         if not self.eps >= 0:
             raise ValueError("eps: must be nonnegative")
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"mode: expected fixed or adaptive, got {self.mode!r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta: need 0 < delta < 1, got {self.delta}")
         if self.t_final is not None and not np.isfinite(self.t_final):
             raise ValueError("t_final: must be finite")
-        # the stepper's own checks, so a dt it rejects is a config error
+        # the step fields and density_jump are checked by their owners
         self.step_control()
+        self.physical_params()
 
     @property
     def resolved_t_final(self) -> float:
@@ -170,8 +165,9 @@ _SCHEMA = {
 }
 
 
-def load_config(path) -> RunConfig:
-    """Parse an INI-style config; absent keys fall back to defaults."""
+def load_config(path, **overrides) -> RunConfig:
+    """Parse an INI-style config; absent keys fall back to defaults and
+    overrides (RunConfig fields) replace file values before any check."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -194,7 +190,7 @@ def load_config(path) -> RunConfig:
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: bad value for {key!r}: {raw!r}") from exc
-    return RunConfig(**values)
+    return RunConfig(**{**values, **overrides})
 
 
 def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
@@ -284,13 +280,7 @@ def _analyze(traj: Trajectory, outdir: Path, outputs: dict[str, str],
     _write_norms(traj, outdir / f"norms{suffix}.dat")
     outputs[f"norms{suffix}"] = f"norms{suffix}.dat"
     events = tuple(detect_event_times(traj))
-    if len(traj.times) > 1:
-        segments = regime_timeline(traj, events)
-    else:
-        # the first step failed: the leg is its initial state alone
-        t = traj.final_time
-        regime = classify_slope(grid_min_slope(traj.final))
-        segments = (((t, t), regime),)
+    segments = regime_timeline(traj, events)
     _write_timeline(segments, events, outdir / f"timeline{suffix}.txt")
     outputs[f"timeline{suffix}"] = f"timeline{suffix}.txt"
     return events, segments

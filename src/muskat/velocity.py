@@ -90,10 +90,12 @@ class VelocityField:
 @dataclass(frozen=True)
 class ArcChordReport:
     """Where cosh(dz2) - cos(dz1), evaluated as
-    2 (sinh^2(dz2/2) + sin^2(dz1/2)), fell to or below the floor."""
+    2 (sinh^2(dz2/2) + sin^2(dz1/2)), fell to or below the floor: at count
+    ordered (target, source) pairs, up to 16 of which are listed in pairs."""
     min_denominator: float
     floor: float
     pairs: tuple[tuple[int, int], ...]
+    count: int
 
 
 class ArcChordError(RuntimeError):
@@ -102,7 +104,7 @@ class ArcChordError(RuntimeError):
     def __init__(self, report: ArcChordReport):
         super().__init__(
             f"arc-chord denominator {report.min_denominator:.3e} at or below"
-            f" floor {report.floor:.3e} for {len(report.pairs)} node pair(s)")
+            f" floor {report.floor:.3e} for {report.count} node pair(s)")
         self.report = report
 
 
@@ -111,8 +113,8 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
 
     Raises ArcChordError, without dividing by it, if some real denominator
     cosh(dz2) - cos(dz1) is at or below ARC_CHORD_FLOOR; the report gives
-    the smallest denominator and lists up to 16 offending (i, j) pairs,
-    (even, odd) ones first. Denominators are evaluated in the
+    the smallest denominator, counts the offending (i, j) pairs and lists
+    up to 16, (even, odd) ones first. Denominators are evaluated in the
     cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
     the near pairs the |dzeta|^2 screen picks out; every other pair's is
     above max(_SCREEN_DELTA, 2 floor).
@@ -156,6 +158,7 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
     worst = np.inf
     eo_bad = np.empty((0, 2), dtype=np.intp)
     oe_bad = eo_bad
+    n_bad = 0
     for r0 in range(0, m, rows):
         r1 = min(r0 + rows, m)
         dP, dQ = np.matmul(diff[:, r0:r1], right, out=buf[:, :r1 - r0])
@@ -177,6 +180,7 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
             worst = min(worst, float(den.min()))
             if worst <= floor:
                 bad = np.column_stack((i, j))[den <= floor]
+                n_bad += len(bad)
                 # (even, odd) offenders come in row-major order; the
                 # (odd, even) ones in row-major order of the transposed block
                 eo_bad = np.concatenate((eo_bad, bad[:16]))[:16]
@@ -193,7 +197,8 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
         offenders = ([(2 * int(i), 2 * int(j) + 1) for i, j in eo_bad]
                      + [(2 * int(j) + 1, 2 * int(i)) for i, j in oe_bad])
         raise ArcChordError(ArcChordReport(
-            min_denominator=worst, floor=floor, pairs=tuple(offenders[:16])))
+            min_denominator=worst, floor=floor, pairs=tuple(offenders[:16]),
+            count=2 * n_bad))
 
     v = np.empty((n, 2))
     v[0::2] = v_even

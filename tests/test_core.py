@@ -53,8 +53,9 @@ def test_physical_params_defaults():
     p = PhysicalParams()
     assert abs(p.density_jump - 4 * np.pi) < 1e-15
     assert p.prefactor == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        PhysicalParams(density_jump=0.0)
+    for jump in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^density_jump: must be finite"):
+            PhysicalParams(density_jump=jump)
 
 
 def test_seed_preset(grid64):

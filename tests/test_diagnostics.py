@@ -191,11 +191,10 @@ def test_slope_profile_sign_matches_slope_classification(grid64, params):
             assert (grid_min > 0.0) == (rep.min_slope > 0.0)
 
 
-def test_timeline_requires_two_snapshots(flat64, params):
+def test_timeline_of_one_snapshot_is_one_point(flat64, params):
     traj = Trajectory(times=[0.0], snapshots=[flat64], events=[],
                       params=params, control=StepControl())
-    with pytest.raises(ValueError, match="two snapshots"):
-        regime_timeline(traj, ())
+    assert regime_timeline(traj, ()) == (((0.0, 0.0), REGIME_STABLE),)
 
 
 def test_regime_pattern_collapses_slivers_and_repeats():

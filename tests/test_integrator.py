@@ -31,10 +31,17 @@ def test_step_control_validation():
         StepControl(dt=0.0)
     with pytest.raises(ValueError, match="positive"):
         StepControl(mode="adaptive", rel_tol=-1.0)
-    with pytest.raises(ValueError, match="min_dt"):
-        StepControl(mode="adaptive", dt=1.0, max_dt=1e-2)
+    with pytest.raises(ValueError, match="dt: adaptive mode needs"):
+        StepControl(mode="adaptive", dt=1.0)
     # fixed mode ignores the adaptive bracket
     assert StepControl(mode="fixed", dt=0.5).dt == 0.5
+    # but not the tolerances; every message starts with its field
+    with pytest.raises(ValueError, match="^rel_tol: must be positive"):
+        StepControl(mode="fixed", rel_tol=-1.0)
+    with pytest.raises(ValueError, match="^abs_tol: must be positive"):
+        StepControl(mode="fixed", abs_tol=float("nan"))
+    with pytest.raises(ValueError, match="^mode: "):
+        StepControl(mode="x")
 
 
 def test_zero_step_is_identity(grid64, params):
@@ -214,10 +221,12 @@ def test_event_detection_is_independent_of_snapshot_cadence(grid64, params):
                                              EVENT_ENTER_UNSTABLE]
 
 
-def test_adaptive_step_underflow_has_its_own_status(grid64, params):
+def test_adaptive_step_underflow_has_its_own_status(grid64, params,
+                                                    monkeypatch):
+    monkeypatch.setattr(integrator, "_MIN_DT", 1e-4)
+    monkeypatch.setattr(integrator, "_MAX_DT", 1e-4)
     curve = sample_preset("CONJ_T0", grid64)
-    ctl = StepControl(mode="adaptive", dt=1e-4, min_dt=1e-4, max_dt=1e-4,
-                      rel_tol=1e-30, abs_tol=1e-30)
+    ctl = StepControl(mode="adaptive", dt=1e-4, rel_tol=1e-30, abs_tol=1e-30)
     traj = evolve_forward(curve, params, 1e-3, ctl)
     assert traj.status == STATUS_STEP_UNDERFLOW
     assert traj.events == [(0.0, STATUS_STEP_UNDERFLOW)]

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from muskat.lemma import (
+    I_TT_LOWER_BOUND,
     PreconditionError,
     build_blocks,
     cc_integrals,
@@ -103,7 +104,7 @@ def test_tt_integrals():
     assert tt.i3 == pytest.approx(0.125, abs=1e-12)
     assert tt.i2 > 0.0
     assert tt.total > 0.25
-    assert tt.lower_bound == 0.25
+    assert I_TT_LOWER_BOUND == 0.25
 
 
 def test_tail_bounds_closed_forms():

@@ -50,6 +50,9 @@ def test_config_defaults():
     ({"t_final": float("inf")}, "t_final"),
     ({"dt": float("inf")}, "dt: must be positive and finite"),
     ({"mode": "adaptive", "dt": 0.05}, "dt: adaptive mode needs"),
+    ({"rel_tol": -1.0}, "rel_tol: must be positive"),
+    ({"density_jump": float("nan")}, "density_jump: must be finite"),
+    ({"density_jump": float("inf")}, "density_jump: must be finite"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -235,7 +238,8 @@ def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                                                         monkeypatch):
     def collapse(curve, *args):
         raise ArcChordError(ArcChordReport(
-            min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),)))
+            min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),),
+            count=1))
 
     monkeypatch.setattr(integrator, "rk45_step", collapse)
     out = tmp_path / "bwd"
@@ -429,6 +433,33 @@ def test_cli_step_control_errors_are_config_errors(tmp_path, capsys, flags):
     assert code == 1
     assert "error: dt:" in capsys.readouterr().err
     assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--mode", "verlet"),
+                                         ("--rel-tol", "-1"),
+                                         ("--abs-tol", "0"),
+                                         ("--density-jump", "nan")])
+def test_cli_param_checks_are_config_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    code = main(["run", "--scenario", "CONJ_TURNOVER", "--n", "16",
+                 flag, value, "--out", str(out)])
+    assert code == 1
+    key = flag[2:].replace("-", "_")
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_cli_flags_override_the_config_file_before_it_is_checked(tmp_path):
+    # the file's adaptive dt = 0.05 is out of range; the flag mends it
+    ini = tmp_path / "a.ini"
+    ini.write_text("[time]\nmode = adaptive\ndt = 0.05\n")
+    out = tmp_path / "run"
+    code = main(["run", "--config", str(ini), "--dt", "1e-3", "--scenario",
+                 "CONJ_TURNOVER", "--n", "16", "--out", str(out)])
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "dt = 0.001" in manifest
+    assert "mode = adaptive" in manifest
 
 
 def test_cli_numerical_failure_exits_two(tmp_path, capsys):

@@ -194,6 +194,9 @@ def test_collided_nodes_raise_arc_chord():
     assert report.min_denominator == 0.0
     assert report.floor == ARC_CHORD_FLOOR
     assert len(report.pairs) == 16
+    # all 32 x 32 (even, odd) pairs, in both orders
+    assert report.count == 2048
+    assert "for 2048 node pair(s)" in str(info.value)
     assert all((i + j) % 2 == 1 for i, j in report.pairs)
     assert "arc-chord" in str(info.value)
     _, _, worst, pairs = _two_half_sum(curve, PhysicalParams())
@@ -218,6 +221,7 @@ def test_near_collision_in_middle_chunks_reports_like_two_halves():
     assert pairs == ((400, 601), (600, 401), (401, 600), (601, 400))
     assert report.min_denominator == worst
     assert report.pairs == pairs
+    assert report.count == len(pairs)
 
 
 def _far_pair_curve(den):
@@ -242,6 +246,7 @@ def test_far_pair_below_floor_reports_like_two_halves():
     assert pairs == ((400, 601), (601, 400))
     assert report.min_denominator == worst
     assert report.pairs == pairs
+    assert report.count == len(pairs)
 
 
 @pytest.mark.parametrize("factor", [1.1, 1e3, 10.0])
@@ -272,6 +277,8 @@ def test_far_pair_screen_scales_with_the_floor(monkeypatch, floor):
     assert report.min_denominator == worst
     assert report.pairs == pairs
     assert pairs[0] == ((400, 601) if floor < 1.0 else (0, 1))
+    # at 10 all 1024 x 512 ordered (target, source) pairs offend
+    assert report.count == (len(pairs) if floor < 1.0 else 1024 * 512)
 
 
 def test_kernel_memory_is_bounded_at_n2048():
