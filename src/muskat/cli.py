@@ -85,9 +85,6 @@ def _cmd_run(args) -> int:
                  if getattr(args, key) is not None}
     config = (load_config(args.config, **overrides) if args.config
               else RunConfig(**overrides))
-    if config.scenario == "FORWARD_RERUN" and config.input_snapshot is None:
-        raise ValueError("FORWARD_RERUN needs --input (or input_snapshot"
-                         " in the config)")
     manifest = run_scenario(config)
     print(f"scenario = {manifest.scenario}")
     print(f"status = {manifest.status}")

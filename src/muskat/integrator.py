@@ -9,9 +9,13 @@ of p1 and z2 after every accepted step.
 
 After every accepted step the march takes the sign of grid_min_slope, the
 grid minimum of d_alpha z1 (one FFT). A step across which the sign changes
-is recorded as a bracket, and detect_event_times bisects each bracket, so
-every regime flip the march steps over is located, whatever the snapshot
-cadence. The diagnostics judge regimes from the same grid minimum.
+is a bracket. It keeps the data of the step's O(h^4) cubic Hermite
+interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6): y_n, y4 and
+the stage slopes k1 = f(y_n), k7 = f(y5), where k7 stands in for f(y4) with
+error h L |y5 - y4|. detect_event_times bisects each bracket on it, with no
+further right-hand side, so every flip the march steps over is located,
+whatever the snapshot cadence. The diagnostics judge regimes from the same
+grid minimum.
 """
 
 from __future__ import annotations
@@ -57,9 +61,6 @@ _STEP_SAFETY = 0.9
 _MIN_DT = 1e-12
 _MAX_DT = 1e-2
 
-# detect_event_times bisects each flip bracket down to this width in t.
-_EVENT_BRACKET_WIDTH = 1e-8
-
 
 class NanEncountered(RuntimeError):
     """A step produced non-finite samples."""
@@ -95,9 +96,11 @@ class StepControl:
 class Trajectory:
     """Recorded states of one evolution run.
 
-    brackets holds (t_before, state_before, h, kind) for every accepted step
-    across which the sign of min d_alpha z1 changed; kind is the
-    ENTER_STABLE or ENTER_UNSTABLE flip the step contains. steps and
+    brackets holds (t_before, state_before, h, kind, y4, k1, k7) for every
+    accepted step across which the sign of min d_alpha z1 changed; kind is
+    the ENTER_STABLE or ENTER_UNSTABLE flip the step contains. The unsmoothed
+    update y4 and the (2, n) stage slopes k1 = f(state_before), k7 = f(y5)
+    fix the step's O(h^4) cubic Hermite interpolant. steps and
     rejected_steps count accepted and rejected trial steps.
     """
     times: list[float]
@@ -107,8 +110,7 @@ class Trajectory:
     control: StepControl
     smoothing_eps: float | None = None
     status: str = STATUS_OK
-    brackets: list[tuple[float, SampledCurve, float, str]] = field(
-        default_factory=list)
+    brackets: list[tuple] = field(default_factory=list)
     steps: int = 0
     rejected_steps: int = 0
 
@@ -125,15 +127,13 @@ class Trajectory:
         return -1 if self.times[-1] < self.times[0] else 1
 
 
-def rk45_step(curve: SampledCurve, params: PhysicalParams,
-              dt: float) -> tuple[SampledCurve, float]:
-    """One Dormand-Prince step of size dt (dt = 0 is the identity).
+def rk45_step(curve: SampledCurve, params: PhysicalParams, dt: float
+              ) -> tuple[SampledCurve, float, np.ndarray, np.ndarray]:
+    """One Dormand-Prince step of size dt.
 
-    Returns the fourth-order update together with the embedded-pair
-    max-norm error estimate.
+    Returns the fourth-order update, the embedded-pair max-norm error
+    estimate, and the stage slopes k1 = f(y_n), k7 = f(y5) as views.
     """
-    if dt == 0.0:
-        return curve.with_samples(curve.p1, curve.z2), 0.0
     y = np.stack((curve.p1, curve.z2))
     stages = np.empty((7,) + y.shape)
     for i in range(7):
@@ -147,7 +147,8 @@ def rk45_step(curve: SampledCurve, params: PhysicalParams,
     y5 = y + dt * np.tensordot(_DP_B5, stages, axes=1)
     if not np.isfinite(y4).all():
         raise NanEncountered("non-finite state after step")
-    return curve.with_samples(y4[0], y4[1]), float(np.max(np.abs(y5 - y4)))
+    return (curve.with_samples(y4[0], y4[1]), float(np.max(np.abs(y5 - y4))),
+            stages[0], stages[6])
 
 
 def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
@@ -180,7 +181,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
     failed, and retries with a smaller h; the run ends only when a rejected
     step was already at _MIN_DT.
     """
-    ctl = traj.control
+    ctl, eps = traj.control, traj.smoothing_eps
     t = traj.times[-1]
     cur = traj.snapshots[-1]
     sgn = 1.0 if t_goal > t else -1.0
@@ -194,7 +195,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             h = t_goal - t
         failure = None
         try:
-            nxt, err = rk45_step(cur, traj.params, h)
+            raw, err, k1, k7 = rk45_step(cur, traj.params, h)
         except ArcChordError:
             failure = STATUS_ARC_CHORD
         except NanEncountered:
@@ -220,14 +221,14 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             traj.status = failure
             traj.events.append((t, failure))
             break
-        if traj.smoothing_eps is not None:
-            nxt = _smoothed(nxt, traj.smoothing_eps)
+        nxt = raw if eps is None else _smoothed(raw, eps)
         traj.steps += 1
         now_stable = grid_min_slope(nxt) > 0.0
         if now_stable != stable:
             kind = EVENT_ENTER_STABLE if now_stable else EVENT_ENTER_UNSTABLE
-            traj.brackets.append((t, cur, h, kind))
+            traj.brackets.append((t, cur, h, kind, raw, k1.copy(), k7.copy()))
             stable = now_stable
+        del raw, k1, k7  # the views would pin the stage buffer a step longer
         cur = nxt
         t += h
         done = (t_goal - t) * sgn <= tiny
@@ -296,32 +297,27 @@ def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
 def detect_event_times(traj: Trajectory) -> list[tuple[float, str]]:
     """Locate the sign changes of grid_min_slope the march stepped over.
 
-    Each bracket in traj.brackets is bisected to width _EVENT_BRACKET_WIDTH
-    with partial steps from its pre-crossing state, smoothed as the run
-    was. Every flip is found whatever the snapshot cadence; a Trajectory
-    built by hand has no brackets and so no events.
+    Each bracket is bisected in theta on its step's O(h^4) cubic Hermite
+    interpolant H(theta) ~ y(t + theta h) from y_n, y4, k1 and k7, so no
+    right-hand side is evaluated. Probes are smoothed as the run was; H(1)
+    is y4 exactly, so the end signs are the march's. theta is halved once
+    per float mantissa bit. A hand-built Trajectory has no brackets.
     """
     eps = traj.smoothing_eps
-
-    def advance(state: SampledCurve, h: float) -> SampledCurve:
-        nxt, _ = rk45_step(state, traj.params, h)
-        return _smoothed(nxt, eps) if eps is not None else nxt
-
     events: list[tuple[float, str]] = []
-    for t_a, cur, h, kind in traj.brackets:
-        was_stable = kind == EVENT_ENTER_UNSTABLE
-        lo, hi = t_a, t_a + h
-        try:
-            while abs(hi - lo) > _EVENT_BRACKET_WIDTH:
-                mid = 0.5 * (lo + hi)
-                probe = advance(cur, mid - t_a)
-                if (grid_min_slope(probe) > 0.0) == was_stable:
-                    lo = mid
-                else:
-                    hi = mid
-        except (ArcChordError, NanEncountered):
-            # a partial step failed (the run died nearby); leave the
-            # crossing out rather than fail the whole scan
-            continue
-        events.append((0.5 * (lo + hi), kind))
+    for t_a, cur, h, kind, y4, k1, k7 in traj.brackets:
+        y0, y1 = np.stack((cur.p1, cur.z2)), np.stack((y4.p1, y4.z2))
+        lo, hi = 0.0, 1.0
+        for _ in range(np.finfo(float).nmant):
+            th = 0.5 * (lo + hi)
+            s = 1.0 - th
+            y = (s * s * (1 + 2 * th) * y0 + th * th * (3 - 2 * th) * y1
+                 + h * th * s * (s * k1 - th * k7))
+            probe = cur.with_samples(*y)
+            probe = probe if eps is None else _smoothed(probe, eps)
+            if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):
+                lo = th
+            else:
+                hi = th
+        events.append((t_a + 0.5 * (lo + hi) * h, kind))
     return events

@@ -58,6 +58,15 @@ _PRESET = {"BACKWARD_SEED": "SEED_T0", "CONJ_TURNOVER": "CONJ_T0",
 _SNAPSHOT_HEADER = "alpha, z1, z2, dz1, dz2"
 
 
+def _check_horizon(scenario: str, t0: float, t_final: float) -> None:
+    """A backward run ends below its start time t0, the others past it."""
+    backward = scenario == "BACKWARD_SEED"
+    if not (t_final < t0 if backward else t_final > t0):
+        raise ValueError(f"t_final: {scenario} needs a value"
+                         f" {'below' if backward else 'past'} {t0},"
+                         f" got {t_final}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated scenario parameters; defaults reproduce the headline runs."""
@@ -93,6 +102,11 @@ class RunConfig:
         # the step fields and density_jump are checked by their owners
         self.step_control()
         self.physical_params()
+        if self.scenario != "FORWARD_RERUN":
+            _check_horizon(self.scenario, 0.0, self.resolved_t_final)
+        elif self.input_snapshot is None:
+            raise ValueError("input_snapshot: FORWARD_RERUN needs the final"
+                             " snapshot of a BACKWARD_SEED run (--input)")
 
     @property
     def resolved_t_final(self) -> float:
@@ -332,25 +346,18 @@ def _run_evolution(config: RunConfig, outdir: Path,
     control = config.step_control()
     every = config.snapshot_every
     if config.scenario == "FORWARD_RERUN":
-        if config.input_snapshot is None:
-            raise ValueError(
-                "input_snapshot: FORWARD_RERUN needs the exported terminal"
-                " snapshot of a BACKWARD_SEED run")
         curve, t0 = import_snapshot(config.input_snapshot)
+        # t0 comes from the snapshot; RunConfig checked the presets against 0
+        _check_horizon(config.scenario, t0, t_final)
     else:
         delta = config.delta if config.scenario == "DELTA_TILT" else None
         curve = sample_preset(_PRESET[config.scenario], make_grid(config.n),
                               delta=delta)
         t0 = 0.0
-    backward = config.scenario == "BACKWARD_SEED"
-    if not (t_final < t0 if backward else t_final > t0):
-        raise ValueError(f"t_final: {config.scenario} needs a value"
-                         f" {'below' if backward else 'past'} {t0},"
-                         f" got {t_final}")
     export_snapshot(curve, outdir / "initial.dat", time=t0)
     outputs["initial"] = "initial.dat"
 
-    if backward:
+    if config.scenario == "BACKWARD_SEED":
         traj = evolve_backward_regularized(curve, params, t_final, control,
                                            eps=config.eps,
                                            snapshot_every=every)

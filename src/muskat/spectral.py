@@ -47,8 +47,8 @@ def _derivative_multiplier(n: int, order: int) -> np.ndarray:
     carries no usable sign for odd powers of (ik). Cached per (n, order),
     so the result is read-only.
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError("derivative order must be 1, 2, 3 or 4")
+    if order not in (1, 2):
+        raise ValueError("derivative order must be 1 or 2")
     k = np.fft.fftfreq(n, 1.0 / n)
     mult = (1j * k) ** order * _filter_profile(n)
     if order % 2:
@@ -58,7 +58,7 @@ def _derivative_multiplier(n: int, order: int) -> np.ndarray:
 
 
 def filtered_derivative(values, order: int = 1) -> np.ndarray:
-    """Spectral derivative of the given order (1..4) with cutoff filter."""
+    """Spectral derivative of order 1 or 2 with cutoff filter."""
     v = _check_vector(values)
     mult = _derivative_multiplier(v.size, order)
     return np.fft.ifft(np.fft.fft(v) * mult).real

@@ -18,6 +18,7 @@ from muskat.integrator import (
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
+    grid_min_slope,
     rk45_step,
     slope_profile,
 )
@@ -42,15 +43,6 @@ def test_step_control_validation():
         StepControl(mode="fixed", abs_tol=float("nan"))
     with pytest.raises(ValueError, match="^mode: "):
         StepControl(mode="x")
-
-
-def test_zero_step_is_identity(grid64, params):
-    curve = sample_preset("SEED_T0", grid64)
-    stepped, err = rk45_step(curve, params, 0.0)
-    assert err == 0.0
-    assert stepped is not curve
-    assert np.array_equal(stepped.p1, curve.p1)
-    assert np.array_equal(stepped.z2, curve.z2)
 
 
 def test_slope_profile_of_flat_and_seed_curves(flat64, grid64):
@@ -195,16 +187,56 @@ def test_backward_seed_run_and_event_search(grid64, params):
     assert -4e-5 < t_star < 0.0
 
 
-def test_event_refinement_is_bracketed_by_tol(grid64, params, monkeypatch):
-    curve = sample_preset("SEED_T0", grid64)
-    traj = evolve_backward_regularized(curve, params, -1e-3,
-                                       snapshot_every=1e-3)
-    monkeypatch.setattr(integrator, "_EVENT_BRACKET_WIDTH", 1e-5)
-    coarse = detect_event_times(traj)
-    monkeypatch.setattr(integrator, "_EVENT_BRACKET_WIDTH", 1e-9)
-    fine = detect_event_times(traj)
-    assert len(coarse) == len(fine) == 1
-    assert abs(coarse[0][0] - fine[0][0]) < 1e-5
+def _restep_event_times(traj, width=1e-10):
+    """Oracle: bisect each bracket in t with partial Dormand-Prince steps
+    from its pre-crossing state, smoothed as the run was, to the width."""
+    eps = traj.smoothing_eps
+    found = []
+    for t_a, cur, h, kind, *_ in traj.brackets:
+        lo, hi = t_a, t_a + h
+        while abs(hi - lo) > width:
+            mid = 0.5 * (lo + hi)
+            probe = rk45_step(cur, traj.params, mid - t_a)[0]
+            if eps is not None:
+                probe = integrator._smoothed(probe, eps)
+            if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):
+                lo = mid
+            else:
+                hi = mid
+        found.append((0.5 * (lo + hi), kind))
+    return found
+
+
+def _seed_backward_and_conj_forward(grid, params):
+    return (evolve_backward_regularized(sample_preset("SEED_T0", grid),
+                                        params, -1e-2),
+            evolve_forward(sample_preset("CONJ_T0", grid), params, 1.2e-2))
+
+
+def test_hermite_events_match_partial_step_bisection(grid64, params):
+    for traj in _seed_backward_and_conj_forward(grid64, params):
+        assert traj.status == STATUS_OK
+        events = detect_event_times(traj)
+        oracle = _restep_event_times(traj)
+        assert len(events) == len(traj.brackets) > 0
+        assert [k for _, k in events] == [k for _, k in oracle]
+        for (t, _), (t_ref, _) in zip(events, oracle):
+            assert abs(t - t_ref) < 5e-9, (t, t_ref)
+
+
+def test_event_refinement_evaluates_no_right_hand_side(grid64, params,
+                                                       monkeypatch):
+    runs = _seed_backward_and_conj_forward(grid64, params)
+    expected = [detect_event_times(traj) for traj in runs]
+
+    def forbidden(*args):
+        raise AssertionError("event refinement evaluated the right-hand side")
+
+    monkeypatch.setattr(integrator, "periodic_rhs", forbidden)
+    monkeypatch.setattr(integrator, "rk45_step", forbidden)
+    for traj, events in zip(runs, expected):
+        assert detect_event_times(traj) == events
+        assert [k for _, k in events] == [b[3] for b in traj.brackets]
 
 
 def test_event_detection_is_independent_of_snapshot_cadence(grid64, params):

@@ -14,7 +14,6 @@ import muskat.integrator as integrator
 from muskat.cli import main
 from muskat.core import UNIT_PREFACTOR_DENSITY_JUMP, make_curve, make_grid, sample_preset
 from muskat.scenario import (
-    STATUS_ERROR,
     RunConfig,
     export_snapshot,
     import_snapshot,
@@ -32,7 +31,8 @@ def test_config_defaults():
     assert cfg.dt == 4e-5
     assert cfg.eps == 1e-6
     assert cfg.resolved_t_final == -4.92e-2
-    assert RunConfig(scenario="FORWARD_RERUN").resolved_t_final == 6e-2
+    assert RunConfig(scenario="FORWARD_RERUN",
+                     input_snapshot="final.dat").resolved_t_final == 6e-2
     assert RunConfig(scenario="CONJ_TURNOVER").resolved_t_final == 0.3
     assert RunConfig(t_final=-1e-3).resolved_t_final == -1e-3
 
@@ -288,14 +288,30 @@ def test_backward_seed_scenario_small(tmp_path):
     assert final.grid.n == 32
 
 
-def test_forward_rerun_requires_input(tmp_path):
+def test_forward_rerun_requires_input(tmp_path, capsys):
     out = tmp_path / "rerun"
-    cfg = RunConfig(scenario="FORWARD_RERUN", out_dir=str(out))
-    manifest = run_scenario(cfg)
-    assert manifest.status == STATUS_ERROR
-    assert "input_snapshot" in manifest.error
-    # the manifest file lands even on failure
-    assert "status = ERROR" in (out / "manifest.txt").read_text()
+    with pytest.raises(ValueError,
+                       match="^input_snapshot: FORWARD_RERUN needs"):
+        RunConfig(scenario="FORWARD_RERUN", out_dir=str(out))
+    # the config is refused before anything runs, so nothing is written
+    assert main(["run", "--scenario", "FORWARD_RERUN", "--out",
+                 str(out)]) == 1
+    assert "input_snapshot: FORWARD_RERUN needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, t_final", [
+    ("BACKWARD_SEED", 1e-3), ("BACKWARD_SEED", 0.0),
+    ("CONJ_TURNOVER", -1e-3), ("DELTA_TILT", 0.0)])
+def test_preset_horizon_sign_is_a_config_error(tmp_path, capsys, scenario,
+                                               t_final):
+    with pytest.raises(ValueError, match=f"^t_final: {scenario} needs"):
+        RunConfig(scenario=scenario, t_final=t_final)
+    out = tmp_path / "wrong_sign"
+    assert main(["run", "--scenario", scenario, "--n", "16",
+                 f"--t-final={t_final}", "--out", str(out)]) == 1
+    assert f"t_final: {scenario} needs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_forward_rerun_consumes_a_snapshot(tmp_path):
@@ -366,8 +382,8 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
                           ("--rel-tol", "rel_tol: must be positive"),
                           ("--abs-tol", "abs_tol: must be positive"),
                           ("--delta", "delta: need 0 < delta < 1"),
-                          ("--density-jump", "needs --input"),
-                          ("--t-final", "needs --input")):
+                          ("--density-jump", "FORWARD_RERUN needs"),
+                          ("--t-final", "FORWARD_RERUN needs")):
         assert main(["run", "--scenario", "FORWARD_RERUN", flag,
                      "-2.5e-3"]) == 1
         assert message in capsys.readouterr().err, flag
@@ -419,7 +435,7 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     assert main(["run", "--scenario", "FORWARD_RERUN"]) == 1
-    assert "needs --input" in capsys.readouterr().err
+    assert "input_snapshot: FORWARD_RERUN needs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--mode", "adaptive", "--dt", "0.05"],
