@@ -10,7 +10,7 @@ point there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,32 +47,43 @@ def make_grid(n: int) -> Grid:
     return Grid(n=int(n), nodes=_frozen_array(nodes))
 
 
+class NanEncountered(ValueError):
+    """A curve state has non-finite samples."""
+
+
 @dataclass(frozen=True)
 class SampledCurve:
-    """Interface samples: z1 = nodes + p1, z2; p1 and z2 periodic."""
+    """Interface samples, one read-only (2, n) array of the periodic rows p1
+    and z2; z1 = nodes + p1. The constructor is the one finiteness check of
+    a state, and raises NanEncountered."""
 
     grid: Grid
-    p1: np.ndarray
-    z2: np.ndarray
+    samples: np.ndarray
 
     def __post_init__(self):
-        for name in ("p1", "z2"):
-            arr = getattr(self, name)
-            if arr.shape != (self.grid.n,):
-                raise ValueError(f"{name} must have one sample per node")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite samples")
+        if self.samples.shape != (2, self.grid.n):
+            raise ValueError("samples must be (p1, z2), one row per node")
+        if not np.isfinite(self.samples).all():
+            raise NanEncountered("non-finite samples")
+
+    @property
+    def p1(self) -> np.ndarray:
+        return self.samples[0]
+
+    @property
+    def z2(self) -> np.ndarray:
+        return self.samples[1]
 
     @property
     def z1(self) -> np.ndarray:
         return self.grid.nodes + self.p1
 
-    def with_samples(self, p1, z2) -> "SampledCurve":
-        return replace(self, p1=_frozen_array(p1), z2=_frozen_array(z2))
+    def with_samples(self, samples) -> "SampledCurve":
+        return SampledCurve(self.grid, _frozen_array(samples))
 
 
 def make_curve(grid: Grid, p1, z2) -> SampledCurve:
-    return SampledCurve(grid=grid, p1=_frozen_array(p1), z2=_frozen_array(z2))
+    return SampledCurve(grid, _frozen_array((p1, z2)))
 
 
 @dataclass(frozen=True)

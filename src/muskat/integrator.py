@@ -1,11 +1,13 @@
 """Time stepping for the interface evolution.
 
 A Dormand-Prince 5(4) pair drives one march loop, fixed-step or adaptive,
-forward or backward. The propagated state is the fourth-order member; the
-fifth-order companion only supplies the max-norm error estimate, so
-fixed-step convergence is globally O(dt^4). The backward solver follows the
-regularized recipe: march with a negative step and re-threshold the spectra
-of p1 and z2 after every accepted step.
+forward or backward, on the curve's (2, n) sample array (p1, z2). The
+propagated state is the fourth-order member y4; the fifth-order companion y5
+only supplies the max-norm error estimate, so fixed-step convergence is
+globally O(dt^4). The pair is first-same-as-last (Dormand & Prince, J.
+Comput. Appl. Math. 6, 1980): y5 is the last stage input. The backward
+solver follows the regularized recipe: march with a negative step and
+re-threshold the spectra of p1 and z2 after every accepted step.
 
 After every accepted step the march takes the sign of grid_min_slope, the
 grid minimum of d_alpha z1 (one FFT). A step across which the sign changes
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysicalParams, SampledCurve
+from .core import NanEncountered, PhysicalParams, SampledCurve
 from .spectral import filtered_derivative, threshold_smooth
 from .velocity import ArcChordError, periodic_rhs
 
@@ -38,8 +40,6 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
@@ -62,10 +62,6 @@ _MIN_DT = 1e-12
 _MAX_DT = 1e-2
 
 
-class NanEncountered(RuntimeError):
-    """A step produced non-finite samples."""
-
-
 @dataclass(frozen=True)
 class StepControl:
     """Fixed or adaptive marching parameters, all checked in both modes.
@@ -84,8 +80,8 @@ class StepControl:
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt: must be positive and finite, got {self.dt}")
         for name in ("rel_tol", "abs_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be positive and finite")
         if self.mode == "adaptive" and not _MIN_DT <= self.dt <= _MAX_DT:
             raise ValueError(
                 f"dt: adaptive mode needs {_MIN_DT:g} <= dt <= {_MAX_DT:g},"
@@ -129,31 +125,28 @@ class Trajectory:
 
 def rk45_step(curve: SampledCurve, params: PhysicalParams, dt: float
               ) -> tuple[SampledCurve, float, np.ndarray, np.ndarray]:
-    """One Dormand-Prince step of size dt.
+    """One Dormand-Prince step of size dt on curve.samples.
 
-    Returns the fourth-order update, the embedded-pair max-norm error
-    estimate, and the stage slopes k1 = f(y_n), k7 = f(y5) as views.
+    Returns y4, the error max|y5 - y4| with y5 the last stage input, and
+    k1 = f(y_n), k7 = f(y5) as views of the stage buffer. A non-finite
+    stage input or y4 raises NanEncountered from with_samples.
     """
-    y = np.stack((curve.p1, curve.z2))
+    y = curve.samples
     stages = np.empty((7,) + y.shape)
+    stage = curve
     for i in range(7):
-        yi = y if i == 0 else y + dt * np.tensordot(_DP_A[i, :i], stages[:i],
-                                                    axes=1)
-        if not np.isfinite(yi).all():
-            raise NanEncountered(f"non-finite state in stage {i}")
-        vf = periodic_rhs(curve.with_samples(yi[0], yi[1]), params)
-        stages[i] = (vf.v1, vf.v2)
-    y4 = y + dt * np.tensordot(_DP_B4, stages, axes=1)
-    y5 = y + dt * np.tensordot(_DP_B5, stages, axes=1)
-    if not np.isfinite(y4).all():
-        raise NanEncountered("non-finite state after step")
-    return (curve.with_samples(y4[0], y4[1]), float(np.max(np.abs(y5 - y4))),
+        if i:
+            stage = curve.with_samples(
+                y + dt * np.tensordot(_DP_A[i, :i], stages[:i], axes=1))
+        stages[i] = periodic_rhs(stage, params)
+    y4 = curve.with_samples(y + dt * np.tensordot(_DP_B4, stages, axes=1))
+    return (y4, float(np.max(np.abs(stage.samples - y4.samples))),
             stages[0], stages[6])
 
 
 def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
-    return curve.with_samples(threshold_smooth(curve.p1, eps),
-                              threshold_smooth(curve.z2, eps))
+    return curve.with_samples([threshold_smooth(row, eps)
+                               for row in curve.samples])
 
 
 def slope_profile(curve: SampledCurve) -> np.ndarray:
@@ -203,8 +196,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
         if ctl.mode == "adaptive":
             if failure is None:
                 scale = ctl.abs_tol + ctl.rel_tol * max(
-                    float(np.max(np.abs(cur.p1))),
-                    float(np.max(np.abs(cur.z2))), 1.0)
+                    float(np.max(np.abs(cur.samples))), 1.0)
                 # local error of the propagated member is O(h^5)
                 grow = _STEP_SAFETY * (scale / err) ** 0.2 if err > 0 else 5.0
                 dt = float(np.clip(abs(h) * min(grow, 5.0), _MIN_DT, _MAX_DT))
@@ -256,8 +248,8 @@ def evolve_forward(curve: SampledCurve, params: PhysicalParams, t_end: float,
                    ) -> Trajectory:
     """March from t0 to t_end; arc-chord, NaN or step-underflow failures end
     the run early with the last valid state retained and the status set."""
-    if not t_end > t0:
-        raise ValueError(f"need t_end > t0, got {t_end} <= {t0}")
+    if not -np.inf < t0 < t_end < np.inf:
+        raise ValueError(f"need finite t0 < t_end, got {t0}, {t_end}")
     traj = Trajectory(times=[float(t0)], snapshots=[curve], events=[],
                       params=params, control=control or StepControl())
     _march(traj, float(t_end), snapshot_every, stop_when)
@@ -284,8 +276,8 @@ def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
     of the unsmoothed 10.19. The reference experiment's eps acts on raw DFT
     magnitudes, which is eps/n here.
     """
-    if not t_final < 0.0:
-        raise ValueError(f"need t_final < 0, got {t_final}")
+    if not -np.inf < t_final < 0.0:
+        raise ValueError(f"need finite t_final < 0, got {t_final}")
     traj = Trajectory(times=[0.0], snapshots=[_smoothed(curve, eps)],
                       events=[], params=params,
                       control=control or StepControl(),
@@ -306,14 +298,14 @@ def detect_event_times(traj: Trajectory) -> list[tuple[float, str]]:
     eps = traj.smoothing_eps
     events: list[tuple[float, str]] = []
     for t_a, cur, h, kind, y4, k1, k7 in traj.brackets:
-        y0, y1 = np.stack((cur.p1, cur.z2)), np.stack((y4.p1, y4.z2))
+        y0, y1 = cur.samples, y4.samples
         lo, hi = 0.0, 1.0
         for _ in range(np.finfo(float).nmant):
             th = 0.5 * (lo + hi)
             s = 1.0 - th
             y = (s * s * (1 + 2 * th) * y0 + th * th * (3 - 2 * th) * y1
                  + h * th * s * (s * k1 - th * k7))
-            probe = cur.with_samples(*y)
+            probe = cur.with_samples(y)
             probe = probe if eps is None else _smoothed(probe, eps)
             if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):
                 lo = th

@@ -182,8 +182,10 @@ def _quad_sum(panels, tol, label) -> float:
 def cc_integrals() -> CcIntegrals:
     """The four center-center pieces of d_alpha v1(z(0)).
 
-    i1 has no elementary antiderivative and is integrated adaptively; the
-    other three come from the closed-form antiderivatives
+    i1 is integrated adaptively: its integrand -6x^2 (x^2 - 3) /
+    (2x^4 - 6x^2 + 9)^2 is rational, with an elementary antiderivative by
+    partial fractions in y = x^2 that is not transcribed here. The other
+    three come from the closed-form antiderivatives
 
         F2(x) = (10x - 7) / (26 (26x^2 - 70x + 49)),
         F3(x) = 3 / (9 + x^2),

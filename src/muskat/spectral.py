@@ -58,9 +58,10 @@ def _derivative_multiplier(n: int, order: int) -> np.ndarray:
 
 
 def filtered_derivative(values, order: int = 1) -> np.ndarray:
-    """Spectral derivative of order 1 or 2 with cutoff filter."""
-    v = _check_vector(values)
-    mult = _derivative_multiplier(v.size, order)
+    """Spectral derivative of order 1 or 2 with cutoff filter, along the last
+    axis. A (2, n) input is taken as a checked SampledCurve.samples."""
+    v = _check_vector(values) if np.ndim(values) == 1 else values
+    mult = _derivative_multiplier(v.shape[-1], order)
     return np.fft.ifft(np.fft.fft(v) * mult).real
 
 
@@ -82,7 +83,7 @@ def threshold_smooth(values, eps: float) -> np.ndarray:
     magnitudes; passing eps/n here reproduces it (rate 10.197 at n = 512).
     """
     v = _check_vector(values)
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("threshold eps must be nonnegative")
     n = v.size
     raw = np.fft.fft(v)

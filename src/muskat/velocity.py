@@ -82,12 +82,6 @@ _SCREEN_DELTA = 1e-8
 
 
 @dataclass(frozen=True)
-class VelocityField:
-    v1: np.ndarray
-    v2: np.ndarray
-
-
-@dataclass(frozen=True)
 class ArcChordReport:
     """Where cosh(dz2) - cos(dz1), evaluated as
     2 (sinh^2(dz2/2) + sin^2(dz1/2)), fell to or below the floor: at count
@@ -108,8 +102,9 @@ class ArcChordError(RuntimeError):
         self.report = report
 
 
-def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
-    """Evolution velocity of a sampled interface.
+def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
+    """Evolution velocity (v1, v2) of a sampled interface, as a C-contiguous
+    (2, n) array laid out as curve.samples.
 
     Raises ArcChordError, without dividing by it, if some real denominator
     cosh(dz2) - cos(dz1) is at or below ARC_CHORD_FLOOR; the report gives
@@ -121,11 +116,8 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
     """
     floor = ARC_CHORD_FLOOR
     n = curve.grid.n
-    h = curve.grid.spacing
-    z1 = curve.z1
-    z2 = curve.z2
-    dp1 = filtered_derivative(curve.p1, 1)
-    dz2 = filtered_derivative(curve.z2, 1)
+    z1, z2 = curve.z1, curve.z2
+    dp1, dz2 = filtered_derivative(curve.samples, 1)
 
     m = n // 2
     z1e, z1o = z1[0::2], z1[1::2]
@@ -200,9 +192,9 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> VelocityField:
             min_denominator=worst, floor=floor, pairs=tuple(offenders[:16]),
             count=2 * n_bad))
 
-    v = np.empty((n, 2))
-    v[0::2] = v_even
-    v[1::2] = odd_acc - ao * col_sum[:, None]
+    v = np.empty((2, n))
+    v[:, 0::2] = v_even.T
+    v[:, 1::2] = (odd_acc - ao * col_sum[:, None]).T
     # the chunks hold K/2
-    scale = 4.0 * h * params.prefactor
-    return VelocityField(v1=scale * v[:, 0], v2=scale * v[:, 1])
+    v *= 4.0 * curve.grid.spacing * params.prefactor
+    return v

@@ -69,6 +69,29 @@ def test_span_notes_find_their_arguments():
                 f"{mod}.{attr}: argument {pos} is not {keyword!r}"
 
 
+def test_traced_run_notes_read_their_arguments(tmp_path, monkeypatch):
+    # a note that cannot read its argument raises after the wrapped call,
+    # which run_scenario turns into status ERROR
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    for mod, attr, span in spans.TARGETS:
+        module = importlib.import_module(mod)
+        monkeypatch.setattr(module, attr,
+                            tracer.wrap(span, getattr(module, attr)))
+    config = scenario.RunConfig(scenario="BACKWARD_SEED", n=32,
+                                t_final=-1.6e-4, snapshot_every=4e-5,
+                                out_dir=str(tmp_path))
+    manifest = scenario.run_scenario(config)
+    assert (manifest.status, manifest.error) == ("OK", None)
+    assert manifest.steps == 4
+    assert [s for s in tracer.spans if s[5] is not None] == []
+    notes = {name: [s[4] for s in tracer.spans if s[0] == name]
+             for name in spans._NOTES}
+    assert len(notes["velocity.rhs"]) == 7 * 4
+    assert set(notes["velocity.rhs"]) == {32}
+    assert notes["spectral.smooth"] and notes["scenario.export"]
+
+
 @pytest.mark.parametrize("name", ["backward-512", "turnover-512",
                                   "backward-2048"])
 def test_workload_passes_the_benchmark_output_check(tmp_path, name):

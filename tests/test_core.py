@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+import muskat.integrator as integrator
+from muskat.core import (
+    NanEncountered,
+    PhysicalParams,
+    make_curve,
+    make_grid,
+    sample_preset,
+)
 
 from conftest import mirror
 
@@ -44,9 +51,29 @@ def test_curve_validation(grid64):
 
 def test_with_samples_keeps_grid(grid64):
     c = make_curve(grid64, np.zeros(64), np.zeros(64))
-    c2 = c.with_samples(np.ones(64) * 0.1, np.ones(64))
+    c2 = c.with_samples(np.stack((np.ones(64) * 0.1, np.ones(64))))
     assert c2.grid is c.grid
     assert c2.z2[0] == 1.0
+
+
+def test_curve_owns_its_layout_and_finiteness_check(grid64):
+    src = np.stack((np.zeros(64), np.ones(64)))
+    c = make_curve(grid64, np.zeros(64), np.zeros(64)).with_samples(src)
+    src[1, 0] = 5.0
+    # with_samples keeps one read-only copy; p1 and z2 are its rows
+    assert c.samples.shape == (2, 64) and not c.samples.flags.writeable
+    assert c.z2[0] == 1.0
+    assert np.shares_memory(c.p1, c.samples)
+    assert np.shares_memory(c.z2, c.samples)
+    with pytest.raises(ValueError, match="one row per node"):
+        c.with_samples(np.zeros((2, 32)))
+    for bad in (np.nan, np.inf):
+        src[0, 3] = bad
+        with pytest.raises(NanEncountered):
+            c.with_samples(src)
+    # a config error before a run, NAN_ABORT in the march
+    assert issubclass(NanEncountered, ValueError)
+    assert integrator.NanEncountered is NanEncountered
 
 
 def test_physical_params_defaults():

@@ -22,7 +22,7 @@ from muskat.integrator import (
     rk45_step,
     slope_profile,
 )
-from muskat.velocity import VelocityField, periodic_rhs
+from muskat.velocity import periodic_rhs
 
 
 def test_step_control_validation():
@@ -63,7 +63,7 @@ def test_fixed_step_global_order_four():
         traj = evolve_forward(curve, params, t_end,
                               StepControl(mode="fixed", dt=dt))
         assert traj.status == STATUS_OK
-        return np.stack((traj.final.p1, traj.final.z2))
+        return traj.final.samples
 
     ref = endpoint(2.5e-5)
     errs = [np.max(np.abs(endpoint(dt) - ref)) for dt in (4e-4, 2e-4, 1e-4)]
@@ -116,10 +116,34 @@ def test_arc_chord_failure_keeps_last_state(flat64, params, monkeypatch):
     assert np.array_equal(traj.final.z2, flat64.z2)
 
 
+def test_error_estimate_is_first_same_as_last(grid64, params, monkeypatch):
+    # the last row of _DP_A is the textbook fifth-order solution, so the
+    # last stage input is y5 and the step needs no weights of its own
+    b5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                   11 / 84])
+    assert np.array_equal(integrator._DP_A[6], b5)
+    stages = []
+
+    def recording(curve, prm):
+        stages.append(periodic_rhs(curve, prm))
+        return stages[-1]
+
+    monkeypatch.setattr(integrator, "periodic_rhs", recording)
+    seed = sample_preset("SEED_T0", grid64)
+    for dt in (4e-5, -1e-3):
+        stages.clear()
+        y4, err, k1, k7 = rk45_step(seed, params, dt)
+        assert len(stages) == 7
+        assert np.array_equal(k1, stages[0]) and np.array_equal(k7, stages[6])
+        y5 = seed.samples + dt * np.tensordot(b5, np.array(stages[:6]), 1)
+        assert err > 0.0
+        assert err == np.max(np.abs(y5 - y4.samples))
+
+
 def test_nan_abort(flat64, params, monkeypatch):
     def poisoned(curve, prm):
         n = curve.grid.n
-        return VelocityField(v1=np.full(n, np.nan), v2=np.zeros(n))
+        return np.stack((np.full(n, np.nan), np.zeros(n)))
 
     monkeypatch.setattr(integrator, "periodic_rhs", poisoned)
     traj = evolve_forward(flat64, params, 1e-3,
@@ -155,6 +179,20 @@ def test_forward_determinism(grid64, params):
 def test_backward_rejects_nonnegative_goal(flat64, params):
     with pytest.raises(ValueError, match="t_final"):
         evolve_backward_regularized(flat64, params, 0.0)
+
+
+def test_infinite_horizons_and_nan_eps_are_rejected(params):
+    # unchecked, an infinite horizon would take no step and report OK, and a
+    # NaN eps would run unsmoothed while the trajectory records it
+    seed = sample_preset("SEED_T0", make_grid(32))
+    for t_end, t0 in ((np.inf, 0.0), (np.nan, 0.0), (1.0, -np.inf)):
+        with pytest.raises(ValueError, match="^need finite t0 < t_end"):
+            evolve_forward(seed, params, t_end, t0=t0)
+    for t_final in (-np.inf, np.nan):
+        with pytest.raises(ValueError, match="^need finite t_final < 0"):
+            evolve_backward_regularized(seed, params, t_final)
+    with pytest.raises(ValueError, match="eps"):
+        evolve_backward_regularized(seed, params, -1e-3, eps=np.nan)
 
 
 def test_backward_smooths_the_initial_state(grid64, params):
@@ -272,7 +310,7 @@ def test_adaptive_retries_a_failed_trial_step(flat64, params, monkeypatch):
         calls.append(1)
         if len(calls) == 1:
             n = curve.grid.n
-            return VelocityField(v1=np.full(n, np.nan), v2=np.zeros(n))
+            return np.stack((np.full(n, np.nan), np.zeros(n)))
         return periodic_rhs(curve, prm)
 
     monkeypatch.setattr(integrator, "periodic_rhs", nan_once)

@@ -53,6 +53,8 @@ def test_config_defaults():
     ({"rel_tol": -1.0}, "rel_tol: must be positive"),
     ({"density_jump": float("nan")}, "density_jump: must be finite"),
     ({"density_jump": float("inf")}, "density_jump: must be finite"),
+    ({"rel_tol": float("inf")}, "rel_tol: must be positive and finite"),
+    ({"abs_tol": float("inf")}, "abs_tol: must be positive and finite"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -70,6 +70,15 @@ def test_derivative_rejects_bad_input():
         filtered_derivative(np.zeros(16), 5)
 
 
+def test_stacked_derivative_rows_match_one_dimensional_calls():
+    v = np.random.default_rng(3).normal(size=(2, 512))
+    for order in (1, 2):
+        d = filtered_derivative(v, order)
+        assert d.shape == v.shape
+        for row, d_row in zip(v, d):
+            assert np.array_equal(d_row, filtered_derivative(row, order))
+
+
 def test_filter_profile_shape():
     prof = _filter_profile(64)
     assert prof[0] == 1.0
@@ -89,6 +98,11 @@ def test_threshold_smooth_zero_eps_is_identity():
     rng = np.random.default_rng(7)
     v = rng.normal(size=64)
     assert np.array_equal(threshold_smooth(v, 0.0), v)
+
+
+def test_threshold_smooth_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        threshold_smooth(np.zeros(16), np.nan)
 
 
 def test_threshold_smooth_drops_small_modes():
