@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledCurve
+from .core import Grid, SampledCurve
 from .integrator import (EVENT_ENTER_STABLE, Trajectory, grid_min_slope,
                          slope_profile)
 from .spectral import TrigInterpolant, filtered_derivative
@@ -67,61 +67,55 @@ def classify_slope(min_slope: float) -> str:
     return REGIME_CRITICAL
 
 
-def _refine_minimum(alphas: np.ndarray, s: np.ndarray, i: int,
-                    h: float) -> tuple[float, float]:
-    """Parabola through the cyclic triple around node i; returns (alpha, s)."""
-    n = len(s)
-    sm, s0, sp = s[(i - 1) % n], s[i], s[(i + 1) % n]
+def _refine_minimum(grid: Grid, s: np.ndarray, i
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Parabola through the cyclic triples around the nodes i; returns the
+    vertices (alpha, s), or the node itself where a triple is not convex."""
+    sm, s0, sp = np.roll(s, 1)[i], s[i], np.roll(s, -1)[i]
     den = sm - 2.0 * s0 + sp
-    if den <= 0.0:
-        return float(alphas[i]), float(s0)
-    off = 0.5 * (sm - sp) / den
-    off = float(np.clip(off, -1.0, 1.0))
-    val = s0 - 0.25 * (sm - sp) * off
-    return float(alphas[i] + off * h), float(val)
+    convex = den > 0.0
+    off = np.clip(0.5 * (sm - sp) / np.where(convex, den, 1.0), -1.0, 1.0)
+    return (np.where(convex, grid.nodes[i] + off * grid.spacing,
+                     grid.nodes[i]),
+            np.where(convex, s0 - 0.25 * (sm - sp) * off, s0))
 
 
 def turning_report(curve: SampledCurve) -> TurningReport:
     """Minimum slope, its refined location, regime, and vertical tangents.
 
-    Tangent points are sign changes of d_alpha z1 along the period,
-    polished on the band-limited interpolant to |slope| < 1e-8; nearby
+    Tangent points are sign changes of d_alpha z1 between neighbouring
+    nodes, bisected together on the band-limited interpolant once per bit
+    of the float significand and kept where |slope| < 1e-8. A bracket whose
+    interpolant end values agree in sign under roundoff is dropped; nearby
     duplicates from a slope grazing zero at a node collapse to one point.
     """
-    from scipy.optimize import brentq
-
     grid = curve.grid
     s = slope_profile(curve)
-    i_min = int(np.argmin(s))
-    argmin, min_slope = _refine_minimum(grid.nodes, s, i_min, grid.spacing)
-    grid_min = grid_min_slope(curve)
+    argmin, min_slope = _refine_minimum(grid, s, int(np.argmin(s)))
 
     p1_i = TrigInterpolant(curve.p1)
-    z2_i = TrigInterpolant(curve.z2)
     slope = lambda a: 1.0 + p1_i(a, order=1)
-
-    n = grid.n
-    roots: list[float] = []
-    for i in range(n):
-        a, b = grid.nodes[i], grid.nodes[i] + grid.spacing
-        sa, sb = s[i], s[(i + 1) % n]
-        if (sa > 0.0) == (sb > 0.0):
-            continue
-        try:
-            root = brentq(slope, a, b, xtol=1e-14)
-        except ValueError:
-            # interpolant and node values disagree in sign under roundoff
-            continue
-        if abs(slope(root)) < TANGENT_ROOT_TOL:
-            roots.append(float(root))
+    lo = grid.nodes[np.flatnonzero((s > 0.0) != (np.roll(s, -1) > 0.0))]
+    hi = lo + grid.spacing
+    s_lo = slope(lo)
+    keep = s_lo * slope(hi) <= 0.0
+    lo, hi, s_lo = lo[keep], hi[keep], s_lo[keep]
+    for _ in range(np.finfo(float).nmant + 1):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(slope(mid)) == np.sign(s_lo)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    roots = 0.5 * (lo + hi)
     merged: list[float] = []
-    for r in sorted(roots):
+    for r in sorted(roots[np.abs(slope(roots)) < TANGENT_ROOT_TOL].tolist()):
         if merged and r - merged[-1] < 0.25 * grid.spacing:
             merged[-1] = 0.5 * (merged[-1] + r)
         else:
             merged.append(r)
-    points = tuple((r, r + float(p1_i(r)), float(z2_i(r))) for r in merged)
-    return TurningReport(min_slope=min_slope, argmin=argmin,
+    r = np.array(merged)
+    points = tuple(zip(merged, (r + p1_i(r)).tolist(),
+                       TrigInterpolant(curve.z2)(r).tolist()))
+    grid_min = float(s.min())  # grid_min_slope(curve)
+    return TurningReport(min_slope=float(min_slope), argmin=float(argmin),
                          grid_min=grid_min, regime=classify_slope(grid_min),
                          tangent_points=points)
 
@@ -133,16 +127,11 @@ def near_critical_minima(curve: SampledCurve
     These are the candidate turnover sites while the interface is still a
     graph; each entry is (alpha, slope).
     """
-    grid = curve.grid
     s = slope_profile(curve)
-    n = grid.n
-    out = []
-    for i in range(n):
-        if s[i] < s[(i - 1) % n] and s[i] <= s[(i + 1) % n]:
-            alpha, val = _refine_minimum(grid.nodes, s, i, grid.spacing)
-            if abs(val) <= NEAR_CRITICAL_BAND:
-                out.append((alpha, val))
-    return tuple(sorted(out))
+    i = np.flatnonzero((s < np.roll(s, 1)) & (s <= np.roll(s, -1)))
+    alpha, val = _refine_minimum(curve.grid, s, i)
+    near = np.abs(val) <= NEAR_CRITICAL_BAND
+    return tuple(sorted(zip(alpha[near].tolist(), val[near].tolist())))
 
 
 def norm_series(traj: Trajectory) -> NormSeries:
@@ -156,8 +145,8 @@ def norm_series(traj: Trajectory) -> NormSeries:
     sup_slope = np.empty(len(times))
     for i, c in enumerate(traj.snapshots):
         sup_f[i] = np.max(np.abs(c.z2))
-        dz1 = slope_profile(c)
-        dz2 = filtered_derivative(c.z2, 1)
+        dp1, dz2 = filtered_derivative(c.samples, 1)
+        dz1 = 1.0 + dp1
         # dz1.min() is grid_min_slope(c)
         if classify_slope(float(dz1.min())) == REGIME_STABLE:
             sup_slope[i] = np.max(np.abs(dz2 / dz1))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    NanEncountered,
     PhysicalParams,
     SampledCurve,
     make_curve,
@@ -33,7 +34,6 @@ from .integrator import (
     evolve_backward_regularized,
     evolve_forward,
     grid_min_slope,
-    slope_profile,
 )
 from .spectral import filtered_derivative
 
@@ -93,8 +93,8 @@ class RunConfig:
             raise ValueError(f"n: need an even grid size >= 16, got {self.n}")
         if not self.snapshot_every > 0:
             raise ValueError("snapshot_every: must be positive")
-        if not self.eps >= 0:
-            raise ValueError("eps: must be nonnegative")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps: must be finite and nonnegative")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta: need 0 < delta < 1, got {self.delta}")
         if self.t_final is not None and not np.isfinite(self.t_final):
@@ -207,6 +207,13 @@ def load_config(path, **overrides) -> RunConfig:
     return RunConfig(**{**values, **overrides})
 
 
+def _format_rows(*cols) -> list[str]:
+    """One line per entry of the equal-length columns, 17 significant
+    digits per value."""
+    fmt = ", ".join(["%.17g"] * len(cols))
+    return [fmt % row for row in zip(*(c.tolist() for c in cols))]
+
+
 def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
     """Write one curve as delimited text: alpha, z1, z2, dz1, dz2.
 
@@ -215,11 +222,10 @@ def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
     derivatives and are informational; import ignores them.
     """
     path = Path(path)
-    dz1 = slope_profile(curve)
-    dz2 = filtered_derivative(curve.z2, 1)
-    rows = [f"# time = {time:.17g}", _SNAPSHOT_HEADER]
-    for cols in zip(curve.grid.nodes, curve.z1, curve.z2, dz1, dz2):
-        rows.append(", ".join(f"{c:.17g}" for c in cols))
+    dp1, dz2 = filtered_derivative(curve.samples, 1)
+    rows = [f"# time = {time:.17g}", _SNAPSHOT_HEADER,
+            *_format_rows(curve.grid.nodes, curve.z1, curve.z2, 1.0 + dp1,
+                          dz2)]
     try:
         path.write_text("\n".join(rows) + "\n")
     except OSError as exc:
@@ -243,6 +249,9 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
         if line.startswith("#"):
             if line[1:].split("=")[0].strip() == "time":
                 time = float(line.split("=", 1)[1])
+                if not np.isfinite(time):
+                    raise ValueError(f"{path}: time stamp must be finite,"
+                                     f" got {time}")
             continue
         if not saw_header:
             if [c.strip() for c in line.split(",")] != \
@@ -259,17 +268,19 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
     if not saw_header or not alphas:
         raise ValueError(f"{path}: no snapshot rows found")
     grid = make_grid(len(alphas))
-    if np.max(np.abs(np.array(alphas) - grid.nodes)) > 1e-12:
+    if not np.max(np.abs(np.array(alphas) - grid.nodes)) <= 1e-12:
         raise ValueError(f"{path}: nodes are not the uniform grid on [-pi, pi)")
     p1 = np.array(z1s) - grid.nodes
-    return make_curve(grid, p1, np.array(z2s)), time
+    try:
+        return make_curve(grid, p1, np.array(z2s)), time
+    except NanEncountered as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_norms(traj: Trajectory, path: Path) -> None:
     ns = norm_series(traj)
-    rows = ["# columns: t, sup_f, sup_slope (nan when not a graph)"]
-    for t, f, s in zip(ns.times, ns.sup_f, ns.sup_slope):
-        rows.append(f"{t:.17g}, {f:.17g}, {s:.17g}")
+    rows = ["# columns: t, sup_f, sup_slope (nan when not a graph)",
+            *_format_rows(ns.times, ns.sup_f, ns.sup_slope)]
     path.write_text("\n".join(rows) + "\n")
 
 

@@ -83,8 +83,8 @@ def threshold_smooth(values, eps: float) -> np.ndarray:
     magnitudes; passing eps/n here reproduces it (rate 10.197 at n = 512).
     """
     v = _check_vector(values)
-    if not eps >= 0:
-        raise ValueError("threshold eps must be nonnegative")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError("eps: must be finite and nonnegative")
     n = v.size
     raw = np.fft.fft(v)
     mag = np.abs(raw) / n

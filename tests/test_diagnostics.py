@@ -27,6 +27,7 @@ from muskat.integrator import (
     grid_min_slope,
     slope_profile,
 )
+from muskat.spectral import TrigInterpolant
 
 
 def overturned_curve(n=256, amp=1.2):
@@ -65,6 +66,88 @@ def test_turning_report_on_overturned_curve():
         assert z1 == pytest.approx(sign * (a_star - 1.2 * np.sin(a_star)),
                                    abs=1e-8)
         assert z2 == pytest.approx(sign * 0.3 * np.sin(a_star), abs=1e-8)
+
+
+def _brentq_tangent_alphas(curve):
+    """Reference: brentq (scipy, a test-only dependency) on every node
+    bracket where the grid slope changes sign, kept where |slope| < 1e-8;
+    the states used here have no near-duplicate roots to merge."""
+    from scipy.optimize import brentq
+
+    grid, s = curve.grid, slope_profile(curve)
+    p1_i = TrigInterpolant(curve.p1)
+    slope = lambda a: 1.0 + p1_i(a, order=1)
+    roots = []
+    for i in range(grid.n):
+        if (s[i] > 0.0) == (s[(i + 1) % grid.n] > 0.0):
+            continue
+        try:
+            root = brentq(slope, grid.nodes[i], grid.nodes[i] + grid.spacing,
+                          xtol=1e-14)
+        except ValueError:
+            continue
+        if abs(slope(root)) < diagnostics.TANGENT_ROOT_TOL:
+            roots.append(root)
+    return sorted(roots)
+
+
+@pytest.fixture(scope="module")
+def conj_past_turnover():
+    traj = evolve_forward(sample_preset("CONJ_T0", make_grid(128)),
+                          PhysicalParams(), 0.3, StepControl(),
+                          stop_when=lambda t, c: grid_min_slope(c) < -0.02)
+    assert grid_min_slope(traj.final) < -0.02
+    return traj.final
+
+
+@pytest.mark.parametrize("state", ["overturned", "conj_past_turnover"])
+def test_tangent_points_agree_with_brentq(state, request):
+    curve = (overturned_curve() if state == "overturned"
+             else request.getfixturevalue(state))
+    points = turning_report(curve).tangent_points
+    alphas = _brentq_tangent_alphas(curve)
+    assert len(points) == len(alphas) == 2
+    for (alpha, z1, z2), ref in zip(points, alphas):
+        assert abs(alpha - ref) <= 1e-12
+        assert abs(z1 - (ref + TrigInterpolant(curve.p1)(ref))) <= 1e-12
+        assert abs(z2 - TrigInterpolant(curve.z2)(ref)) <= 1e-12
+
+
+def _parabola_at(curve, i):
+    """The refined minimum around node i, as one scalar parabola."""
+    s, n = slope_profile(curve), curve.grid.n
+    sm, s0, sp = s[(i - 1) % n], s[i], s[(i + 1) % n]
+    den = sm - 2.0 * s0 + sp
+    if den <= 0.0:
+        return float(curve.grid.nodes[i]), float(s0)
+    off = float(np.clip(0.5 * (sm - sp) / den, -1.0, 1.0))
+    return (float(curve.grid.nodes[i] + off * curve.grid.spacing),
+            float(s0 - 0.25 * (sm - sp) * off))
+
+
+@pytest.mark.parametrize("state", ["two_sites", "tilt", "flat",
+                                   "conj_past_turnover"])
+def test_minima_equal_a_per_node_loop_bitwise(state, request, flat64):
+    grid = make_grid(256)
+    curve = {
+        "two_sites": lambda: make_curve(
+            grid, -0.475 * np.sin(2.0 * grid.nodes)
+            + 1e-3 * np.sin(7.0 * grid.nodes), np.zeros(grid.n)),
+        "tilt": lambda: sample_preset("DELTA_TILT", grid, delta=0.05),
+        "flat": lambda: flat64,
+        "conj_past_turnover": lambda: request.getfixturevalue(state),
+    }[state]()
+    s, n = slope_profile(curve), curve.grid.n
+    loop = []
+    for i in range(n):
+        if s[i] < s[(i - 1) % n] and s[i] <= s[(i + 1) % n]:
+            alpha, val = _parabola_at(curve, i)
+            if abs(val) <= diagnostics.NEAR_CRITICAL_BAND:
+                loop.append((alpha, val))
+    assert near_critical_minima(curve) == tuple(sorted(loop))
+    rep = turning_report(curve)
+    assert (rep.argmin, rep.min_slope) == \
+        _parabola_at(curve, int(np.argmin(s)))
 
 
 def test_near_critical_minima_single_site():

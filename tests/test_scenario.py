@@ -15,11 +15,13 @@ from muskat.cli import main
 from muskat.core import UNIT_PREFACTOR_DENSITY_JUMP, make_curve, make_grid, sample_preset
 from muskat.scenario import (
     RunConfig,
+    _format_rows,
     export_snapshot,
     import_snapshot,
     load_config,
     run_scenario,
 )
+from muskat.spectral import filtered_derivative
 from muskat.velocity import ARC_CHORD_FLOOR, ArcChordError, ArcChordReport
 
 
@@ -55,6 +57,7 @@ def test_config_defaults():
     ({"density_jump": float("inf")}, "density_jump: must be finite"),
     ({"rel_tol": float("inf")}, "rel_tol: must be positive and finite"),
     ({"abs_tol": float("inf")}, "abs_tol: must be positive and finite"),
+    ({"eps": float("inf")}, "eps: must be finite and nonnegative"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -137,6 +140,24 @@ def test_snapshot_round_trip(tmp_path, grid64):
     assert third.read_bytes() == second.read_bytes()
 
 
+def test_export_rows_match_the_per_value_format(tmp_path):
+    grid = make_grid(16)
+    z2 = np.zeros(grid.n)
+    z2[:5] = [-0.0, 5e-324, 1e300, 1e16, 1.0 / 3.0]
+    curve = make_curve(grid, np.zeros(grid.n), z2)
+    path = tmp_path / "edge.dat"
+    export_snapshot(curve, path, time=1.0 / 3.0)
+    dp1, dz2 = filtered_derivative(curve.samples, 1)
+    rows = zip(grid.nodes, curve.z1, curve.z2, 1.0 + dp1, dz2)
+    expected = ["# time = 0.33333333333333331", "alpha, z1, z2, dz1, dz2"]
+    expected += [", ".join(f"{c:.17g}" for c in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    # norms.dat rows carry nan for snapshots that are not a graph
+    cols = np.array([[np.nan, -np.inf, -0.0], [5e-324, 1e300, 1.0 / 3.0]])
+    assert _format_rows(*cols) == [f"{a:.17g}, {b:.17g}"
+                                   for a, b in zip(*cols)]
+
+
 def test_import_rejects_malformed_files(tmp_path):
     bad_header = tmp_path / "h.dat"
     bad_header.write_text("x, y\n0, 0\n")
@@ -161,6 +182,32 @@ def test_import_rejects_malformed_files(tmp_path):
         import_snapshot(skewed)
 
 
+def test_import_rejects_a_non_finite_time_stamp(tmp_path, grid64):
+    # accepted, a FORWARD_RERUN from it would fail on "a value past inf"
+    path = tmp_path / "inf.dat"
+    export_snapshot(sample_preset("SEED_T0", grid64), path, time=np.inf)
+    with pytest.raises(ValueError, match="time stamp must be finite"):
+        import_snapshot(path)
+
+
+def test_import_names_the_file_of_non_finite_samples(tmp_path, grid64):
+    path = tmp_path / "nan.dat"
+    export_snapshot(sample_preset("SEED_T0", grid64), path)
+    lines = path.read_text().splitlines()
+    cols = lines[5].split(", ")
+    lines[5] = ", ".join([*cols[:2], "nan", *cols[3:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        import_snapshot(path)
+    assert str(info.value) == f"{path}: non-finite samples"
+
+    # a NaN node fails the grid check rather than slipping past it
+    lines[5] = ", ".join(["nan", *cols[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="uniform grid"):
+        import_snapshot(path)
+
+
 def _manifest_section(out, section="manifest"):
     parsed = configparser.ConfigParser()
     parsed.read_string((out / "manifest.txt").read_text())
@@ -176,23 +223,35 @@ def test_manifest_records_the_resolved_horizon(tmp_path):
 
 
 def test_scenario_runs_import_no_scipy(tmp_path):
-    # the run path (kernel, stepper, diagnostics of a run) needs numpy alone
+    # the run path (kernel, stepper, diagnostics of a run) and the turning
+    # report that `muskat run` and `muskat inspect` print, tangent points
+    # included, need numpy alone
     script = f"""
 import sys
-from muskat.scenario import RunConfig, run_scenario
-for kw in ({{"scenario": "CONJ_TURNOVER", "t_final": 1e-3}},
-           {{"scenario": "BACKWARD_SEED", "t_final": -1e-3}}):
-    m = run_scenario(RunConfig(n=32, dt=1e-4, snapshot_every=5e-4,
-                               out_dir={str(tmp_path)!r} + "/" + kw["scenario"],
-                               **kw))
-    assert m.status == "OK", m.error
+import numpy as np
+from muskat.cli import main
+from muskat.core import make_curve, make_grid
+from muskat.scenario import RunConfig, export_snapshot, run_scenario
+out = {str(tmp_path)!r}
+m = run_scenario(RunConfig(scenario="BACKWARD_SEED", t_final=-1e-3, n=32,
+                           dt=1e-4, snapshot_every=5e-4, out_dir=out + "/b"))
+assert m.status == "OK", m.error
+assert main(["run", "--scenario", "CONJ_TURNOVER", "--n", "32",
+             "--t-final", "1e-3", "--dt", "1e-4", "--snapshot-every", "5e-4",
+             "--out", out + "/conj"]) == 0
+assert main(["inspect", out + "/conj/final.dat"]) == 0
+grid = make_grid(64)
+export_snapshot(make_curve(grid, -1.2 * np.sin(grid.nodes),
+                           0.3 * np.sin(grid.nodes)), out + "/turned.dat")
+assert main(["inspect", out + "/turned.dat"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(muskat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert "vertical tangent: alpha = " in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_delta_tilt_scenario_writes_both_legs(tmp_path):
@@ -379,7 +438,7 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
     # every float flag takes such a value; the config, not the parser,
     # then judges it (FORWARD_RERUN without --input stops before running)
     for flag, message in (("--dt", "dt: must be positive"),
-                          ("--eps", "eps: must be nonnegative"),
+                          ("--eps", "eps: must be finite and nonnegative"),
                           ("--snapshot-every", "snapshot_every"),
                           ("--rel-tol", "rel_tol: must be positive"),
                           ("--abs-tol", "abs_tol: must be positive"),
@@ -456,7 +515,8 @@ def test_cli_step_control_errors_are_config_errors(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flag, value", [("--mode", "verlet"),
                                          ("--rel-tol", "-1"),
                                          ("--abs-tol", "0"),
-                                         ("--density-jump", "nan")])
+                                         ("--density-jump", "nan"),
+                                         ("--eps", "inf")])
 def test_cli_param_checks_are_config_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "run"
     code = main(["run", "--scenario", "CONJ_TURNOVER", "--n", "16",

@@ -101,8 +101,10 @@ def test_threshold_smooth_zero_eps_is_identity():
 
 
 def test_threshold_smooth_rejects_nan_eps():
-    with pytest.raises(ValueError, match="eps"):
-        threshold_smooth(np.zeros(16), np.nan)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError,
+                           match="eps: must be finite and nonnegative"):
+            threshold_smooth(np.zeros(16), eps)
 
 
 def test_threshold_smooth_drops_small_modes():
