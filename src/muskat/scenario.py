@@ -232,6 +232,19 @@ def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
         raise OSError(f"cannot write snapshot {path}: {exc}") from exc
 
 
+def _parse_numbers(fields, path: Path, lineno: int) -> list[float]:
+    """The fields as floats; one that is no number raises a ValueError
+    naming the file and the 1-based line."""
+    numbers = []
+    for field in fields:
+        try:
+            numbers.append(float(field))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: not a number:"
+                             f" {field.strip()!r}") from None
+    return numbers
+
+
 def import_snapshot(path) -> tuple[SampledCurve, float]:
     """Read a snapshot file back; returns the curve and its time stamp."""
     path = Path(path)
@@ -242,13 +255,13 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
     time = 0.0
     alphas, z1s, z2s = [], [], []
     saw_header = False
-    for line in raw.splitlines():
+    for lineno, line in enumerate(raw.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             if line[1:].split("=")[0].strip() == "time":
-                time = float(line.split("=", 1)[1])
+                time, = _parse_numbers([line.split("=", 1)[1]], path, lineno)
                 if not np.isfinite(time):
                     raise ValueError(f"{path}: time stamp must be finite,"
                                      f" got {time}")
@@ -259,7 +272,7 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
                 raise ValueError(f"{path}: unexpected header {line!r}")
             saw_header = True
             continue
-        cols = [float(c) for c in line.split(",")]
+        cols = _parse_numbers(line.split(","), path, lineno)
         if len(cols) != 5:
             raise ValueError(f"{path}: expected 5 columns, got {len(cols)}")
         alphas.append(cols[0])

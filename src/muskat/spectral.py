@@ -59,10 +59,16 @@ def _derivative_multiplier(n: int, order: int) -> np.ndarray:
 
 def filtered_derivative(values, order: int = 1) -> np.ndarray:
     """Spectral derivative of order 1 or 2 with cutoff filter, along the last
-    axis. A (2, n) input is taken as a checked SampledCurve.samples."""
+    axis. A (2, n) input is taken as a checked SampledCurve.samples.
+
+    One real FFT pair, on the first n/2 + 1 bins of the multiplier; these
+    hold k = 0, ..., n/2 - 1 and the Nyquist bin, all the real transform
+    keeps.
+    """
     v = _check_vector(values) if np.ndim(values) == 1 else values
-    mult = _derivative_multiplier(v.shape[-1], order)
-    return np.fft.ifft(np.fft.fft(v) * mult).real
+    n = v.shape[-1]
+    mult = _derivative_multiplier(n, order)
+    return np.fft.irfft(np.fft.rfft(v) * mult[:n // 2 + 1], n)
 
 
 def threshold_smooth(values, eps: float) -> np.ndarray:

@@ -15,12 +15,15 @@ Only the (even target, odd source) block K_ij = sin(d1)/(cosh(d2) - cos(d1))
 is formed: d1, d2 and sin flip sign under i <-> j while cosh(d2) - cos(d1) is
 even, so the (odd, even) block is -K^T. Even targets then get
 a_e * K.sum(1) - K @ a_o and odd targets K^T @ a_e - a_o * K.sum(0), with
-a = (p1', z2') stacked so one matrix product yields both components. The
-difference carries p1' rather than 1 + p1': the constant cancels exactly in
+a = (p1', z2'). A column of ones beside a folds the sums into the products:
+K @ (1, p1'_o, z2'_o) gives the row sums and K a_o, and
+(1, p1'_e, z2'_e)^T K the column sums and K^T a_e. The difference carries
+p1' rather than 1 + p1': the constant cancels exactly in
 z'(a_i) - z'(a_j), but as 1 * K.sum(1) - K @ 1 it would leave roundoff of
 the size of the row sums in v1. The even rows run in chunks of a fixed
 number of pairs, so temporaries stay cache-sized and memory stays bounded,
-and the arc-chord floor check runs in the same pass.
+and the arc-chord floor check runs in the same pass. The operands and
+buffers live in a per-grid workspace kept across calls.
 
 K is formed in the periodic Cauchy form of the vortex-sheet codes (Baker,
 Meiron & Orszag, J. Fluid Mech. 123, 1982; Krasny, J. Fluid Mech. 167,
@@ -34,8 +37,11 @@ Q = exp(-z2) sin(z1),
 with dzeta = zeta_i - zeta_j. One complex exponential per node replaces
 the sin, cos and cosh per pair, whose sin and cos were most of a
 right-hand side at n = 2048; a chunk is then two small matrix products
-(dP and dQ, then the numerator), a sum of squares and a division. The chunks
-hold K/2 and the factor 2 sits in the final scale.
+(dP and dQ, then the numerator), a sum of squares, a division and the two
+summing products, 9 numpy calls in all. The chunks hold K/2 and the factor
+2 sits in the final scale. A right-hand side of SEED_T0 takes 0.67-0.70 ms
+at n = 512 and 6.6-6.7 ms at n = 2048 (2-vCPU Xeon, medians over 12
+processes, two rounds).
 
 Near pairs. Since cosh(d2) - cos(d1) = |dzeta|^2/(2|zeta_i||zeta_j|), a
 pair whose |dzeta|^2 exceeds 2 max(_SCREEN_DELTA, 2 floor) max|zeta_e|
@@ -56,6 +62,7 @@ n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,13 +71,13 @@ from .spectral import filtered_derivative
 
 ARC_CHORD_FLOOR = 1e-12
 
-# Target-source pairs per row chunk of the pair sum: 16 K pairs keep each
-# of the two chunk buffers at 128 KiB, well inside L2, and off the peak RSS
-# of a run. Per right-hand side on SEED_T0 (2-vCPU Xeon, medians of 11),
-# 8 K / 16 K / 32 K pairs take 1.03 / 0.83 / 0.85 ms at n = 512 and
-# 10.8 / 8.7 / 7.7 ms at n = 2048, where 32 K adds 0.6 MiB to the peak RSS;
-# an unchunked 1024 x 1024 block at n = 2048 takes 19 ms, about 2x slower.
-_CHUNK_PAIRS = 1 << 14
+# Target-source pairs per row chunk of the pair sum: 32 K pairs keep each
+# half of the chunk buffer at 256 KiB, inside L2. Per right-hand side on
+# SEED_T0 (2-vCPU Xeon, medians of 11 interleaved rounds, three sweeps),
+# 8 K / 16 K / 32 K / 64 K pairs take 7.8-8.9 / 6.7-7.5 / 6.4-6.7 /
+# 6.9-7.3 ms at n = 2048, where a run is almost all pair sum, and
+# 0.59-0.78 / 0.46-0.65 / 0.49-0.69 / 0.63-0.91 ms at n = 512.
+_CHUNK_PAIRS = 1 << 15
 
 # Pairs whose real denominator may be at or below this (or 2 floor) take the
 # real form of the kernel. With one pair 201 nodes apart at denominator
@@ -102,9 +109,32 @@ class ArcChordError(RuntimeError):
         self.report = report
 
 
+@lru_cache(maxsize=8)
+def _workspace(m: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Arrays of the pair sum over m even and m odd nodes in row chunks of
+    the given size, reused by every call at that size: the difference
+    operands [P_e, -1, 0; Q_e, 0, -1] and [1; P_o; Q_o] with their
+    constant entries in place, the numerator operand [Q_e, -P_e], the sum
+    operands a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e]
+    (3, m), the (2, rows, m) chunk buffer, the (m, 3) row products, and
+    the (3, m) column products of one chunk and their running sum.
+    Keeping them across calls spares the allocator the heap trims and page
+    faults of rebuilding them each time."""
+    diff = np.zeros((2, m, 3))
+    diff[0, :, 1] = diff[1, :, 2] = -1.0
+    right = np.empty((3, m))
+    right[0] = 1.0
+    ao3 = np.empty((m, 3))
+    ao3[:, 0] = 1.0
+    ae3 = np.empty((3, m))
+    ae3[0] = 1.0
+    return (diff, right, np.empty((m, 2)), ao3, ae3, np.empty((2, rows, m)),
+            np.empty((m, 3)), np.empty((3, m)), np.empty((3, m)))
+
+
 def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
-    """Evolution velocity (v1, v2) of a sampled interface, as a C-contiguous
-    (2, n) array laid out as curve.samples.
+    """Evolution velocity (v1, v2) of a sampled interface, as a new
+    C-contiguous (2, n) array laid out as curve.samples.
 
     Raises ArcChordError, without dividing by it, if some real denominator
     cosh(dz2) - cos(dz1) is at or below ARC_CHORD_FLOOR; the report gives
@@ -113,6 +143,9 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
     cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
     the near pairs the |dzeta|^2 screen picks out; every other pair's is
     above max(_SCREEN_DELTA, 2 floor).
+
+    The pair sum runs in a per-grid workspace shared by every call at the
+    same size, so two threads must not call this at once.
     """
     floor = ARC_CHORD_FLOOR
     n = curve.grid.n
@@ -120,11 +153,13 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
     dp1, dz2 = filtered_derivative(curve.samples, 1)
 
     m = n // 2
+    rows = min(m, max(1, _CHUNK_PAIRS // m))
+    diff, right, cross, ao3, ae3, buf, row_prod, col_prod, col_acc = \
+        _workspace(m, rows)
     z1e, z1o = z1[0::2], z1[1::2]
     z2e, z2o = z2[0::2], z2[1::2]
-    ae = np.column_stack((dp1[0::2], dz2[0::2]))
-    ao = np.column_stack((dp1[1::2], dz2[1::2]))
-    rows = min(m, max(1, _CHUNK_PAIRS // m))
+    ae3[1], ae3[2] = dp1[0::2], dz2[0::2]
+    ao3[:, 1], ao3[:, 2] = dp1[1::2], dz2[1::2]
 
     # zeta = P + iQ = exp(i z); per chunk, one stacked matmul forms
     # dP = P_e - P_o and dQ = Q_e - Q_o, whose zero terms are exact, so
@@ -133,32 +168,27 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
     mod = np.exp(-z2)
     P = mod * np.cos(z1)
     Q = mod * np.sin(z1)
-    one, zero = np.ones(m), np.zeros(m)
-    diff = np.stack((np.column_stack((P[0::2], -one, zero)),
-                     np.column_stack((Q[0::2], zero, -one))))
-    right = np.vstack((one, P[1::2], Q[1::2]))
-    cross = np.column_stack((Q[0::2], -P[0::2]))
+    diff[0, :, 0], diff[1, :, 0] = P[0::2], Q[0::2]
+    right[1], right[2] = P[1::2], Q[1::2]
+    cross[:, 0], cross[:, 1] = Q[0::2], -P[0::2]
     # a pair with |dzeta|^2 above limit * max|zeta_e| (chunk) has its real
     # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
     limit = 2.0 * max(_SCREEN_DELTA, 2.0 * floor) * mod[1::2].max()
-    mod_e = mod[0::2]
+    starts = range(0, m, rows)
+    bounds = limit * np.maximum.reduceat(mod[0::2], starts)
 
-    buf = np.empty((2, rows, m))
-    v_even = np.empty((m, 2))
-    odd_acc = np.zeros((m, 2))
-    col_sum = np.zeros(m)
+    col_acc.fill(0.0)
     worst = np.inf
     eo_bad = np.empty((0, 2), dtype=np.intp)
     oe_bad = eo_bad
     n_bad = 0
-    for r0 in range(0, m, rows):
+    for r0, bound in zip(starts, bounds.tolist()):
         r1 = min(r0 + rows, m)
-        dP, dQ = np.matmul(diff[:, r0:r1], right, out=buf[:, :r1 - r0])
-        dP *= dP
-        dQ *= dQ
+        block = np.matmul(diff[:, r0:r1], right, out=buf[:, :r1 - r0])
+        np.square(block, out=block)
+        dP, dQ = block
         dP += dQ
         ker = np.matmul(cross[r0:r1], right[1:], out=dQ)
-        bound = limit * mod_e[r0:r1].max()
         near = None
         if dP.min() <= bound:
             # near pairs: real denominators, free of the cancellation of
@@ -182,9 +212,9 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
         ker /= dP
         if near is not None:
             ker[near] = 0.5 * np.sin(d1) / den
-        v_even[r0:r1] = ae[r0:r1] * ker.sum(axis=1)[:, None] - ker @ ao
-        odd_acc += ker.T @ ae[r0:r1]
-        col_sum += ker.sum(axis=0)
+        # (row sums, K a_o) and (column sums, K^T a_e), one product each
+        np.matmul(ker, ao3, out=row_prod[r0:r1])
+        col_acc += np.matmul(ae3[:, r0:r1], ker, out=col_prod)
     if worst <= floor:
         offenders = ([(2 * int(i), 2 * int(j) + 1) for i, j in eo_bad]
                      + [(2 * int(j) + 1, 2 * int(i)) for i, j in oe_bad])
@@ -193,8 +223,8 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
             count=2 * n_bad))
 
     v = np.empty((2, n))
-    v[:, 0::2] = v_even.T
-    v[:, 1::2] = (odd_acc - ao * col_sum[:, None]).T
+    v[:, 0::2] = ae3[1:] * row_prod[:, 0] - row_prod[:, 1:].T
+    v[:, 1::2] = col_acc[1:] - ao3[:, 1:].T * col_acc[0]
     # the chunks hold K/2
     v *= 4.0 * curve.grid.spacing * params.prefactor
     return v

@@ -208,6 +208,30 @@ def test_import_names_the_file_of_non_finite_samples(tmp_path, grid64):
         import_snapshot(path)
 
 
+def test_import_names_the_line_of_an_unreadable_time_stamp(tmp_path, grid64):
+    path = tmp_path / "time.dat"
+    export_snapshot(sample_preset("SEED_T0", grid64), path, time=0.5)
+    lines = path.read_text().splitlines()
+    stamp = lines.index("# time = 0.5") + 1
+    lines[stamp - 1] = "# time = abc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        import_snapshot(path)
+    assert str(info.value) == f"{path}, line {stamp}: not a number: 'abc'"
+
+
+def test_import_names_the_line_of_an_unreadable_sample(tmp_path, grid64):
+    path = tmp_path / "row.dat"
+    export_snapshot(sample_preset("SEED_T0", grid64), path)
+    lines = path.read_text().splitlines()
+    cols = lines[5].split(", ")
+    lines[5] = ", ".join([*cols[:2], "x", *cols[3:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        import_snapshot(path)
+    assert str(info.value) == f"{path}, line 6: not a number: 'x'"
+
+
 def _manifest_section(out, section="manifest"):
     parsed = configparser.ConfigParser()
     parsed.read_string((out / "manifest.txt").read_text())

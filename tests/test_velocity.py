@@ -131,12 +131,13 @@ def test_velocity_linear_in_density_jump():
     assert np.allclose(two, 2.0 * one, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [64, 512, 2048])
+@pytest.mark.parametrize("n", [64, 512, 600, 2048])
 @pytest.mark.parametrize("name", ["SEED_T0", "CONJ_T0", "ASYMMETRIC"])
 def test_kernel_matches_two_half_pair_sum(name, n):
     # every pair takes the Cauchy form but the near ones (SEED_T0: 1, 17, 58
     # at n = 64, 512, 2048; ASYMMETRIC: 0, 13, 42; CONJ_T0: none); with
-    # cosh(d2) - cos(d1) as written the oracle would carry up to 5.7e-11
+    # cosh(d2) - cos(d1) as written the oracle would carry up to 5.7e-11.
+    # At n = 600 the 300 even rows end in a short chunk
     curve = _test_curve(name, n)
     params = PhysicalParams()
     v1, v2, _, _ = _two_half_sum(curve, params)
@@ -175,8 +176,34 @@ def test_kernel_is_independent_of_row_chunking(monkeypatch):
     base = periodic_rhs(curve, params)
     # 7 rows per chunk leave a short last chunk of the 256 even rows
     monkeypatch.setattr(velocity, "_CHUNK_PAIRS", 7 * 256 + 3)
+    workspace = velocity._workspace
+    sizes = []
+    monkeypatch.setattr(velocity, "_workspace",
+                        lambda m, rows: sizes.append((m, rows))
+                        or workspace(m, rows))
     chunked = periodic_rhs(curve, params)
+    assert sizes == [(256, 7)]
     assert _max_rel_diff(chunked, *base) <= 1e-14
+
+
+def test_workspace_reuse_across_sizes_is_bitwise():
+    params = PhysicalParams()
+    small = _test_curve("ASYMMETRIC", 64)
+    velocity._workspace.cache_clear()
+    first = periodic_rhs(small, params)
+    periodic_rhs(_test_curve("SEED_T0", 2048), params)
+    assert np.array_equal(periodic_rhs(small, params), first)
+
+
+def test_returned_velocity_is_the_callers_own():
+    curve = _test_curve("SEED_T0", 512)
+    params = PhysicalParams()
+    first = periodic_rhs(curve, params)
+    expect = first.copy()
+    first[...] = np.nan
+    again = periodic_rhs(curve, params)
+    assert again.flags.c_contiguous
+    assert np.array_equal(again, expect)
 
 
 def test_collided_nodes_raise_arc_chord():
