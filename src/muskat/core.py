@@ -1,4 +1,4 @@
-"""Grids, sampled interface curves and physical parameters.
+"""Grids and sampled interface curves.
 
 Curves are stored as z(alpha) = (alpha + p1(alpha), z2(alpha)) with p1 and z2
 periodic on [-pi, pi), so dz1/dalpha = 1 + dp1/dalpha and horizontal
@@ -13,10 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: density_jump value that makes the velocity prefactor (rho- - rho+)/(4 pi)
-#: equal to one; the scenario defaults use it.
-UNIT_PREFACTOR_DENSITY_JUMP = 4.0 * math.pi
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -84,23 +80,6 @@ class SampledCurve:
 
 def make_curve(grid: Grid, p1, z2) -> SampledCurve:
     return SampledCurve(grid, _frozen_array((p1, z2)))
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Density jump rho- - rho+ across the interface, gravity rescaled to
-    one; it must be finite and nonzero."""
-
-    density_jump: float = UNIT_PREFACTOR_DENSITY_JUMP
-
-    def __post_init__(self):
-        if not (math.isfinite(self.density_jump) and self.density_jump != 0):
-            raise ValueError("density_jump: must be finite and nonzero")
-
-    @property
-    def prefactor(self) -> float:
-        """The velocity prefactor (rho- - rho+)/(4 pi)."""
-        return self.density_jump / (4.0 * math.pi)
 
 
 def sample_preset(name: str, grid: Grid, delta: float | None = None) -> SampledCurve:

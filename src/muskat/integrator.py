@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NanEncountered, PhysicalParams, SampledCurve
+from .core import NanEncountered, SampledCurve
 from .spectral import filtered_derivative, threshold_smooth
 from .velocity import ArcChordError, periodic_rhs
 
@@ -102,7 +102,6 @@ class Trajectory:
     times: list[float]
     snapshots: list[SampledCurve]
     events: list[tuple[float, str]]
-    params: PhysicalParams
     control: StepControl
     smoothing_eps: float | None = None
     status: str = STATUS_OK
@@ -123,7 +122,7 @@ class Trajectory:
         return -1 if self.times[-1] < self.times[0] else 1
 
 
-def rk45_step(curve: SampledCurve, params: PhysicalParams, dt: float
+def rk45_step(curve: SampledCurve, dt: float
               ) -> tuple[SampledCurve, float, np.ndarray, np.ndarray]:
     """One Dormand-Prince step of size dt on curve.samples.
 
@@ -138,7 +137,7 @@ def rk45_step(curve: SampledCurve, params: PhysicalParams, dt: float
         if i:
             stage = curve.with_samples(
                 y + dt * np.tensordot(_DP_A[i, :i], stages[:i], axes=1))
-        stages[i] = periodic_rhs(stage, params)
+        stages[i] = periodic_rhs(stage)
     y4 = curve.with_samples(y + dt * np.tensordot(_DP_B4, stages, axes=1))
     return (y4, float(np.max(np.abs(stage.samples - y4.samples))),
             stages[0], stages[6])
@@ -188,7 +187,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             h = t_goal - t
         failure = None
         try:
-            raw, err, k1, k7 = rk45_step(cur, traj.params, h)
+            raw, err, k1, k7 = rk45_step(cur, h)
         except ArcChordError:
             failure = STATUS_ARC_CHORD
         except NanEncountered:
@@ -241,7 +240,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
         traj.snapshots.append(cur)
 
 
-def evolve_forward(curve: SampledCurve, params: PhysicalParams, t_end: float,
+def evolve_forward(curve: SampledCurve, t_end: float,
                    control: StepControl | None = None, *, t0: float = 0.0,
                    snapshot_every: float | None = None,
                    stop_when: Callable[[float, SampledCurve], bool] | None = None
@@ -251,13 +250,12 @@ def evolve_forward(curve: SampledCurve, params: PhysicalParams, t_end: float,
     if not -np.inf < t0 < t_end < np.inf:
         raise ValueError(f"need finite t0 < t_end, got {t0}, {t_end}")
     traj = Trajectory(times=[float(t0)], snapshots=[curve], events=[],
-                      params=params, control=control or StepControl())
+                      control=control or StepControl())
     _march(traj, float(t_end), snapshot_every, stop_when)
     return traj
 
 
-def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
-                                t_final: float,
+def evolve_backward_regularized(curve: SampledCurve, t_final: float,
                                 control: StepControl | None = None, *,
                                 eps: float = 1e-6,
                                 snapshot_every: float | None = None
@@ -279,8 +277,7 @@ def evolve_backward_regularized(curve: SampledCurve, params: PhysicalParams,
     if not -np.inf < t_final < 0.0:
         raise ValueError(f"need finite t_final < 0, got {t_final}")
     traj = Trajectory(times=[0.0], snapshots=[_smoothed(curve, eps)],
-                      events=[], params=params,
-                      control=control or StepControl(),
+                      events=[], control=control or StepControl(),
                       smoothing_eps=float(eps))
     _march(traj, float(t_final), snapshot_every, None)
     return traj

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .core import (
     NanEncountered,
-    PhysicalParams,
     SampledCurve,
     make_curve,
     make_grid,
@@ -58,6 +57,13 @@ _PRESET = {"BACKWARD_SEED": "SEED_T0", "CONJ_TURNOVER": "CONJ_T0",
 _SNAPSHOT_HEADER = "alpha, z1, z2, dz1, dz2"
 
 
+def _check_grid_size(n: int, source: str = "n") -> None:
+    """A run needs an even grid of at least 16 nodes; source names where n
+    came from (the config field or a snapshot file)."""
+    if n < 16 or n % 2:
+        raise ValueError(f"{source}: need an even grid size >= 16, got {n}")
+
+
 def _check_horizon(scenario: str, t0: float, t_final: float) -> None:
     """A backward run ends below its start time t0, the others past it."""
     backward = scenario == "BACKWARD_SEED"
@@ -72,7 +78,6 @@ class RunConfig:
     """Validated scenario parameters; defaults reproduce the headline runs."""
     scenario: str = "BACKWARD_SEED"
     n: int = 2048
-    density_jump: float = PhysicalParams.density_jump
     mode: str = StepControl.mode
     dt: float = StepControl.dt
     rel_tol: float = StepControl.rel_tol
@@ -89,8 +94,7 @@ class RunConfig:
             raise ValueError(f"scenario: unknown id {self.scenario!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise ValueError(f"n: expected an integer, got {self.n!r}")
-        if self.n < 16 or self.n % 2:
-            raise ValueError(f"n: need an even grid size >= 16, got {self.n}")
+        _check_grid_size(self.n)
         if not self.snapshot_every > 0:
             raise ValueError("snapshot_every: must be positive")
         if not (np.isfinite(self.eps) and self.eps >= 0):
@@ -99,9 +103,8 @@ class RunConfig:
             raise ValueError(f"delta: need 0 < delta < 1, got {self.delta}")
         if self.t_final is not None and not np.isfinite(self.t_final):
             raise ValueError("t_final: must be finite")
-        # the step fields and density_jump are checked by their owners
+        # the step fields are checked by their owner
         self.step_control()
-        self.physical_params()
         if self.scenario != "FORWARD_RERUN":
             _check_horizon(self.scenario, 0.0, self.resolved_t_final)
         elif self.input_snapshot is None:
@@ -117,9 +120,6 @@ class RunConfig:
     def step_control(self) -> StepControl:
         return StepControl(mode=self.mode, dt=self.dt, rel_tol=self.rel_tol,
                            abs_tol=self.abs_tol)
-
-    def physical_params(self) -> PhysicalParams:
-        return PhysicalParams(density_jump=self.density_jump)
 
 
 @dataclass
@@ -171,7 +171,6 @@ class RunManifest:
 _SCHEMA = {
     "run": {"scenario": str, "out_dir": str, "input_snapshot": str},
     "grid": {"n": int},
-    "params": {"density_jump": float},
     "time": {"dt": float, "t_final": float, "snapshot_every": float,
              "mode": str, "rel_tol": float, "abs_tol": float},
     "smoothing": {"eps": float},
@@ -185,7 +184,10 @@ def load_config(path, **overrides) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section can be named "", so [DEFAULT] is an ordinary section and
+    # rejected as unknown rather than merged into every other one
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -260,8 +262,9 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
         if not line:
             continue
         if line.startswith("#"):
-            if line[1:].split("=")[0].strip() == "time":
-                time, = _parse_numbers([line.split("=", 1)[1]], path, lineno)
+            key, _, value = line[1:].partition("=")
+            if key.strip() == "time":
+                time, = _parse_numbers([value], path, lineno)
                 if not np.isfinite(time):
                     raise ValueError(f"{path}: time stamp must be finite,"
                                      f" got {time}")
@@ -280,7 +283,10 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
         z2s.append(cols[2])
     if not saw_header or not alphas:
         raise ValueError(f"{path}: no snapshot rows found")
-    grid = make_grid(len(alphas))
+    try:
+        grid = make_grid(len(alphas))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not np.max(np.abs(np.array(alphas) - grid.nodes)) <= 1e-12:
         raise ValueError(f"{path}: nodes are not the uniform grid on [-pi, pi)")
     p1 = np.array(z1s) - grid.nodes
@@ -365,13 +371,14 @@ def _run_evolution(config: RunConfig, outdir: Path,
                    outputs: dict[str, str]):
     """Run the scenario's legs; returns the tuple of leg trajectories, the
     refined flip events of all legs and the first leg's timeline."""
-    params = config.physical_params()
     t_final = config.resolved_t_final
     control = config.step_control()
     every = config.snapshot_every
     if config.scenario == "FORWARD_RERUN":
         curve, t0 = import_snapshot(config.input_snapshot)
-        # t0 comes from the snapshot; RunConfig checked the presets against 0
+        # the grid and t0 come from the snapshot; RunConfig checked the
+        # presets' n and horizon
+        _check_grid_size(curve.grid.n, config.input_snapshot)
         _check_horizon(config.scenario, t0, t_final)
     else:
         delta = config.delta if config.scenario == "DELTA_TILT" else None
@@ -382,14 +389,13 @@ def _run_evolution(config: RunConfig, outdir: Path,
     outputs["initial"] = "initial.dat"
 
     if config.scenario == "BACKWARD_SEED":
-        traj = evolve_backward_regularized(curve, params, t_final, control,
+        traj = evolve_backward_regularized(curve, t_final, control,
                                            eps=config.eps,
                                            snapshot_every=every)
     elif config.scenario == "DELTA_TILT":
-        fwd = evolve_forward(curve, params, t_final, control,
-                             snapshot_every=every)
+        fwd = evolve_forward(curve, t_final, control, snapshot_every=every)
         ev_f, timeline = _analyze(fwd, outdir, outputs, tag="forward")
-        bwd = evolve_backward_regularized(curve, params, -t_final, control,
+        bwd = evolve_backward_regularized(curve, -t_final, control,
                                           eps=config.eps,
                                           snapshot_every=every)
         ev_b, _ = _analyze(bwd, outdir, outputs, tag="backward")
@@ -398,6 +404,6 @@ def _run_evolution(config: RunConfig, outdir: Path,
         stop = None
         if config.scenario == "CONJ_TURNOVER":
             stop = lambda t, c: grid_min_slope(c) < TURNOVER_STOP_SLOPE
-        traj = evolve_forward(curve, params, t_final, control, t0=t0,
+        traj = evolve_forward(curve, t_final, control, t0=t0,
                               snapshot_every=every, stop_when=stop)
     return ((traj,), *_analyze(traj, outdir, outputs))

@@ -3,7 +3,7 @@
 The evolution velocity at node i sums derivative differences against the
 periodized Birkhoff-Rott kernel,
 
-    v(a_i) = 2h * jump/(4 pi) * sum_{j-i odd}
+    v(a_i) = 2h * sum_{j-i odd}
              (z'(a_i) - z'(a_j)) sin(z1_i - z1_j)
              / (cosh(z2_i - z2_j) - cos(z1_i - z1_j)),
 
@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PhysicalParams, SampledCurve
+from .core import SampledCurve
 from .spectral import filtered_derivative
 
 ARC_CHORD_FLOOR = 1e-12
@@ -132,7 +132,7 @@ def _workspace(m: int, rows: int) -> tuple[np.ndarray, ...]:
             np.empty((m, 3)), np.empty((3, m)), np.empty((3, m)))
 
 
-def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
+def periodic_rhs(curve: SampledCurve) -> np.ndarray:
     """Evolution velocity (v1, v2) of a sampled interface, as a new
     C-contiguous (2, n) array laid out as curve.samples.
 
@@ -226,5 +226,5 @@ def periodic_rhs(curve: SampledCurve, params: PhysicalParams) -> np.ndarray:
     v[:, 0::2] = ae3[1:] * row_prod[:, 0] - row_prod[:, 1:].T
     v[:, 1::2] = col_acc[1:] - ao3[:, 1:].T * col_acc[0]
     # the chunks hold K/2
-    v *= 4.0 * curve.grid.spacing * params.prefactor
+    v *= 4.0 * curve.grid.spacing
     return v

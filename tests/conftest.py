@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat.core import PhysicalParams, make_curve, make_grid
+from muskat.core import make_curve, make_grid
 
 # acceptance results registry, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -30,11 +30,6 @@ def mirror(values: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def grid64():
     return make_grid(64)
-
-
-@pytest.fixture
-def params():
-    return PhysicalParams()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+from muskat.core import make_curve, make_grid, sample_preset
 from muskat.diagnostics import (
     REGIME_CRITICAL,
     REGIME_STABLE,
@@ -129,7 +129,6 @@ def test_criterion_5_spectral_module():
 
 
 def test_criterion_6_alternating_rule_vs_trapezoid():
-    params = PhysicalParams()
     z1 = lambda b: b - np.sin(b)
     z2 = lambda b: (3 * np.sin(b) + 8 * np.sin(2 * b) + 3 * np.sin(3 * b)) / 4
     dz1 = lambda b: 1.0 - np.cos(b)
@@ -141,7 +140,7 @@ def test_criterion_6_alternating_rule_vs_trapezoid():
         # integrand, with the removable beta = alpha value filled by its
         # limit 2 z''(alpha) z1'(alpha) / |z'(alpha)|^2
         grid = make_grid(n)
-        field = periodic_rhs(sample_preset("SEED_T0", grid), params)
+        field = periodic_rhs(sample_preset("SEED_T0", grid))
         i = 5 * n // 8  # alpha = pi/4, generic node away from symmetry nulls
         alpha = grid.nodes[i]
         beta = make_grid(2 * n).nodes
@@ -156,8 +155,7 @@ def test_criterion_6_alternating_rule_vs_trapezoid():
         ddz2 = -(3 * np.sin(alpha) + 32 * np.sin(2 * alpha)
                  + 27 * np.sin(3 * alpha)) / 4
         g2[j] = 2.0 * ddz2 * dz1(alpha) / speed2
-        oracle = params.prefactor * (np.pi / n) * np.array(
-            [g1.sum(), g2.sum()])
+        oracle = (np.pi / n) * np.array([g1.sum(), g2.sum()])
         got = field[:, i]
         return float(np.max(np.abs(got - oracle)) / np.hypot(*oracle))
 
@@ -180,10 +178,9 @@ def test_criterion_6_alternating_rule_vs_trapezoid():
 def test_criterion_7_integrator_order():
     grid = make_grid(512)
     curve = sample_preset("CONJ_T0", grid)
-    params = PhysicalParams()
 
     def endpoint(dt):
-        traj = evolve_forward(curve, params, 2e-3,
+        traj = evolve_forward(curve, 2e-3,
                               StepControl(mode="fixed", dt=dt))
         assert traj.status == "OK"
         return traj.final.samples
@@ -224,8 +221,8 @@ def test_criterion_8_backward_seed_terminal_state(backward512):
     # 1/n-normalised |c_k|, so it erases resolved content: the first
     # backward step keeps a centre-slope rate of 5.97 of the unsmoothed
     # 10.19. And the pinned times -4.92e-2 (here) and 6e-2 (criterion 9)
-    # are in the reference's prefactor-1/(4 pi) unit, while the default
-    # prefactor is 1. The run leaves the stable window at -8.55e-3 and ends
+    # are in the reference's prefactor-1/(4 pi) unit, while the velocity
+    # prefactor here is 1. The run leaves the stable window at -8.55e-3 and ends
     # with min slope -0.265 and no minima in the band. With eps = 1e-6/n
     # and both times divided by 4 pi, this check and criterion 9 pass at
     # n = 512 (min slope -3.5e-5, points at +-3.7934e-3, +-1.2656).
@@ -337,7 +334,7 @@ def test_criterion_10_slope_fifty_turnover(tmp_path_factory):
 def test_criterion_11_maximum_principles():
     grid = make_grid(256)
     curve = make_curve(grid, np.zeros(grid.n), 0.1 * np.sin(grid.nodes))
-    traj = evolve_forward(curve, PhysicalParams(), 2e-2,
+    traj = evolve_forward(curve, 2e-2,
                           StepControl(mode="fixed", dt=5e-5),
                           snapshot_every=1e-4)
     series = norm_series(traj)

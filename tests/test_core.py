@@ -4,7 +4,6 @@ import pytest
 import muskat.integrator as integrator
 from muskat.core import (
     NanEncountered,
-    PhysicalParams,
     make_curve,
     make_grid,
     sample_preset,
@@ -74,15 +73,6 @@ def test_curve_owns_its_layout_and_finiteness_check(grid64):
     # a config error before a run, NAN_ABORT in the march
     assert issubclass(NanEncountered, ValueError)
     assert integrator.NanEncountered is NanEncountered
-
-
-def test_physical_params_defaults():
-    p = PhysicalParams()
-    assert abs(p.density_jump - 4 * np.pi) < 1e-15
-    assert p.prefactor == pytest.approx(1.0, abs=1e-15)
-    for jump in (0.0, float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="^density_jump: must be finite"):
-            PhysicalParams(density_jump=jump)
 
 
 def test_seed_preset(grid64):

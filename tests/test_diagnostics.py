@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import muskat.diagnostics as diagnostics
-from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+from muskat.core import make_curve, make_grid, sample_preset
 from muskat.diagnostics import (
     REGIME_CRITICAL,
     REGIME_STABLE,
@@ -94,7 +94,7 @@ def _brentq_tangent_alphas(curve):
 @pytest.fixture(scope="module")
 def conj_past_turnover():
     traj = evolve_forward(sample_preset("CONJ_T0", make_grid(128)),
-                          PhysicalParams(), 0.3, StepControl(),
+                          0.3, StepControl(),
                           stop_when=lambda t, c: grid_min_slope(c) < -0.02)
     assert grid_min_slope(traj.final) < -0.02
     return traj.final
@@ -181,7 +181,7 @@ def test_near_critical_minima_two_sites():
 def test_norm_series_on_decaying_mode():
     grid = make_grid(64)
     curve = make_curve(grid, np.zeros(grid.n), 0.1 * np.sin(grid.nodes))
-    traj = evolve_forward(curve, PhysicalParams(), 5e-3,
+    traj = evolve_forward(curve, 5e-3,
                           StepControl(mode="fixed", dt=2.5e-4),
                           snapshot_every=1e-3)
     series = norm_series(traj)
@@ -195,7 +195,7 @@ def test_norm_series_marks_overturned_snapshots():
     flat = make_curve(make_grid(256), np.zeros(256), np.zeros(256))
     traj = Trajectory(times=[0.0, 1.0],
                       snapshots=[flat, overturned_curve()],
-                      events=[], params=PhysicalParams(),
+                      events=[],
                       control=StepControl())
     series = norm_series(traj)
     assert np.isfinite(series.sup_slope[0])
@@ -209,22 +209,22 @@ def test_norm_series_agrees_with_the_regime_on_critical_snapshots():
     curve = make_curve(grid, -(1.0 - 5e-11) * np.sin(grid.nodes),
                        0.3 * np.sin(grid.nodes))
     traj = Trajectory(times=[0.0], snapshots=[curve], events=[],
-                      params=PhysicalParams(), control=StepControl())
+                      control=StepControl())
     assert classify_slope(grid_min_slope(curve)) == REGIME_CRITICAL
     assert np.isnan(norm_series(traj).sup_slope[0])
 
 
-def test_single_regime_timeline(flat64, params):
-    traj = evolve_forward(flat64, params, 1e-3,
+def test_single_regime_timeline(flat64):
+    traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=2e-4),
                           snapshot_every=5e-4)
     timeline = regime_timeline(traj, tuple(detect_event_times(traj)))
     assert timeline == (((0.0, traj.final_time), REGIME_STABLE),)
 
 
-def test_backward_timeline_tiles_and_aligns_with_events(grid64, params):
+def test_backward_timeline_tiles_and_aligns_with_events(grid64):
     curve = sample_preset("SEED_T0", grid64)
-    traj = evolve_backward_regularized(curve, params, -2e-3,
+    traj = evolve_backward_regularized(curve, -2e-3,
                                        snapshot_every=5e-4)
     events = detect_event_times(traj)
     timeline = regime_timeline(traj, events=tuple(events))
@@ -247,11 +247,11 @@ def test_backward_timeline_tiles_and_aligns_with_events(grid64, params):
 
 
 @pytest.mark.parametrize("sgn", [1.0, -1.0])
-def test_two_flips_inside_one_snapshot_gap(flat64, params, sgn):
+def test_two_flips_inside_one_snapshot_gap(flat64, sgn):
     # both snapshots are stable, so only the refined events can show the
     # unstable excursion between them
     traj = Trajectory(times=[0.0, sgn], snapshots=[flat64, flat64],
-                      events=[], params=params, control=StepControl())
+                      events=[], control=StepControl())
     events = ((0.25 * sgn, EVENT_ENTER_UNSTABLE),
               (0.5 * sgn, EVENT_ENTER_STABLE))
     timeline = regime_timeline(traj, events)
@@ -261,9 +261,9 @@ def test_two_flips_inside_one_snapshot_gap(flat64, params, sgn):
     assert regime_pattern(timeline) == "STABLE -> UNSTABLE -> STABLE"
 
 
-def test_slope_profile_sign_matches_slope_classification(grid64, params):
+def test_slope_profile_sign_matches_slope_classification(grid64):
     curve = sample_preset("SEED_T0", grid64)
-    traj = evolve_backward_regularized(curve, params, -2e-3,
+    traj = evolve_backward_regularized(curve, -2e-3,
                                        snapshot_every=5e-4)
     for snap in traj.snapshots:
         rep = turning_report(snap)
@@ -274,9 +274,9 @@ def test_slope_profile_sign_matches_slope_classification(grid64, params):
             assert (grid_min > 0.0) == (rep.min_slope > 0.0)
 
 
-def test_timeline_of_one_snapshot_is_one_point(flat64, params):
+def test_timeline_of_one_snapshot_is_one_point(flat64):
     traj = Trajectory(times=[0.0], snapshots=[flat64], events=[],
-                      params=params, control=StepControl())
+                      control=StepControl())
     assert regime_timeline(traj, ()) == (((0.0, 0.0), REGIME_STABLE),)
 
 

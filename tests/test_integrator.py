@@ -5,7 +5,7 @@ import pytest
 
 import muskat.integrator as integrator
 import muskat.velocity as velocity
-from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+from muskat.core import make_curve, make_grid, sample_preset
 from muskat.integrator import (
     EVENT_EARLY_STOP,
     EVENT_ENTER_STABLE,
@@ -56,11 +56,10 @@ def test_slope_profile_of_flat_and_seed_curves(flat64, grid64):
 def test_fixed_step_global_order_four():
     grid = make_grid(64)
     curve = sample_preset("CONJ_T0", grid)
-    params = PhysicalParams()
     t_end = 2e-3
 
     def endpoint(dt):
-        traj = evolve_forward(curve, params, t_end,
+        traj = evolve_forward(curve, t_end,
                               StepControl(mode="fixed", dt=dt))
         assert traj.status == STATUS_OK
         return traj.final.samples
@@ -71,15 +70,15 @@ def test_fixed_step_global_order_four():
     assert all(10.0 < r < 24.0 for r in ratios), (errs, ratios)
 
 
-def test_forward_rejects_empty_interval(flat64, params):
+def test_forward_rejects_empty_interval(flat64):
     with pytest.raises(ValueError, match="t_end"):
-        evolve_forward(flat64, params, 0.0)
+        evolve_forward(flat64, 0.0)
     with pytest.raises(ValueError, match="t_end"):
-        evolve_forward(flat64, params, 1.0, t0=2.0)
+        evolve_forward(flat64, 1.0, t0=2.0)
 
 
-def test_flat_curve_is_a_fixed_point(flat64, params):
-    traj = evolve_forward(flat64, params, 1e-3,
+def test_flat_curve_is_a_fixed_point(flat64):
+    traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4),
                           snapshot_every=2e-4)
     assert traj.status == STATUS_OK
@@ -90,14 +89,14 @@ def test_flat_curve_is_a_fixed_point(flat64, params):
     assert np.array_equal(traj.final.z2, flat64.z2)
 
 
-def test_remainder_step_hits_the_goal(flat64, params):
-    traj = evolve_forward(flat64, params, 3.3e-4,
+def test_remainder_step_hits_the_goal(flat64):
+    traj = evolve_forward(flat64, 3.3e-4,
                           StepControl(mode="fixed", dt=1e-4))
     assert abs(traj.final_time - 3.3e-4) < 1e-12
 
 
-def test_stop_when_records_early_stop(flat64, params):
-    traj = evolve_forward(flat64, params, 1e-3,
+def test_stop_when_records_early_stop(flat64):
+    traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4),
                           stop_when=lambda t, c: t >= 5e-4)
     assert traj.status == STATUS_OK
@@ -105,10 +104,10 @@ def test_stop_when_records_early_stop(flat64, params):
     assert abs(traj.final_time - 5e-4) < 1e-12
 
 
-def test_arc_chord_failure_keeps_last_state(flat64, params, monkeypatch):
+def test_arc_chord_failure_keeps_last_state(flat64, monkeypatch):
     # an absurd floor makes the very first step fail
     monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", 10.0)
-    traj = evolve_forward(flat64, params, 1e-3,
+    traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_ARC_CHORD
     assert traj.events == [(0.0, STATUS_ARC_CHORD)]
@@ -116,7 +115,7 @@ def test_arc_chord_failure_keeps_last_state(flat64, params, monkeypatch):
     assert np.array_equal(traj.final.z2, flat64.z2)
 
 
-def test_error_estimate_is_first_same_as_last(grid64, params, monkeypatch):
+def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
     # the last row of _DP_A is the textbook fifth-order solution, so the
     # last stage input is y5 and the step needs no weights of its own
     b5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
@@ -124,15 +123,15 @@ def test_error_estimate_is_first_same_as_last(grid64, params, monkeypatch):
     assert np.array_equal(integrator._DP_A[6], b5)
     stages = []
 
-    def recording(curve, prm):
-        stages.append(periodic_rhs(curve, prm))
+    def recording(curve):
+        stages.append(periodic_rhs(curve))
         return stages[-1]
 
     monkeypatch.setattr(integrator, "periodic_rhs", recording)
     seed = sample_preset("SEED_T0", grid64)
     for dt in (4e-5, -1e-3):
         stages.clear()
-        y4, err, k1, k7 = rk45_step(seed, params, dt)
+        y4, err, k1, k7 = rk45_step(seed, dt)
         assert len(stages) == 7
         assert np.array_equal(k1, stages[0]) and np.array_equal(k7, stages[6])
         y5 = seed.samples + dt * np.tensordot(b5, np.array(stages[:6]), 1)
@@ -140,13 +139,13 @@ def test_error_estimate_is_first_same_as_last(grid64, params, monkeypatch):
         assert err == np.max(np.abs(y5 - y4.samples))
 
 
-def test_nan_abort(flat64, params, monkeypatch):
-    def poisoned(curve, prm):
+def test_nan_abort(flat64, monkeypatch):
+    def poisoned(curve):
         n = curve.grid.n
         return np.stack((np.full(n, np.nan), np.zeros(n)))
 
     monkeypatch.setattr(integrator, "periodic_rhs", poisoned)
-    traj = evolve_forward(flat64, params, 1e-3,
+    traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_NAN
     assert traj.events == [(0.0, STATUS_NAN)]
@@ -156,10 +155,9 @@ def test_nan_abort(flat64, params, monkeypatch):
 def test_adaptive_matches_fixed_reference():
     grid = make_grid(64)
     curve = sample_preset("CONJ_T0", grid)
-    params = PhysicalParams()
-    fixed = evolve_forward(curve, params, 1e-3,
+    fixed = evolve_forward(curve, 1e-3,
                            StepControl(mode="fixed", dt=1.25e-5))
-    adaptive = evolve_forward(curve, params, 1e-3,
+    adaptive = evolve_forward(curve, 1e-3,
                               StepControl(mode="adaptive", dt=1e-4,
                                           rel_tol=1e-10, abs_tol=1e-12))
     assert adaptive.status == STATUS_OK
@@ -168,39 +166,39 @@ def test_adaptive_matches_fixed_reference():
     assert np.max(np.abs(adaptive.final.p1 - fixed.final.p1)) < 1e-8
 
 
-def test_forward_determinism(grid64, params):
+def test_forward_determinism(grid64):
     curve = sample_preset("SEED_T0", grid64)
-    a = evolve_forward(curve, params, 4e-4, StepControl(mode="fixed", dt=1e-4))
-    b = evolve_forward(curve, params, 4e-4, StepControl(mode="fixed", dt=1e-4))
+    a = evolve_forward(curve, 4e-4, StepControl(mode="fixed", dt=1e-4))
+    b = evolve_forward(curve, 4e-4, StepControl(mode="fixed", dt=1e-4))
     assert np.array_equal(a.final.p1, b.final.p1)
     assert np.array_equal(a.final.z2, b.final.z2)
 
 
-def test_backward_rejects_nonnegative_goal(flat64, params):
+def test_backward_rejects_nonnegative_goal(flat64):
     with pytest.raises(ValueError, match="t_final"):
-        evolve_backward_regularized(flat64, params, 0.0)
+        evolve_backward_regularized(flat64, 0.0)
 
 
-def test_infinite_horizons_and_nan_eps_are_rejected(params):
+def test_infinite_horizons_and_nan_eps_are_rejected():
     # unchecked, an infinite horizon would take no step and report OK, and a
     # NaN eps would run unsmoothed while the trajectory records it
     seed = sample_preset("SEED_T0", make_grid(32))
     for t_end, t0 in ((np.inf, 0.0), (np.nan, 0.0), (1.0, -np.inf)):
         with pytest.raises(ValueError, match="^need finite t0 < t_end"):
-            evolve_forward(seed, params, t_end, t0=t0)
+            evolve_forward(seed, t_end, t0=t0)
     for t_final in (-np.inf, np.nan):
         with pytest.raises(ValueError, match="^need finite t_final < 0"):
-            evolve_backward_regularized(seed, params, t_final)
+            evolve_backward_regularized(seed, t_final)
     with pytest.raises(ValueError, match="eps"):
-        evolve_backward_regularized(seed, params, -1e-3, eps=np.nan)
+        evolve_backward_regularized(seed, -1e-3, eps=np.nan)
 
 
-def test_backward_smooths_the_initial_state(grid64, params):
+def test_backward_smooths_the_initial_state(grid64):
     # a 1e-9 ripple sits far below the default threshold and must vanish
     # before the first step is taken
     curve = make_curve(grid64, np.zeros(grid64.n),
                        1e-9 * np.sin(grid64.nodes))
-    traj = evolve_backward_regularized(curve, params, -1e-4,
+    traj = evolve_backward_regularized(curve, -1e-4,
                                        StepControl(dt=1e-4))
     assert traj.smoothing_eps == 1e-6
     assert np.max(np.abs(traj.snapshots[0].z2)) < 1e-20
@@ -208,9 +206,9 @@ def test_backward_smooths_the_initial_state(grid64, params):
     assert traj.direction == -1
 
 
-def test_backward_seed_run_and_event_search(grid64, params):
+def test_backward_seed_run_and_event_search(grid64):
     curve = sample_preset("SEED_T0", grid64)
-    traj = evolve_backward_regularized(curve, params, -2e-3,
+    traj = evolve_backward_regularized(curve, -2e-3,
                                        snapshot_every=5e-4)
     assert traj.status == STATUS_OK
     assert traj.final_time == pytest.approx(-2e-3, abs=1e-12)
@@ -234,7 +232,7 @@ def _restep_event_times(traj, width=1e-10):
         lo, hi = t_a, t_a + h
         while abs(hi - lo) > width:
             mid = 0.5 * (lo + hi)
-            probe = rk45_step(cur, traj.params, mid - t_a)[0]
+            probe = rk45_step(cur, mid - t_a)[0]
             if eps is not None:
                 probe = integrator._smoothed(probe, eps)
             if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):
@@ -245,14 +243,14 @@ def _restep_event_times(traj, width=1e-10):
     return found
 
 
-def _seed_backward_and_conj_forward(grid, params):
+def _seed_backward_and_conj_forward(grid):
     return (evolve_backward_regularized(sample_preset("SEED_T0", grid),
-                                        params, -1e-2),
-            evolve_forward(sample_preset("CONJ_T0", grid), params, 1.2e-2))
+                                        -1e-2),
+            evolve_forward(sample_preset("CONJ_T0", grid), 1.2e-2))
 
 
-def test_hermite_events_match_partial_step_bisection(grid64, params):
-    for traj in _seed_backward_and_conj_forward(grid64, params):
+def test_hermite_events_match_partial_step_bisection(grid64):
+    for traj in _seed_backward_and_conj_forward(grid64):
         assert traj.status == STATUS_OK
         events = detect_event_times(traj)
         oracle = _restep_event_times(traj)
@@ -262,9 +260,8 @@ def test_hermite_events_match_partial_step_bisection(grid64, params):
             assert abs(t - t_ref) < 5e-9, (t, t_ref)
 
 
-def test_event_refinement_evaluates_no_right_hand_side(grid64, params,
-                                                       monkeypatch):
-    runs = _seed_backward_and_conj_forward(grid64, params)
+def test_event_refinement_evaluates_no_right_hand_side(grid64, monkeypatch):
+    runs = _seed_backward_and_conj_forward(grid64)
     expected = [detect_event_times(traj) for traj in runs]
 
     def forbidden(*args):
@@ -277,12 +274,12 @@ def test_event_refinement_evaluates_no_right_hand_side(grid64, params,
         assert [k for _, k in events] == [b[3] for b in traj.brackets]
 
 
-def test_event_detection_is_independent_of_snapshot_cadence(grid64, params):
+def test_event_detection_is_independent_of_snapshot_cadence(grid64):
     # both flips of the seed run fall inside one 1e-2 snapshot gap
     curve = sample_preset("SEED_T0", grid64)
     found = []
     for every in (1e-3, 1e-2):
-        traj = evolve_backward_regularized(curve, params, -1e-2,
+        traj = evolve_backward_regularized(curve, -1e-2,
                                            snapshot_every=every)
         assert traj.status == STATUS_OK
         found.append(detect_event_times(traj))
@@ -291,30 +288,29 @@ def test_event_detection_is_independent_of_snapshot_cadence(grid64, params):
                                              EVENT_ENTER_UNSTABLE]
 
 
-def test_adaptive_step_underflow_has_its_own_status(grid64, params,
-                                                    monkeypatch):
+def test_adaptive_step_underflow_has_its_own_status(grid64, monkeypatch):
     monkeypatch.setattr(integrator, "_MIN_DT", 1e-4)
     monkeypatch.setattr(integrator, "_MAX_DT", 1e-4)
     curve = sample_preset("CONJ_T0", grid64)
     ctl = StepControl(mode="adaptive", dt=1e-4, rel_tol=1e-30, abs_tol=1e-30)
-    traj = evolve_forward(curve, params, 1e-3, ctl)
+    traj = evolve_forward(curve, 1e-3, ctl)
     assert traj.status == STATUS_STEP_UNDERFLOW
     assert traj.events == [(0.0, STATUS_STEP_UNDERFLOW)]
     assert (traj.steps, traj.rejected_steps) == (0, 1)
 
 
-def test_adaptive_retries_a_failed_trial_step(flat64, params, monkeypatch):
+def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):
     calls = []
 
-    def nan_once(curve, prm):
+    def nan_once(curve):
         calls.append(1)
         if len(calls) == 1:
             n = curve.grid.n
             return np.stack((np.full(n, np.nan), np.zeros(n)))
-        return periodic_rhs(curve, prm)
+        return periodic_rhs(curve)
 
     monkeypatch.setattr(integrator, "periodic_rhs", nan_once)
-    traj = evolve_forward(flat64, params, 1e-3,
+    traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="adaptive", dt=1e-4))
     assert traj.status == STATUS_OK
     assert traj.events == []

@@ -12,7 +12,7 @@ import pytest
 import muskat
 import muskat.integrator as integrator
 from muskat.cli import main
-from muskat.core import UNIT_PREFACTOR_DENSITY_JUMP, make_curve, make_grid, sample_preset
+from muskat.core import make_curve, make_grid, sample_preset
 from muskat.scenario import (
     RunConfig,
     _format_rows,
@@ -29,7 +29,6 @@ def test_config_defaults():
     cfg = RunConfig()
     assert cfg.scenario == "BACKWARD_SEED"
     assert cfg.n == 2048
-    assert cfg.density_jump == UNIT_PREFACTOR_DENSITY_JUMP
     assert cfg.dt == 4e-5
     assert cfg.eps == 1e-6
     assert cfg.resolved_t_final == -4.92e-2
@@ -45,7 +44,7 @@ def test_config_defaults():
     ({"n": 8}, "n: need an even grid size >= 16"),
     ({"dt": 0.0}, "dt: must be positive"),
     ({"snapshot_every": -1.0}, "snapshot_every"),
-    ({"density_jump": 0.0}, "density_jump"),
+    ({"n": True}, "n: expected an integer"),
     ({"eps": -1e-9}, "eps"),
     ({"mode": "verlet"}, "mode"),
     ({"delta": 1.5}, "delta"),
@@ -53,8 +52,8 @@ def test_config_defaults():
     ({"dt": float("inf")}, "dt: must be positive and finite"),
     ({"mode": "adaptive", "dt": 0.05}, "dt: adaptive mode needs"),
     ({"rel_tol": -1.0}, "rel_tol: must be positive"),
-    ({"density_jump": float("nan")}, "density_jump: must be finite"),
-    ({"density_jump": float("inf")}, "density_jump: must be finite"),
+    ({"snapshot_every": float("nan")}, "snapshot_every: must be positive"),
+    ({"delta": float("nan")}, "delta: need 0 < delta < 1"),
     ({"rel_tol": float("inf")}, "rel_tol: must be positive and finite"),
     ({"abs_tol": float("inf")}, "abs_tol: must be positive and finite"),
     ({"eps": float("inf")}, "eps: must be finite and nonnegative"),
@@ -86,7 +85,7 @@ def test_load_config_round_trips_fields(tmp_path):
     assert cfg.snapshot_every == 5e-4
     assert cfg.eps == 1e-7
     # untouched fields keep their defaults
-    assert cfg.density_jump == UNIT_PREFACTOR_DENSITY_JUMP
+    assert (cfg.mode, cfg.delta) == (RunConfig.mode, RunConfig.delta)
 
 
 def test_load_config_rejects_unknown_names(tmp_path):
@@ -94,6 +93,22 @@ def test_load_config_rejects_unknown_names(tmp_path):
     bad_section.write_text("[turbulence]\nn = 16\n")
     with pytest.raises(ValueError, match=r"\[turbulence\]"):
         load_config(bad_section)
+
+    # the density jump is no setting: times are in the unit where the
+    # velocity prefactor is 1
+    removed = tmp_path / "p.ini"
+    removed.write_text("[params]\ndensity_jump = 12.566370614359172\n")
+    with pytest.raises(ValueError, match=r"unknown section \[params\]"):
+        load_config(removed)
+
+    # [DEFAULT] is refused like any other unknown section, not read as
+    # keys that every section inherits
+    for text in ("[DEFAULT]\nn = 99\n", "[DEFAULT]\nn = 32\n[grid]\n",
+                 "[DEFAULT]\n"):
+        defaults = tmp_path / "d.ini"
+        defaults.write_text(text)
+        with pytest.raises(ValueError, match=r"unknown section \[DEFAULT\]"):
+            load_config(defaults)
 
     bad_key = tmp_path / "b.ini"
     bad_key.write_text("[grid]\nm = 16\n")
@@ -181,6 +196,16 @@ def test_import_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="uniform grid"):
         import_snapshot(skewed)
 
+    odd = tmp_path / "o.dat"
+    grid = make_grid(16)
+    rows = ["alpha, z1, z2, dz1, dz2"]
+    rows += [f"{a:.17g}, {a:.17g}, 0, 1, 0" for a in grid.nodes[:15]]
+    odd.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        import_snapshot(odd)
+    assert str(info.value) == \
+        f"{odd}: grid size must be even and >= 4, got 15"
+
 
 def test_import_rejects_a_non_finite_time_stamp(tmp_path, grid64):
     # accepted, a FORWARD_RERUN from it would fail on "a value past inf"
@@ -213,11 +238,14 @@ def test_import_names_the_line_of_an_unreadable_time_stamp(tmp_path, grid64):
     export_snapshot(sample_preset("SEED_T0", grid64), path, time=0.5)
     lines = path.read_text().splitlines()
     stamp = lines.index("# time = 0.5") + 1
-    lines[stamp - 1] = "# time = abc"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as info:
-        import_snapshot(path)
-    assert str(info.value) == f"{path}, line {stamp}: not a number: 'abc'"
+    for comment, value in (("# time = abc", "'abc'"), ("# time", "''"),
+                           ("#time=", "''")):
+        lines[stamp - 1] = comment
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            import_snapshot(path)
+        assert str(info.value) == \
+            f"{path}, line {stamp}: not a number: {value}"
 
 
 def test_import_names_the_line_of_an_unreadable_sample(tmp_path, grid64):
@@ -301,12 +329,12 @@ def test_delta_tilt_keeps_backward_leg_failure(tmp_path, monkeypatch):
     real_step = integrator.rk45_step
     backward_steps = []
 
-    def second_backward_step_fails(curve, prm, dt, *args):
+    def second_backward_step_fails(curve, dt, *args):
         if dt < 0.0:
             backward_steps.append(dt)
             if len(backward_steps) == 2:
                 raise integrator.NanEncountered("injected")
-        return real_step(curve, prm, dt, *args)
+        return real_step(curve, dt, *args)
 
     monkeypatch.setattr(integrator, "rk45_step", second_backward_step_fails)
     out = tmp_path / "tilt"
@@ -467,7 +495,6 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
                           ("--rel-tol", "rel_tol: must be positive"),
                           ("--abs-tol", "abs_tol: must be positive"),
                           ("--delta", "delta: need 0 < delta < 1"),
-                          ("--density-jump", "FORWARD_RERUN needs"),
                           ("--t-final", "FORWARD_RERUN needs")):
         assert main(["run", "--scenario", "FORWARD_RERUN", flag,
                      "-2.5e-3"]) == 1
@@ -522,6 +549,10 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     assert main(["run", "--scenario", "FORWARD_RERUN"]) == 1
     assert "input_snapshot: FORWARD_RERUN needs" in capsys.readouterr().err
 
+    # the density jump is no setting
+    assert main(["run", "--density-jump", "1"]) == 1
+    assert "--density-jump" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("flags", [["--mode", "adaptive", "--dt", "0.05"],
                                    ["--dt", "inf"]])
@@ -539,7 +570,6 @@ def test_cli_step_control_errors_are_config_errors(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flag, value", [("--mode", "verlet"),
                                          ("--rel-tol", "-1"),
                                          ("--abs-tol", "0"),
-                                         ("--density-jump", "nan"),
                                          ("--eps", "inf")])
 def test_cli_param_checks_are_config_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "run"
@@ -574,3 +604,17 @@ def test_cli_numerical_failure_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "status = ERROR" in captured.out
+
+
+def test_forward_rerun_refuses_a_snapshot_below_the_minimum_grid(tmp_path,
+                                                                 capsys):
+    # the snapshot sets the grid, so the run checks it as RunConfig checks n
+    snap = tmp_path / "coarse.dat"
+    grid = make_grid(8)
+    export_snapshot(sample_preset("SEED_T0", grid), snap, time=0.0)
+    code = main(["run", "--scenario", "FORWARD_RERUN", "--input", str(snap),
+                 "--t-final", "1e-3", "--out", str(tmp_path / "coarse")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "status = ERROR" in captured.out
+    assert f"{snap}: need an even grid size >= 16, got 8" in captured.out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from muskat import velocity
-from muskat.core import PhysicalParams, make_curve, make_grid, sample_preset
+from muskat.core import make_curve, make_grid, sample_preset
 from muskat.spectral import filtered_derivative
 from muskat.velocity import (
     ARC_CHORD_FLOOR,
@@ -17,7 +17,7 @@ from muskat.velocity import (
 from conftest import mirror
 
 
-def _two_half_sum(curve, params, floor=ARC_CHORD_FLOOR):
+def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
     """Reference pair sum: both parity halves formed in full.
 
     Returns (v1, v2, min_denominator, offenders); the velocities are None
@@ -49,7 +49,7 @@ def _two_half_sum(curve, params, floor=ARC_CHORD_FLOOR):
         ker = np.sin(d1) / den
         v1[tgt] = ((dz1[tgt][:, None] - dz1[src][None, :]) * ker).sum(axis=1)
         v2[tgt] = ((dz2[tgt][:, None] - dz2[src][None, :]) * ker).sum(axis=1)
-    scale = 2.0 * curve.grid.spacing * params.prefactor
+    scale = 2.0 * curve.grid.spacing
     return scale * v1, scale * v2, worst, ()
 
 
@@ -69,22 +69,21 @@ def _max_rel_diff(field, v1, v2):
                          np.max(np.abs(field[1] - v2)) / np.max(np.abs(v2))]))
 
 
-def test_flat_interface_is_stationary(flat64, params):
-    field = periodic_rhs(flat64, params)
+def test_flat_interface_is_stationary(flat64):
+    field = periodic_rhs(flat64)
     assert np.all(field == 0.0)
 
 
 def test_single_mode_linearization():
     # for z2 = a sin(k alpha) with |a| tiny the flow reduces to its
-    # linearization: v2 = -(jump/2) k z2, v1 second order in a
+    # linearization: v2 = -2 pi k z2, v1 second order in a
     grid = make_grid(512)
     k, a = 3, 1e-8
     z2 = a * np.sin(k * grid.nodes)
     curve = make_curve(grid, np.zeros(grid.n), z2)
-    params = PhysicalParams()
-    field = periodic_rhs(curve, params)
+    field = periodic_rhs(curve)
 
-    expect = -(params.density_jump / 2.0) * k * z2
+    expect = -2.0 * np.pi * k * z2
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(field[1] - expect)) < 1e-6 * scale
     assert np.max(np.abs(field[0])) < 1e-12 * scale
@@ -93,7 +92,7 @@ def test_single_mode_linearization():
 def test_odd_data_gives_odd_velocity():
     grid = make_grid(256)
     curve = sample_preset("SEED_T0", grid)
-    field = periodic_rhs(curve, PhysicalParams())
+    field = periodic_rhs(curve)
     for row in field:
         assert np.max(np.abs(row + mirror(row))) < 1e-12
 
@@ -102,8 +101,8 @@ def test_vertical_translation_invariance():
     grid = make_grid(128)
     curve = sample_preset("SEED_T0", grid)
     lifted = curve.with_samples((curve.p1, curve.z2 + 0.7))
-    base = periodic_rhs(curve, PhysicalParams())
-    moved = periodic_rhs(lifted, PhysicalParams())
+    base = periodic_rhs(curve)
+    moved = periodic_rhs(lifted)
     assert np.max(np.abs(moved - base)) < 1e-12
 
 
@@ -118,17 +117,9 @@ def test_label_shift_equivariance(n, m, tol):
     curve = sample_preset("SEED_T0", grid)
     shifted = curve.with_samples(
         (np.roll(curve.p1, m) - m * grid.spacing, np.roll(curve.z2, m)))
-    base = periodic_rhs(curve, PhysicalParams())
-    moved = periodic_rhs(shifted, PhysicalParams())
+    base = periodic_rhs(curve)
+    moved = periodic_rhs(shifted)
     assert np.max(np.abs(moved - np.roll(base, m, axis=1))) < tol
-
-
-def test_velocity_linear_in_density_jump():
-    grid = make_grid(128)
-    curve = sample_preset("SEED_T0", grid)
-    one = periodic_rhs(curve, PhysicalParams(density_jump=4.0 * np.pi))
-    two = periodic_rhs(curve, PhysicalParams(density_jump=8.0 * np.pi))
-    assert np.allclose(two, 2.0 * one, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [64, 512, 600, 2048])
@@ -139,9 +130,8 @@ def test_kernel_matches_two_half_pair_sum(name, n):
     # cosh(d2) - cos(d1) as written the oracle would carry up to 5.7e-11.
     # At n = 600 the 300 even rows end in a short chunk
     curve = _test_curve(name, n)
-    params = PhysicalParams()
-    v1, v2, _, _ = _two_half_sum(curve, params)
-    assert _max_rel_diff(periodic_rhs(curve, params), v1, v2) <= 1e-13
+    v1, v2, _, _ = _two_half_sum(curve)
+    assert _max_rel_diff(periodic_rhs(curve), v1, v2) <= 1e-13
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -154,8 +144,7 @@ def test_reference_pair_sum_matches_extended_precision(name, n):
     # about 2e-14 on the adjacent pairs at n = 2048; that form in double
     # would leave up to 5.7e-11
     curve = _test_curve(name, n)
-    params = PhysicalParams()
-    v1, v2, _, _ = _two_half_sum(curve, params)
+    v1, v2, _, _ = _two_half_sum(curve)
     z1, z2 = curve.z1.astype(np.longdouble), curve.z2.astype(np.longdouble)
     dz = np.stack((1.0 + filtered_derivative(curve.p1, 1),
                    filtered_derivative(curve.z2, 1))).astype(np.longdouble)
@@ -166,14 +155,13 @@ def test_reference_pair_sum_matches_extended_precision(name, n):
         d2 = z2[tgt, None] - z2[None, src]
         ker = np.sin(d1) / (np.cosh(d2) - np.cos(d1))
         ref[:, tgt] = dz[:, tgt] * ker.sum(axis=1) - (ker @ dz[:, src].T).T
-    ref *= 2.0 * curve.grid.spacing * params.prefactor
+    ref *= 2.0 * curve.grid.spacing
     assert _max_rel_diff(np.stack((v1, v2)), *ref.astype(float)) <= 1e-13
 
 
 def test_kernel_is_independent_of_row_chunking(monkeypatch):
     curve = _test_curve("ASYMMETRIC", 512)
-    params = PhysicalParams()
-    base = periodic_rhs(curve, params)
+    base = periodic_rhs(curve)
     # 7 rows per chunk leave a short last chunk of the 256 even rows
     monkeypatch.setattr(velocity, "_CHUNK_PAIRS", 7 * 256 + 3)
     workspace = velocity._workspace
@@ -181,27 +169,25 @@ def test_kernel_is_independent_of_row_chunking(monkeypatch):
     monkeypatch.setattr(velocity, "_workspace",
                         lambda m, rows: sizes.append((m, rows))
                         or workspace(m, rows))
-    chunked = periodic_rhs(curve, params)
+    chunked = periodic_rhs(curve)
     assert sizes == [(256, 7)]
     assert _max_rel_diff(chunked, *base) <= 1e-14
 
 
 def test_workspace_reuse_across_sizes_is_bitwise():
-    params = PhysicalParams()
     small = _test_curve("ASYMMETRIC", 64)
     velocity._workspace.cache_clear()
-    first = periodic_rhs(small, params)
-    periodic_rhs(_test_curve("SEED_T0", 2048), params)
-    assert np.array_equal(periodic_rhs(small, params), first)
+    first = periodic_rhs(small)
+    periodic_rhs(_test_curve("SEED_T0", 2048))
+    assert np.array_equal(periodic_rhs(small), first)
 
 
 def test_returned_velocity_is_the_callers_own():
     curve = _test_curve("SEED_T0", 512)
-    params = PhysicalParams()
-    first = periodic_rhs(curve, params)
+    first = periodic_rhs(curve)
     expect = first.copy()
     first[...] = np.nan
-    again = periodic_rhs(curve, params)
+    again = periodic_rhs(curve)
     assert again.flags.c_contiguous
     assert np.array_equal(again, expect)
 
@@ -211,7 +197,7 @@ def test_collided_nodes_raise_arc_chord():
     # p1 = -alpha collapses every node onto z = (0, 0)
     curve = make_curve(grid, -grid.nodes, np.zeros(grid.n))
     with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve, PhysicalParams())
+        periodic_rhs(curve)
     report = info.value.report
     assert report.min_denominator == 0.0
     assert report.floor == ARC_CHORD_FLOOR
@@ -221,7 +207,7 @@ def test_collided_nodes_raise_arc_chord():
     assert "for 2048 node pair(s)" in str(info.value)
     assert all((i + j) % 2 == 1 for i, j in report.pairs)
     assert "arc-chord" in str(info.value)
-    _, _, worst, pairs = _two_half_sum(curve, PhysicalParams())
+    _, _, worst, pairs = _two_half_sum(curve)
     assert report.min_denominator == worst
     assert report.pairs == pairs
 
@@ -237,9 +223,9 @@ def test_near_collision_in_middle_chunks_reports_like_two_halves():
     p1[600] = grid.nodes[401] - grid.nodes[600] + 2e-7
     curve = make_curve(grid, p1, np.zeros(grid.n))
     with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve, PhysicalParams())
+        periodic_rhs(curve)
     report = info.value.report
-    _, _, worst, pairs = _two_half_sum(curve, PhysicalParams())
+    _, _, worst, pairs = _two_half_sum(curve)
     assert pairs == ((400, 601), (600, 401), (401, 600), (601, 400))
     assert report.min_denominator == worst
     assert report.pairs == pairs
@@ -262,9 +248,9 @@ def _far_pair_curve(den):
 def test_far_pair_below_floor_reports_like_two_halves():
     curve = _far_pair_curve(0.9 * ARC_CHORD_FLOOR)
     with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve, PhysicalParams())
+        periodic_rhs(curve)
     report = info.value.report
-    _, _, worst, pairs = _two_half_sum(curve, PhysicalParams())
+    _, _, worst, pairs = _two_half_sum(curve)
     assert pairs == ((400, 601), (601, 400))
     assert report.min_denominator == worst
     assert report.pairs == pairs
@@ -278,11 +264,10 @@ def test_far_pair_above_floor_matches_two_halves(factor):
     # form of the kernel: the Cauchy form alone, off by about eps / sqrt(den)
     # in that entry, would miss the bound by 26x at 10 floor
     curve = _far_pair_curve(factor * ARC_CHORD_FLOOR)
-    params = PhysicalParams()
-    v1, v2, worst, pairs = _two_half_sum(curve, params)
+    v1, v2, worst, pairs = _two_half_sum(curve)
     assert pairs == ()
     assert ARC_CHORD_FLOOR < worst < 2.0 * factor * ARC_CHORD_FLOOR
-    assert _max_rel_diff(periodic_rhs(curve, params), v1, v2) <= 1e-13
+    assert _max_rel_diff(periodic_rhs(curve), v1, v2) <= 1e-13
 
 
 @pytest.mark.parametrize("floor", [1e-6, 10.0])
@@ -292,9 +277,9 @@ def test_far_pair_screen_scales_with_the_floor(monkeypatch, floor):
     monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", floor)
     curve = _far_pair_curve(0.9e-6)
     with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve, PhysicalParams())
+        periodic_rhs(curve)
     report = info.value.report
-    _, _, worst, pairs = _two_half_sum(curve, PhysicalParams(), floor=floor)
+    _, _, worst, pairs = _two_half_sum(curve, floor=floor)
     assert report.floor == floor
     assert report.min_denominator == worst
     assert report.pairs == pairs
@@ -305,11 +290,10 @@ def test_far_pair_screen_scales_with_the_floor(monkeypatch, floor):
 
 def test_kernel_memory_is_bounded_at_n2048():
     curve = sample_preset("SEED_T0", make_grid(2048))
-    params = PhysicalParams()
-    periodic_rhs(curve, params)
+    periodic_rhs(curve)
     tracemalloc.start()
     try:
-        periodic_rhs(curve, params)
+        periodic_rhs(curve)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
