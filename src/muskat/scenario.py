@@ -135,6 +135,7 @@ class RunManifest:
     grid_n: int | None = None  # size of the grid run; None when nothing ran
     steps: int = 0  # accepted steps, summed over all legs
     rejected_steps: int = 0
+    pair_sums: tuple[str, ...] = ()  # "half" or "full", one per leg
     trajectory: Trajectory | None = None  # in-memory only, not serialized
     timeline: tuple = ()  # regime segments of `trajectory`, in-memory only
 
@@ -151,6 +152,8 @@ class RunManifest:
         ]
         if self.grid_n is not None:
             lines.append(f"grid_n = {self.grid_n}")
+        if self.pair_sums:
+            lines.append(f"pair_sum = {' '.join(self.pair_sums)}")
         if self.error is not None:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]
@@ -362,6 +365,7 @@ def run_scenario(config: RunConfig) -> RunManifest:
         grid_n=legs[0].final.grid.n if legs else None,
         steps=sum(leg.steps for leg in legs),
         rejected_steps=sum(leg.rejected_steps for leg in legs),
+        pair_sums=tuple(leg.pair_sum for leg in legs),
         trajectory=legs[0] if legs else None, timeline=timeline)
     (outdir / "manifest.txt").write_text(manifest.to_text())
     return manifest

@@ -20,10 +20,10 @@ K @ (1, p1'_o, z2'_o) gives the row sums and K a_o, and
 (1, p1'_e, z2'_e)^T K the column sums and K^T a_e. The difference carries
 p1' rather than 1 + p1': the constant cancels exactly in
 z'(a_i) - z'(a_j), but as 1 * K.sum(1) - K @ 1 it would leave roundoff of
-the size of the row sums in v1. The even rows run in chunks of a fixed
-number of pairs, so temporaries stay cache-sized and memory stays bounded,
-and the arc-chord floor check runs in the same pass. The operands and
-buffers live in a per-grid workspace kept across calls.
+the size of the row sums in v1. The even rows run in equal chunks of at
+most _CHUNK_PAIRS pairs, so temporaries stay cache-sized and memory stays
+bounded, and the arc-chord floor check runs in the same pass. The operands
+and buffers live in a per-grid workspace kept across calls.
 
 K is formed in the periodic Cauchy form of the vortex-sheet codes (Baker,
 Meiron & Orszag, J. Fluid Mech. 123, 1982; Krasny, J. Fluid Mech. 167,
@@ -40,8 +40,34 @@ right-hand side at n = 2048; a chunk is then two small matrix products
 (dP and dQ, then the numerator), a sum of squares, a division and the two
 summing products, 9 numpy calls in all. The chunks hold K/2 and the factor
 2 sits in the final scale. A right-hand side of SEED_T0 takes 0.67-0.70 ms
-at n = 512 and 6.6-6.7 ms at n = 2048 (2-vCPU Xeon, medians over 12
-processes, two rounds).
+at n = 512 and 6.5-6.9 ms at n = 2048 (2-vCPU Xeon, medians over 12
+processes), and 0.38 and 3.4 ms with half the pair sum (below).
+
+Half the pair sum on odd curves. The mirror R: j -> (n - j) mod n takes
+alpha to -alpha. On an odd curve (p1 and z2 odd) z1 is odd modulo 2 pi,
+a = (p1', z2') is even and K is odd in (d1, d2), so the velocity is odd:
+v_Rj = -v_j. R keeps parity. With m = n/2, even node 2k mirrors to even
+node (m - k) mod m and odd node 2l + 1 to odd node m - 1 - l, and
+K[Rk, Rl] = -K[k, l]. The rows H = {0..m//2} hold a node of every mirror
+pair of even nodes, and periodic_rhs(curve, odd=True) forms only them,
+against all m odd columns:
+
+  - even targets in H come from the row products, as in the full sum. The
+    other even targets are the negated mirrors of targets in H, and the
+    self-mirror ones, k = 0 and, for even m, k = m/2, get 0;
+  - the column products over H weight the self-mirror rows by 1/2, an
+    exact power of 2, into C. The rows outside H are the mirrors of the
+    other rows of H, so their part of column l is minus H's part of
+    column Rl, and a self-mirror row k has K[k, Rl] = -K[k, l]. The full
+    column product at l is therefore C[l] - C[Rl]. It gives the odd
+    targets l < m//2; the others are their negated mirrors, and for odd
+    m the self-mirror node (m - 1)/2 gets 0.
+
+The velocity returned is exactly odd. It is not the full sum to the
+last bit: the roundoff of the FFT derivative is not mirror-symmetric, so
+on the three presets the full sum is itself odd only to 7e-14-9e-14
+relative at n = 512 and 3e-13-1.1e-12 at n = 2048, and the half sum
+differs from it by that much, to within 16 eps max|v|.
 
 Near pairs. Since cosh(d2) - cos(d1) = |dzeta|^2/(2|zeta_i||zeta_j|), a
 pair whose |dzeta|^2 exceeds 2 max(_SCREEN_DELTA, 2 floor) max|zeta_e|
@@ -71,8 +97,10 @@ from .spectral import filtered_derivative
 
 ARC_CHORD_FLOOR = 1e-12
 
-# Target-source pairs per row chunk of the pair sum: 32 K pairs keep each
-# half of the chunk buffer at 256 KiB, inside L2. Per right-hand side on
+# Target-source pairs per row chunk of the pair sum, at most: 32 K pairs
+# keep each half of the chunk buffer at 256 KiB, inside L2. A call splits
+# its rows into equal chunks, so the half sum at n = 512 runs 65 + 64 rows
+# rather than 128 + 1, 2.5% faster per call. Per right-hand side on
 # SEED_T0 (2-vCPU Xeon, medians of 11 interleaved rounds, three sweeps),
 # 8 K / 16 K / 32 K / 64 K pairs take 7.8-8.9 / 6.7-7.5 / 6.4-6.7 /
 # 6.9-7.3 ms at n = 2048, where a run is almost all pair sum, and
@@ -132,9 +160,14 @@ def _workspace(m: int, rows: int) -> tuple[np.ndarray, ...]:
             np.empty((m, 3)), np.empty((3, m)), np.empty((3, m)))
 
 
-def periodic_rhs(curve: SampledCurve) -> np.ndarray:
+def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     """Evolution velocity (v1, v2) of a sampled interface, as a new
     C-contiguous (2, n) array laid out as curve.samples.
+
+    With odd=True the curve is taken to be odd about alpha = 0, and only
+    the even rows 0..m//2 (m = n/2) are summed; the mirror gives the rest
+    (see the module docstring), and the velocity returned is exactly odd.
+    The caller decides that the curve is odd: the half sum does not check.
 
     Raises ArcChordError, without dividing by it, if some real denominator
     cosh(dz2) - cos(dz1) is at or below ARC_CHORD_FLOOR; the report gives
@@ -142,7 +175,8 @@ def periodic_rhs(curve: SampledCurve) -> np.ndarray:
     up to 16, (even, odd) ones first. Denominators are evaluated in the
     cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
     the near pairs the |dzeta|^2 screen picks out; every other pair's is
-    above max(_SCREEN_DELTA, 2 floor).
+    above max(_SCREEN_DELTA, 2 floor). A half sum that meets such a pair
+    hands over to the full sum, so the report is the same either way.
 
     The pair sum runs in a per-grid workspace shared by every call at the
     same size, so two threads must not call this at once.
@@ -153,13 +187,22 @@ def periodic_rhs(curve: SampledCurve) -> np.ndarray:
     dp1, dz2 = filtered_derivative(curve.samples, 1)
 
     m = n // 2
-    rows = min(m, max(1, _CHUNK_PAIRS // m))
+    nrows = m // 2 + 1 if odd else m
+    # equal row chunks of at most _CHUNK_PAIRS pairs (one row at least)
+    chunks = min(nrows, -(-nrows * m // _CHUNK_PAIRS))
     diff, right, cross, ao3, ae3, buf, row_prod, col_prod, col_acc = \
-        _workspace(m, rows)
+        _workspace(m, -(-nrows // chunks))
+    edges = [nrows * c // chunks for c in range(chunks + 1)]
     z1e, z1o = z1[0::2], z1[1::2]
     z2e, z2o = z2[0::2], z2[1::2]
     ae3[1], ae3[2] = dp1[0::2], dz2[0::2]
     ao3[:, 1], ao3[:, 2] = dp1[1::2], dz2[1::2]
+    # the even rows that are their own mirrors weigh 1/2 in the column
+    # products of a half sum; the ones of a_e are restored for a full one
+    fixed = [0, m // 2] if m % 2 == 0 else [0]
+    ae3[0, fixed] = 1.0
+    if odd:
+        ae3[:, fixed] *= 0.5
 
     # zeta = P + iQ = exp(i z); per chunk, one stacked matmul forms
     # dP = P_e - P_o and dQ = Q_e - Q_o, whose zero terms are exact, so
@@ -174,16 +217,14 @@ def periodic_rhs(curve: SampledCurve) -> np.ndarray:
     # a pair with |dzeta|^2 above limit * max|zeta_e| (chunk) has its real
     # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
     limit = 2.0 * max(_SCREEN_DELTA, 2.0 * floor) * mod[1::2].max()
-    starts = range(0, m, rows)
-    bounds = limit * np.maximum.reduceat(mod[0::2], starts)
+    bounds = limit * np.maximum.reduceat(mod[0:2 * nrows:2], edges[:-1])
 
     col_acc.fill(0.0)
     worst = np.inf
     eo_bad = np.empty((0, 2), dtype=np.intp)
     oe_bad = eo_bad
     n_bad = 0
-    for r0, bound in zip(starts, bounds.tolist()):
-        r1 = min(r0 + rows, m)
+    for r0, r1, bound in zip(edges, edges[1:], bounds.tolist()):
         block = np.matmul(diff[:, r0:r1], right, out=buf[:, :r1 - r0])
         np.square(block, out=block)
         dP, dQ = block
@@ -216,6 +257,9 @@ def periodic_rhs(curve: SampledCurve) -> np.ndarray:
         np.matmul(ker, ao3, out=row_prod[r0:r1])
         col_acc += np.matmul(ae3[:, r0:r1], ker, out=col_prod)
     if worst <= floor:
+        if odd:
+            # the full sum meets the same pair and reports every offender
+            return periodic_rhs(curve)
         offenders = ([(2 * int(i), 2 * int(j) + 1) for i, j in eo_bad]
                      + [(2 * int(j) + 1, 2 * int(i)) for i, j in oe_bad])
         raise ArcChordError(ArcChordReport(
@@ -223,8 +267,21 @@ def periodic_rhs(curve: SampledCurve) -> np.ndarray:
             count=2 * n_bad))
 
     v = np.empty((2, n))
-    v[:, 0::2] = ae3[1:] * row_prod[:, 0] - row_prod[:, 1:].T
-    v[:, 1::2] = col_acc[1:] - ao3[:, 1:].T * col_acc[0]
+    ve, vo = v[:, 0::2], v[:, 1::2]
+    ve[:, :nrows] = (ae3[1:, :nrows] * row_prod[:nrows, 0]
+                     - row_prod[:nrows, 1:].T)
+    if odd:
+        # even node k mirrors to (m - k) mod m, odd node l to m - 1 - l
+        ve[:, nrows:] = -ve[:, m - nrows:0:-1]
+        ve[:, fixed] = 0.0
+        half = m // 2
+        col = col_acc[:, :half] - col_acc[:, ::-1][:, :half]
+        vo[:, :half] = col[1:] - ao3[:half, 1:].T * col[0]
+        vo[:, ::-1][:, :half] = -vo[:, :half]
+        if m % 2:
+            vo[:, half] = 0.0
+    else:
+        vo[...] = col_acc[1:] - ao3[:, 1:].T * col_acc[0]
     # the chunks hold K/2
     v *= 4.0 * curve.grid.spacing
     return v

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat.core import make_curve, make_grid
+from muskat.core import make_curve, make_grid, sample_preset
 
 # acceptance results registry, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -25,6 +25,14 @@ def mirror(values: np.ndarray) -> np.ndarray:
     """Samples of alpha -> -alpha on the same grid (node i -> (n-i) mod n)."""
     n = len(values)
     return values[(n - np.arange(n)) % n]
+
+
+def asymmetric_curve(grid):
+    """A tilted seed lifted by a cosine: the presets are all odd, this
+    curve is not."""
+    curve = sample_preset("DELTA_TILT", grid, delta=0.3)
+    return curve.with_samples(
+        (curve.p1, curve.z2 + 0.2 * np.cos(2.0 * grid.nodes) + 0.1))
 
 
 @pytest.fixture

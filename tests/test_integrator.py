@@ -22,7 +22,10 @@ from muskat.integrator import (
     rk45_step,
     slope_profile,
 )
+from muskat.scenario import RunConfig, export_snapshot, run_scenario
 from muskat.velocity import periodic_rhs
+
+from conftest import asymmetric_curve
 
 
 def test_step_control_validation():
@@ -123,7 +126,7 @@ def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
     assert np.array_equal(integrator._DP_A[6], b5)
     stages = []
 
-    def recording(curve):
+    def recording(curve, **kwargs):
         stages.append(periodic_rhs(curve))
         return stages[-1]
 
@@ -140,7 +143,7 @@ def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
 
 
 def test_nan_abort(flat64, monkeypatch):
-    def poisoned(curve):
+    def poisoned(curve, **kwargs):
         n = curve.grid.n
         return np.stack((np.full(n, np.nan), np.zeros(n)))
 
@@ -302,7 +305,7 @@ def test_adaptive_step_underflow_has_its_own_status(grid64, monkeypatch):
 def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):
     calls = []
 
-    def nan_once(curve):
+    def nan_once(curve, **kwargs):
         calls.append(1)
         if len(calls) == 1:
             n = curve.grid.n
@@ -316,3 +319,65 @@ def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):
     assert traj.events == []
     assert traj.rejected_steps == 1
     assert abs(traj.final_time - 1e-3) < 1e-12
+
+
+def _record_pair_sums(monkeypatch):
+    """The odd flag of every right-hand side the march evaluates."""
+    flags = []
+
+    def recording(curve, **kwargs):
+        flags.append(kwargs["odd"])
+        return periodic_rhs(curve, **kwargs)
+
+    monkeypatch.setattr(integrator, "periodic_rhs", recording)
+    return flags
+
+
+def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
+    flags = _record_pair_sums(monkeypatch)
+    runs = {"BACKWARD_SEED": (-2e-4, ("final",)),
+            "CONJ_TURNOVER": (2e-4, ("final",)),
+            "DELTA_TILT": (2e-4, ("final_forward", "final_backward"))}
+    finals = []
+    for scenario, (t_final, names) in runs.items():
+        out = tmp_path / scenario
+        flags.clear()
+        manifest = run_scenario(RunConfig(
+            scenario=scenario, n=32, t_final=t_final, dt=1e-4,
+            out_dir=str(out)))
+        assert manifest.status == STATUS_OK
+        assert manifest.pair_sums == ("half",) * len(names)
+        assert flags == [True] * (7 * manifest.steps)
+        finals += [out / manifest.outputs[name] for name in names]
+    for k, final in enumerate(finals):
+        out = tmp_path / f"rerun{k}"
+        flags.clear()
+        manifest = run_scenario(RunConfig(
+            scenario="FORWARD_RERUN", input_snapshot=str(final),
+            t_final=3e-4, dt=1e-4, out_dir=str(out)))
+        assert manifest.status == STATUS_OK
+        assert "pair_sum = half\n" in (out / "manifest.txt").read_text()
+        assert manifest.steps and flags == [True] * (7 * manifest.steps)
+
+
+def test_curves_that_are_not_odd_take_the_full_sum(tmp_path, monkeypatch):
+    flags = _record_pair_sums(monkeypatch)
+    grid = make_grid(32)
+    traj = evolve_forward(asymmetric_curve(grid), 2e-4,
+                          StepControl(mode="fixed", dt=1e-4))
+    assert (traj.status, traj.pair_sum) == (STATUS_OK, "full")
+    assert flags == [False] * 14
+    # the start state decides: a mirror defect of 1e-13 relative is odd,
+    # one of 1e-11 is not
+    seed = sample_preset("SEED_T0", grid)
+    scale = np.max(np.abs(seed.samples))
+    for defect, expect in ((1e-13, "half"), (1e-11, "full")):
+        bumped = seed.with_samples((seed.p1, seed.z2 + defect * scale))
+        traj = evolve_forward(bumped, 1e-4, StepControl(dt=1e-4))
+        assert traj.pair_sum == expect
+    export_snapshot(asymmetric_curve(grid), tmp_path / "asym.dat")
+    manifest = run_scenario(RunConfig(
+        scenario="FORWARD_RERUN", input_snapshot=str(tmp_path / "asym.dat"),
+        t_final=1e-4, dt=1e-4, out_dir=str(tmp_path / "rerun")))
+    assert manifest.pair_sums == ("full",)
+    assert "pair_sum = full\n" in (tmp_path / "rerun/manifest.txt").read_text()

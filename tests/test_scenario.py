@@ -323,6 +323,8 @@ def test_delta_tilt_scenario_writes_both_legs(tmp_path):
     head = _manifest_section(out)
     assert (head["grid_n"], head["steps"], head["rejected_steps"]) == \
         ("32", "4", "0")
+    # one pair sum per leg, forward first
+    assert head["pair_sum"] == "half half"
 
 
 def test_delta_tilt_keeps_backward_leg_failure(tmp_path, monkeypatch):

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import muskat.integrator as integrator
 from muskat import velocity
 from muskat.core import make_curve, make_grid, sample_preset
+from muskat.integrator import STATUS_ARC_CHORD, StepControl, evolve_forward
 from muskat.spectral import filtered_derivative
 from muskat.velocity import (
     ARC_CHORD_FLOOR,
@@ -14,7 +16,7 @@ from muskat.velocity import (
     periodic_rhs,
 )
 
-from conftest import mirror
+from conftest import asymmetric_curve, mirror
 
 
 def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
@@ -56,10 +58,9 @@ def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
 def _test_curve(name, n):
     grid = make_grid(n)
     if name == "ASYMMETRIC":
-        # every preset is odd; this one is not
-        curve = sample_preset("DELTA_TILT", grid, delta=0.3)
-        return curve.with_samples(
-            (curve.p1, curve.z2 + 0.2 * np.cos(2.0 * grid.nodes) + 0.1))
+        return asymmetric_curve(grid)
+    if name == "DELTA_TILT":
+        return sample_preset(name, grid, delta=0.1)
     return sample_preset(name, grid)
 
 
@@ -159,6 +160,25 @@ def test_reference_pair_sum_matches_extended_precision(name, n):
     assert _max_rel_diff(np.stack((v1, v2)), *ref.astype(float)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 18, 64, 512, 602, 2048])
+@pytest.mark.parametrize("name", ["SEED_T0", "CONJ_T0", "DELTA_TILT"])
+def test_half_sum_matches_full_sum_on_odd_curves(name, n):
+    # the full sum is odd only up to the roundoff of the FFT derivative,
+    # which is not mirror-symmetric (3.3e-13 to 1.1e-12 relative at
+    # n = 2048); the half sum may sit that far from it and no farther. At
+    # n = 18 and 602, m = n/2 is odd and odd node (m - 1)/2 is its own
+    # mirror
+    curve = _test_curve(name, n)
+    full = periodic_rhs(curve)
+    half = periodic_rhs(curve, odd=True)
+    eps = np.finfo(float).eps
+    for h, f in zip(half, full):
+        scale = np.max(np.abs(f))
+        assert np.max(np.abs(h - f)) <= (np.max(np.abs(f + mirror(f)))
+                                         + 16 * eps * scale)
+        assert np.array_equal(mirror(h), -h)
+
+
 def test_kernel_is_independent_of_row_chunking(monkeypatch):
     curve = _test_curve("ASYMMETRIC", 512)
     base = periodic_rhs(curve)
@@ -180,6 +200,18 @@ def test_workspace_reuse_across_sizes_is_bitwise():
     first = periodic_rhs(small)
     periodic_rhs(_test_curve("SEED_T0", 2048))
     assert np.array_equal(periodic_rhs(small), first)
+
+
+def test_full_sum_after_a_half_sum_in_one_workspace_is_bitwise(monkeypatch):
+    # a half sum weights entries of the shared operands that a full sum
+    # must find restored
+    curve = _test_curve("SEED_T0", 64)
+    full = periodic_rhs(curve)
+    workspace = velocity._workspace
+    monkeypatch.setattr(velocity, "_workspace",
+                        lambda m, rows: workspace(m, m))
+    periodic_rhs(curve, odd=True)
+    assert np.array_equal(periodic_rhs(curve), full)
 
 
 def test_returned_velocity_is_the_callers_own():
@@ -255,6 +287,41 @@ def test_far_pair_below_floor_reports_like_two_halves():
     assert report.min_denominator == worst
     assert report.pairs == pairs
     assert report.count == len(pairs)
+
+
+def test_half_sum_meeting_a_near_pair_reports_like_the_full_sum(
+        monkeypatch):
+    # an odd curve with the near pair (400, 601), which lies in the half
+    # sum's rows, and its mirror (624, 423), which does not
+    grid = make_grid(1024)
+    p1 = np.zeros(grid.n)
+    z2 = 0.1 * np.sin(grid.nodes)
+    p1[400] = grid.nodes[601] - grid.nodes[400] - np.sqrt(1.8e-12)
+    z2[400] = z2[601]
+    p1[624], z2[624] = -p1[400], -z2[400]
+    curve = make_curve(grid, p1, z2)
+    with pytest.raises(ArcChordError) as info:
+        periodic_rhs(curve)
+    full = info.value.report
+    calls, reports = [], []
+
+    def recording(curve, **kwargs):
+        calls.append(kwargs)
+        try:
+            return periodic_rhs(curve, **kwargs)
+        except ArcChordError as exc:
+            reports.append(exc.report)
+            raise
+
+    monkeypatch.setattr(integrator, "periodic_rhs", recording)
+    traj = evolve_forward(curve, 1e-4, StepControl(dt=1e-4))
+    assert (traj.status, traj.pair_sum) == (STATUS_ARC_CHORD, "half")
+    assert calls == [{"odd": True}]
+    assert reports == [full]
+    _, _, worst, pairs = _two_half_sum(curve)
+    assert pairs == ((400, 601), (624, 423), (423, 624), (601, 400))
+    assert (full.min_denominator, full.pairs, full.count) == \
+        (worst, pairs, len(pairs))
 
 
 @pytest.mark.parametrize("factor", [1.1, 1e3, 10.0])
