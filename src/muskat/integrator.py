@@ -1,29 +1,34 @@
 """Time stepping for the interface evolution.
 
-A Dormand-Prince 5(4) pair drives one march loop, fixed-step or adaptive,
-forward or backward, on the curve's (2, n) sample array (p1, z2). The
-propagated state is the fourth-order member y4; the fifth-order companion y5
-only supplies the max-norm error estimate, so fixed-step convergence is
-globally O(dt^4). The pair is first-same-as-last (Dormand & Prince, J.
-Comput. Appl. Math. 6, 1980): y5 is the last stage input. The backward
-solver follows the regularized recipe: march with a negative step and
-re-threshold the spectra of p1 and z2 after every accepted step.
+One march loop, fixed-step or adaptive, forward or backward, advances the
+curve's (2, n) sample array (p1, z2) with an explicit Runge-Kutta step, and
+StepControl.mode picks its tableau. Fixed steps take the classical
+four-stage RK4 step, so fixed-step convergence is globally O(dt^4) from 4
+right-hand sides per step. Adaptive steps take the Dormand-Prince 5(4)
+pair: 7 stages, the fourth-order member y4 propagated, and the fifth-order
+companion y5 supplying only the max-norm error estimate. The pair is
+first-same-as-last (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): y5
+is the last stage input. The backward solver follows the regularized
+recipe: march with a negative step and re-threshold the spectra of p1 and
+z2 after every accepted step.
 
 After every accepted step the march takes the sign of grid_min_slope, the
 grid minimum of d_alpha z1 (one FFT). A step across which the sign changes
 is a bracket. It keeps the data of the step's O(h^4) cubic Hermite
-interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6): y_n, y4 and
-the stage slopes k1 = f(y_n), k7 = f(y5), where k7 stands in for f(y4) with
-error h L |y5 - y4|. detect_event_times bisects each bracket on it, with no
-further right-hand side, so every flip the march steps over is located,
-whatever the snapshot cadence. The diagnostics judge regimes from the same
-grid minimum.
+interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6): y_n, the
+unsmoothed update y_{n+1}, the start slope k1 = f(y_n) and an end slope.
+In adaptive mode the end slope is the last stage k7 = f(y5), which stands in
+for f(y4) with error h L |y5 - y4|. A fixed step has no stage at its end,
+so the march evaluates the exact end slope f(y_{n+1}) of a bracket step
+only: one more right-hand side per flip. detect_event_times bisects each
+bracket on the interpolant, with no further right-hand side, so every flip
+the march steps over is located, whatever the snapshot cadence. The
+diagnostics judge regimes from the same grid minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,6 +47,18 @@ _DP_A = np.array([
 ])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+# Classical RK4: c = 0, 1/2, 1/2, 1 and b = 1/6, 1/3, 1/3, 1/6.
+_RK4_A = np.array([
+    [0.0, 0.0, 0.0],
+    [0.5, 0.0, 0.0],
+    [0.0, 0.5, 0.0],
+    [0.0, 0.0, 1.0],
+])
+_RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+
+# (A, b) of the step each StepControl.mode takes; row i of A weights the
+# stages before stage i. The right-hand side is autonomous, so c is unused.
+_TABLEAUS = {"fixed": (_RK4_A, _RK4_B), "adaptive": (_DP_A, _DP_B4)}
 
 STATUS_OK = "OK"
 STATUS_ARC_CHORD = "ARC_CHORD_FAILURE"
@@ -96,11 +113,13 @@ class StepControl:
 class Trajectory:
     """Recorded states of one evolution run.
 
-    brackets holds (t_before, state_before, h, kind, y4, k1, k7) for every
-    accepted step across which the sign of min d_alpha z1 changed; kind is
-    the ENTER_STABLE or ENTER_UNSTABLE flip the step contains. The unsmoothed
-    update y4 and the (2, n) stage slopes k1 = f(state_before), k7 = f(y5)
-    fix the step's O(h^4) cubic Hermite interpolant. steps and
+    brackets holds (t_before, state_before, h, kind, y_next, k1, k_end) for
+    every accepted step across which the sign of min d_alpha z1 changed;
+    kind is the ENTER_STABLE or ENTER_UNSTABLE flip the step contains. The
+    unsmoothed update y_next and the (2, n) slopes k1 = f(state_before) and
+    k_end fix the step's O(h^4) cubic Hermite interpolant. k_end is the
+    exact f(y_next) on a fixed step, evaluated by the march for the bracket
+    only, and the last stage k7 = f(y5) on an adaptive one. steps and
     rejected_steps count accepted and rejected trial steps. pair_sum is
     "half" when the march found its start state odd and summed the
     mirror-independent rows only, else "full".
@@ -129,26 +148,34 @@ class Trajectory:
         return -1 if self.times[-1] < self.times[0] else 1
 
 
-def rk45_step(curve: SampledCurve, dt: float, odd: bool = False
-              ) -> tuple[SampledCurve, float, np.ndarray, np.ndarray]:
-    """One Dormand-Prince step of size dt on curve.samples.
+def rk45_step(curve: SampledCurve, dt: float, odd: bool = False,
+              mode: str = "adaptive"
+              ) -> tuple[SampledCurve, float | None, np.ndarray,
+                         np.ndarray | None]:
+    """One explicit Runge-Kutta step of size dt on curve.samples.
 
-    Returns y4, the error max|y5 - y4| with y5 the last stage input, and
-    k1 = f(y_n), k7 = f(y5) as views of the stage buffer. A non-finite
-    stage input or y4 raises NanEncountered from with_samples. odd goes to
-    every stage's periodic_rhs.
+    mode is a StepControl.mode. "fixed" takes a classical RK4 step and
+    returns (y_next, None, k1, None): it has no error estimate and no stage
+    at its end. "adaptive" takes a Dormand-Prince 5(4) step and returns
+    (y4, max|y5 - y4|, k1, k7), with y5 the last stage input and
+    k7 = f(y5). k1 = f(y_n) and k7 are views of the stage buffer. A
+    non-finite stage input or update raises NanEncountered from
+    with_samples. odd goes to every stage's periodic_rhs.
     """
+    a, b = _TABLEAUS[mode]
     y = curve.samples
-    stages = np.empty((7,) + y.shape)
+    stages = np.empty((len(b),) + y.shape)
     stage = curve
-    for i in range(7):
+    for i in range(len(b)):
         if i:
             stage = curve.with_samples(
-                y + dt * np.tensordot(_DP_A[i, :i], stages[:i], axes=1))
+                y + dt * np.tensordot(a[i, :i], stages[:i], axes=1))
         stages[i] = periodic_rhs(stage, odd=odd)
-    y4 = curve.with_samples(y + dt * np.tensordot(_DP_B4, stages, axes=1))
-    return (y4, float(np.max(np.abs(stage.samples - y4.samples))),
-            stages[0], stages[6])
+    nxt = curve.with_samples(y + dt * np.tensordot(b, stages, axes=1))
+    if mode == "fixed":
+        return nxt, None, stages[0], None
+    return (nxt, float(np.max(np.abs(stage.samples - nxt.samples))),
+            stages[0], stages[-1])
 
 
 def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
@@ -179,15 +206,31 @@ def _is_odd(curve: SampledCurve) -> bool:
         float(np.max(np.abs(y))), 1.0)
 
 
+def _failure_status(exc: Exception) -> str:
+    """The run status of an ArcChordError or a NanEncountered."""
+    return STATUS_ARC_CHORD if isinstance(exc, ArcChordError) else STATUS_NAN
+
+
+def _end_slope(raw: SampledCurve, odd: bool) -> np.ndarray:
+    """f(raw) for a fixed step's Hermite interpolant; a non-finite slope
+    raises NanEncountered."""
+    k_end = periodic_rhs(raw, odd=odd)
+    if not np.isfinite(k_end).all():
+        raise NanEncountered("non-finite end slope")
+    return k_end
+
+
 def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
-           stop_when: Callable[[float, SampledCurve], bool] | None):
+           stop_slope: float | None):
     """Advance traj in place to t_goal, in either direction.
 
     Fixed mode takes steps of traj.control.dt, the last one shortened to
-    land on t_goal, and ends the run at the first failed step. Adaptive mode
+    land on t_goal, and ends the run at the first failed step; a bracket
+    step whose end slope f(y_next) fails counts as failed. Adaptive mode
     rejects a trial step whose error estimate exceeds the tolerance, or that
     failed, and retries with a smaller h; the run ends only when a rejected
-    step was already at _MIN_DT.
+    step was already at _MIN_DT. A run with a stop_slope ends after the
+    first step whose grid_min_slope is below it.
 
     An odd start state makes every step sum half the pairs. Each stage's
     velocity is then exactly odd, but the states are not projected onto
@@ -210,11 +253,9 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             h = t_goal - t
         failure = None
         try:
-            raw, err, k1, k7 = rk45_step(cur, h, odd)
-        except ArcChordError:
-            failure = STATUS_ARC_CHORD
-        except NanEncountered:
-            failure = STATUS_NAN
+            raw, err, k1, k_end = rk45_step(cur, h, odd, ctl.mode)
+        except (ArcChordError, NanEncountered) as exc:
+            failure = _failure_status(exc)
         if ctl.mode == "adaptive":
             if failure is None:
                 scale = ctl.abs_tol + ctl.rel_tol * max(
@@ -231,18 +272,26 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
                 traj.rejected_steps += 1
                 if abs(h) > _MIN_DT * (1.0 + 1e-9):
                     continue
+        if failure is None:
+            nxt = raw if eps is None else _smoothed(raw, eps)
+            slope = grid_min_slope(nxt)
+            flipped = (slope > 0.0) != stable
+            if flipped and k_end is None:
+                try:
+                    k_end = _end_slope(raw, odd)
+                except (ArcChordError, NanEncountered) as exc:
+                    failure = _failure_status(exc)
         if failure is not None:
             traj.status = failure
             traj.events.append((t, failure))
             break
-        nxt = raw if eps is None else _smoothed(raw, eps)
         traj.steps += 1
-        now_stable = grid_min_slope(nxt) > 0.0
-        if now_stable != stable:
-            kind = EVENT_ENTER_STABLE if now_stable else EVENT_ENTER_UNSTABLE
-            traj.brackets.append((t, cur, h, kind, raw, k1.copy(), k7.copy()))
-            stable = now_stable
-        del raw, k1, k7  # the views would pin the stage buffer a step longer
+        if flipped:
+            stable = not stable
+            kind = EVENT_ENTER_STABLE if stable else EVENT_ENTER_UNSTABLE
+            traj.brackets.append((t, cur, h, kind, raw, k1.copy(),
+                                  k_end.copy()))
+        del raw, k1, k_end  # views would pin the stage buffer a step longer
         cur = nxt
         t += h
         done = (t_goal - t) * sgn <= tiny
@@ -252,7 +301,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             traj.times.append(t)
             traj.snapshots.append(cur)
             last_rec = t
-        if stop_when is not None and stop_when(t, cur):
+        if stop_slope is not None and slope < stop_slope:
             if traj.times[-1] != t:
                 traj.times.append(t)
                 traj.snapshots.append(cur)
@@ -266,15 +315,18 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
 def evolve_forward(curve: SampledCurve, t_end: float,
                    control: StepControl | None = None, *, t0: float = 0.0,
                    snapshot_every: float | None = None,
-                   stop_when: Callable[[float, SampledCurve], bool] | None = None
-                   ) -> Trajectory:
+                   stop_slope: float | None = None) -> Trajectory:
     """March from t0 to t_end; arc-chord, NaN or step-underflow failures end
-    the run early with the last valid state retained and the status set."""
+    the run early with the last valid state retained and the status set.
+
+    With stop_slope the run also ends, with an EARLY_STOP event, after the
+    first step whose grid_min_slope is below stop_slope.
+    """
     if not -np.inf < t0 < t_end < np.inf:
         raise ValueError(f"need finite t0 < t_end, got {t0}, {t_end}")
     traj = Trajectory(times=[float(t0)], snapshots=[curve], events=[],
                       control=control or StepControl())
-    _march(traj, float(t_end), snapshot_every, stop_when)
+    _march(traj, float(t_end), snapshot_every, stop_slope)
     return traj
 
 
@@ -310,21 +362,22 @@ def detect_event_times(traj: Trajectory) -> list[tuple[float, str]]:
     """Locate the sign changes of grid_min_slope the march stepped over.
 
     Each bracket is bisected in theta on its step's O(h^4) cubic Hermite
-    interpolant H(theta) ~ y(t + theta h) from y_n, y4, k1 and k7, so no
-    right-hand side is evaluated. Probes are smoothed as the run was; H(1)
-    is y4 exactly, so the end signs are the march's. theta is halved once
-    per float mantissa bit. A hand-built Trajectory has no brackets.
+    interpolant H(theta) ~ y(t + theta h) from y_n, y_next, k1 and k_end, so
+    no right-hand side is evaluated. Probes are smoothed as the run was;
+    H(1) is y_next exactly, so the end signs are the march's. theta is
+    halved once per float mantissa bit. A hand-built Trajectory has no
+    brackets.
     """
     eps = traj.smoothing_eps
     events: list[tuple[float, str]] = []
-    for t_a, cur, h, kind, y4, k1, k7 in traj.brackets:
-        y0, y1 = cur.samples, y4.samples
+    for t_a, cur, h, kind, y_next, k1, k_end in traj.brackets:
+        y0, y1 = cur.samples, y_next.samples
         lo, hi = 0.0, 1.0
         for _ in range(np.finfo(float).nmant):
             th = 0.5 * (lo + hi)
             s = 1.0 - th
             y = (s * s * (1 + 2 * th) * y0 + th * th * (3 - 2 * th) * y1
-                 + h * th * s * (s * k1 - th * k7))
+                 + h * th * s * (s * k1 - th * k_end))
             probe = cur.with_samples(y)
             probe = probe if eps is None else _smoothed(probe, eps)
             if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):

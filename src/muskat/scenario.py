@@ -32,7 +32,6 @@ from .integrator import (
     detect_event_times,
     evolve_backward_regularized,
     evolve_forward,
-    grid_min_slope,
 )
 from .spectral import filtered_derivative
 
@@ -405,9 +404,8 @@ def _run_evolution(config: RunConfig, outdir: Path,
         ev_b, _ = _analyze(bwd, outdir, outputs, tag="backward")
         return (fwd, bwd), ev_f + ev_b, timeline
     else:
-        stop = None
-        if config.scenario == "CONJ_TURNOVER":
-            stop = lambda t, c: grid_min_slope(c) < TURNOVER_STOP_SLOPE
+        stop = (TURNOVER_STOP_SLOPE if config.scenario == "CONJ_TURNOVER"
+                else None)
         traj = evolve_forward(curve, t_final, control, t0=t0,
-                              snapshot_every=every, stop_when=stop)
+                              snapshot_every=every, stop_slope=stop)
     return ((traj,), *_analyze(traj, outdir, outputs))

@@ -40,34 +40,33 @@ def _check_vector(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _derivative_multiplier(n: int, order: int) -> np.ndarray:
-    """(ik)**order * rho(k) in numpy FFT ordering for an n-point grid.
+def _derivative_multiplier(n: int) -> np.ndarray:
+    """ik * rho(k) in numpy FFT ordering for an n-point grid.
 
-    The Nyquist bin is zeroed for odd orders: it aliases +n/2 and -n/2 and
-    carries no usable sign for odd powers of (ik). Cached per (n, order),
-    so the result is read-only.
+    The Nyquist bin is zeroed: it aliases +n/2 and -n/2 and carries no
+    usable sign for ik. Cached per n, so the result is read-only.
     """
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
     k = np.fft.fftfreq(n, 1.0 / n)
-    mult = (1j * k) ** order * _filter_profile(n)
-    if order % 2:
-        mult[n // 2] = 0.0
+    mult = 1j * k * _filter_profile(n)
+    mult[n // 2] = 0.0
     mult.flags.writeable = False
     return mult
 
 
 def filtered_derivative(values, order: int = 1) -> np.ndarray:
-    """Spectral derivative of order 1 or 2 with cutoff filter, along the last
-    axis. A (2, n) input is taken as a checked SampledCurve.samples.
+    """First spectral derivative with cutoff filter, along the last axis.
+    A (2, n) input is taken as a checked SampledCurve.samples; order must
+    be 1.
 
     One real FFT pair, on the first n/2 + 1 bins of the multiplier; these
     hold k = 0, ..., n/2 - 1 and the Nyquist bin, all the real transform
     keeps.
     """
+    if order != 1:
+        raise ValueError(f"derivative order must be 1, got {order}")
     v = _check_vector(values) if np.ndim(values) == 1 else values
     n = v.shape[-1]
-    mult = _derivative_multiplier(n, order)
+    mult = _derivative_multiplier(n)
     return np.fft.irfft(np.fft.rfft(v) * mult[:n // 2 + 1], n)
 
 
@@ -118,10 +117,13 @@ class TrigInterpolant:
         self._k = np.fft.fftfreq(self.n, 1.0 / self.n)
 
     def __call__(self, x, order: int = 0):
+        """The interpolant (order 0) or its first derivative (order 1)."""
+        if order not in (0, 1):
+            raise ValueError(f"interpolant order must be 0 or 1, got {order}")
         x = np.asarray(x, dtype=float)
         coeffs = self._raw
         if order:
-            coeffs = coeffs * _derivative_multiplier(self.n, order)
+            coeffs = coeffs * _derivative_multiplier(self.n)
         # Node j sits at alpha_j = -pi + j*h, so the bin phases need x + pi.
         phases = np.exp(1j * np.multiply.outer(x + np.pi, self._k))
         out = (phases @ coeffs).real

@@ -95,7 +95,7 @@ def _brentq_tangent_alphas(curve):
 def conj_past_turnover():
     traj = evolve_forward(sample_preset("CONJ_T0", make_grid(128)),
                           0.3, StepControl(),
-                          stop_when=lambda t, c: grid_min_slope(c) < -0.02)
+                          stop_slope=-0.02)
     assert grid_min_slope(traj.final) < -0.02
     return traj.final
 

@@ -1,4 +1,5 @@
-"""Dormand-Prince marching, the regularized backward solver, event search."""
+"""RK4 and Dormand-Prince marching, the regularized backward solver, event
+search."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from muskat.integrator import (
     slope_profile,
 )
 from muskat.scenario import RunConfig, export_snapshot, run_scenario
-from muskat.velocity import periodic_rhs
+from muskat.velocity import (
+    ARC_CHORD_FLOOR,
+    ArcChordError,
+    ArcChordReport,
+    periodic_rhs,
+)
 
 from conftest import asymmetric_curve
 
@@ -98,13 +104,20 @@ def test_remainder_step_hits_the_goal(flat64):
     assert abs(traj.final_time - 3.3e-4) < 1e-12
 
 
-def test_stop_when_records_early_stop(flat64):
-    traj = evolve_forward(flat64, 1e-3,
-                          StepControl(mode="fixed", dt=1e-4),
-                          stop_when=lambda t, c: t >= 5e-4)
+def test_stop_when_records_early_stop(grid64):
+    # the turnover preset's minimum slope falls at every step; a threshold
+    # between the values after steps 4 and 5 stops the run after step 5
+    curve = sample_preset("CONJ_T0", grid64)
+    ctl = StepControl(mode="fixed", dt=1e-4)
+    full = evolve_forward(curve, 1e-3, ctl, snapshot_every=1e-4)
+    slopes = [grid_min_slope(c) for c in full.snapshots]
+    assert all(a > b for a, b in zip(slopes, slopes[1:]))
+    traj = evolve_forward(curve, 1e-3, ctl,
+                          stop_slope=0.5 * (slopes[4] + slopes[5]))
     assert traj.status == STATUS_OK
-    assert traj.events[-1][1] == EVENT_EARLY_STOP
+    assert traj.events == [(traj.final_time, EVENT_EARLY_STOP)]
     assert abs(traj.final_time - 5e-4) < 1e-12
+    assert np.array_equal(traj.final.samples, full.snapshots[5].samples)
 
 
 def test_arc_chord_failure_keeps_last_state(flat64, monkeypatch):
@@ -140,6 +153,96 @@ def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
         y5 = seed.samples + dt * np.tensordot(b5, np.array(stages[:6]), 1)
         assert err > 0.0
         assert err == np.max(np.abs(y5 - y4.samples))
+
+
+def _record_pair_sums(monkeypatch, fail_at=None, failure=None):
+    """The odd flag of every right-hand side the integrator evaluates; call
+    number fail_at (1-based) returns or raises failure(curve) instead."""
+    flags = []
+
+    def recording(curve, **kwargs):
+        flags.append(kwargs["odd"])
+        if len(flags) == fail_at:
+            return failure(curve)
+        return periodic_rhs(curve, **kwargs)
+
+    monkeypatch.setattr(integrator, "periodic_rhs", recording)
+    return flags
+
+
+def test_fixed_step_is_classical_rk4(grid64, monkeypatch):
+    calls = _record_pair_sums(monkeypatch)
+    seed = sample_preset("SEED_T0", grid64)
+    y = seed.samples
+
+    def f(v):
+        return periodic_rhs(seed.with_samples(v))
+
+    for dt in (4e-5, -1e-3):
+        calls.clear()
+        nxt, err, k1, k_end = rk45_step(seed, dt, False, "fixed")
+        assert len(calls) == 4
+        assert err is None and k_end is None
+        k = [f(y)]
+        k.append(f(y + 0.5 * dt * k[0]))
+        k.append(f(y + 0.5 * dt * k[1]))
+        k.append(f(y + dt * k[2]))
+        b = np.array([1, 2, 2, 1]) / 6
+        expect = y + dt * (b @ np.reshape(k, (4, -1))).reshape(y.shape)
+        assert np.array_equal(nxt.samples, expect)
+        assert np.array_equal(k1, k[0])
+        # an adaptive step is the Dormand-Prince step, 7 stages
+        calls.clear()
+        dp = rk45_step(seed, dt, False, "adaptive")
+        assert len(calls) == 7
+        ref = rk45_step(seed, dt)
+        assert np.array_equal(dp[0].samples, ref[0].samples)
+        assert dp[1] == ref[1] > 0.0
+
+
+def test_fixed_run_evaluates_four_slopes_per_step_and_one_per_flip(
+        grid64, monkeypatch):
+    calls = _record_pair_sums(monkeypatch)
+    runs = (lambda: evolve_backward_regularized(
+                sample_preset("SEED_T0", grid64), -1e-2),
+            lambda: evolve_forward(sample_preset("CONJ_T0", grid64), 1.2e-2))
+    for run in runs:
+        calls.clear()
+        traj = run()
+        assert traj.status == STATUS_OK and traj.brackets
+        assert len(calls) == 4 * traj.steps + len(traj.brackets)
+        # the Hermite end slope is f of the unsmoothed update, exactly
+        for *_, y_next, k1, k_end in traj.brackets:
+            assert np.array_equal(k_end, periodic_rhs(
+                y_next, odd=traj.pair_sum == "half"))
+
+
+def _collapse(curve):
+    raise ArcChordError(ArcChordReport(
+        min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),),
+        count=1))
+
+
+def _nan_velocity(curve):
+    return np.full((2, curve.grid.n), np.nan)
+
+
+@pytest.mark.parametrize("failure, status", [(_collapse, STATUS_ARC_CHORD),
+                                             (_nan_velocity, STATUS_NAN)])
+def test_failed_end_slope_ends_the_run_as_a_failed_step(
+        grid64, monkeypatch, failure, status):
+    # the smoothed seed lifts off within the first backward step, so the
+    # fifth right-hand side of the run is that step's end slope
+    seed = sample_preset("SEED_T0", grid64)
+    ctl = StepControl(dt=1e-4)
+    ref = evolve_backward_regularized(seed, -3e-4, ctl)
+    assert ref.brackets[0][0] == 0.0
+    calls = _record_pair_sums(monkeypatch, fail_at=5, failure=failure)
+    traj = evolve_backward_regularized(seed, -3e-4, ctl)
+    assert len(calls) == 5
+    assert traj.status == status
+    assert traj.events == [(0.0, status)]
+    assert (traj.steps, traj.brackets, len(traj.snapshots)) == (0, [], 1)
 
 
 def test_nan_abort(flat64, monkeypatch):
@@ -227,15 +330,16 @@ def test_backward_seed_run_and_event_search(grid64):
 
 
 def _restep_event_times(traj, width=1e-10):
-    """Oracle: bisect each bracket in t with partial Dormand-Prince steps
-    from its pre-crossing state, smoothed as the run was, to the width."""
+    """Oracle: bisect each bracket in t with partial steps of the run's
+    method from its pre-crossing state, smoothed as the run was, to the
+    width."""
     eps = traj.smoothing_eps
     found = []
     for t_a, cur, h, kind, *_ in traj.brackets:
         lo, hi = t_a, t_a + h
         while abs(hi - lo) > width:
             mid = 0.5 * (lo + hi)
-            probe = rk45_step(cur, mid - t_a)[0]
+            probe = rk45_step(cur, mid - t_a, False, traj.control.mode)[0]
             if eps is not None:
                 probe = integrator._smoothed(probe, eps)
             if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):
@@ -321,16 +425,12 @@ def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):
     assert abs(traj.final_time - 1e-3) < 1e-12
 
 
-def _record_pair_sums(monkeypatch):
-    """The odd flag of every right-hand side the march evaluates."""
-    flags = []
-
-    def recording(curve, **kwargs):
-        flags.append(kwargs["odd"])
-        return periodic_rhs(curve, **kwargs)
-
-    monkeypatch.setattr(integrator, "periodic_rhs", recording)
-    return flags
+def _fixed_rhs_count(manifest):
+    """Right-hand sides of a fixed-step scenario: 4 per step and one end
+    slope per flip."""
+    flips = [kind for _, kind in manifest.events
+             if kind in (EVENT_ENTER_STABLE, EVENT_ENTER_UNSTABLE)]
+    return 4 * manifest.steps + len(flips)
 
 
 def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
@@ -347,7 +447,7 @@ def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
             out_dir=str(out)))
         assert manifest.status == STATUS_OK
         assert manifest.pair_sums == ("half",) * len(names)
-        assert flags == [True] * (7 * manifest.steps)
+        assert flags == [True] * _fixed_rhs_count(manifest)
         finals += [out / manifest.outputs[name] for name in names]
     for k, final in enumerate(finals):
         out = tmp_path / f"rerun{k}"
@@ -357,7 +457,8 @@ def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
             t_final=3e-4, dt=1e-4, out_dir=str(out)))
         assert manifest.status == STATUS_OK
         assert "pair_sum = half\n" in (out / "manifest.txt").read_text()
-        assert manifest.steps and flags == [True] * (7 * manifest.steps)
+        assert manifest.steps
+        assert flags == [True] * _fixed_rhs_count(manifest)
 
 
 def test_curves_that_are_not_odd_take_the_full_sum(tmp_path, monkeypatch):
@@ -366,7 +467,8 @@ def test_curves_that_are_not_odd_take_the_full_sum(tmp_path, monkeypatch):
     traj = evolve_forward(asymmetric_curve(grid), 2e-4,
                           StepControl(mode="fixed", dt=1e-4))
     assert (traj.status, traj.pair_sum) == (STATUS_OK, "full")
-    assert flags == [False] * 14
+    assert not traj.brackets
+    assert flags == [False] * 8
     # the start state decides: a mirror defect of 1e-13 relative is odd,
     # one of 1e-11 is not
     seed = sample_preset("SEED_T0", grid)

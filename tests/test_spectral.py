@@ -25,30 +25,21 @@ def test_derivative_of_sin():
     assert np.max(np.abs(d - np.cos(g.nodes))) < 1e-10
 
 
-def test_higher_derivatives():
-    g = make_grid(128)
-    v = np.sin(2 * g.nodes)
-    assert np.max(np.abs(filtered_derivative(v, 2) + 4 * v)) < 1e-11
-
-
 def test_cached_multiplier_is_read_only_and_exact():
     g = make_grid(256)
     v = np.exp(np.cos(g.nodes)) + 0.3 * np.sin(5 * g.nodes)
-    for order in (1, 2):
-        mult = _derivative_multiplier(256, order)
-        assert mult is _derivative_multiplier(256, order)
-        assert not mult.flags.writeable
-        fresh = _derivative_multiplier.__wrapped__(256, order)
-        d = filtered_derivative(v, order)
-        # one real FFT pair on the bins k = 0, ..., n/2 of the multiplier
-        expect = np.fft.irfft(np.fft.rfft(v) * fresh[:129], 256)
-        assert np.array_equal(d, expect)
-        # the complex transform on every bin, as a reference: the two
-        # round differently, and order 2 scales that by another factor k
-        # (gaps 1.1e-14 and 2.3e-13 of max|d| here)
-        full = np.fft.ifft(np.fft.fft(v) * fresh).real
-        tol = {1: 1e-13, 2: 1e-12}[order]
-        assert np.max(np.abs(d - full)) <= tol * np.max(np.abs(full))
+    mult = _derivative_multiplier(256)
+    assert mult is _derivative_multiplier(256)
+    assert not mult.flags.writeable
+    fresh = _derivative_multiplier.__wrapped__(256)
+    d = filtered_derivative(v, 1)
+    # one real FFT pair on the bins k = 0, ..., n/2 of the multiplier
+    expect = np.fft.irfft(np.fft.rfft(v) * fresh[:129], 256)
+    assert np.array_equal(d, expect)
+    # the complex transform on every bin, as a reference: the two round
+    # differently (a gap of 1.1e-14 of max|d| here)
+    full = np.fft.ifft(np.fft.fft(v) * fresh).real
+    assert np.max(np.abs(d - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 def test_derivative_of_smooth_nonpolynomial():
@@ -62,9 +53,6 @@ def test_nyquist_mode_dropped_for_odd_order():
     g = make_grid(32)
     v = np.cos(16 * g.nodes)  # pure Nyquist mode
     assert np.max(np.abs(filtered_derivative(v, 1))) < 1e-13
-    # even orders keep it, attenuated by the cutoff filter at k = n/2
-    expect = -256.0 * np.exp(-10.0) * v
-    assert np.max(np.abs(filtered_derivative(v, 2) - expect)) < 1e-9
 
 
 def test_derivative_rejects_bad_input():
@@ -74,17 +62,17 @@ def test_derivative_rejects_bad_input():
         filtered_derivative(np.zeros(2), 1)
     with pytest.raises(ValueError):
         filtered_derivative(np.array([1.0, np.nan, 0.0, 0.0]), 1)
-    with pytest.raises(ValueError):
-        filtered_derivative(np.zeros(16), 5)
+    for order in (0, 2, 5):
+        with pytest.raises(ValueError, match="order must be 1"):
+            filtered_derivative(np.zeros(16), order)
 
 
 def test_stacked_derivative_rows_match_one_dimensional_calls():
     v = np.random.default_rng(3).normal(size=(2, 512))
-    for order in (1, 2):
-        d = filtered_derivative(v, order)
-        assert d.shape == v.shape
-        for row, d_row in zip(v, d):
-            assert np.array_equal(d_row, filtered_derivative(row, order))
+    d = filtered_derivative(v, 1)
+    assert d.shape == v.shape
+    for row, d_row in zip(v, d):
+        assert np.array_equal(d_row, filtered_derivative(row, 1))
 
 
 def test_filter_profile_shape():
@@ -150,6 +138,8 @@ def test_interpolant_matches_nodes_and_analytic():
     x = np.linspace(-3.0, 3.0, 17)
     assert np.max(np.abs(interp(x) - np.sin(3 * x))) < 1e-12
     assert np.max(np.abs(interp(x, order=1) - 3 * np.cos(3 * x))) < 1e-11
+    with pytest.raises(ValueError, match="order must be 0 or 1"):
+        interp(x, order=2)
 
 
 def test_interpolant_scalar_output():
