@@ -16,11 +16,9 @@ After every accepted step the march takes the sign of grid_min_slope, the
 grid minimum of d_alpha z1 (one FFT). A step across which the sign changes
 is a bracket. It keeps the data of the step's O(h^4) cubic Hermite
 interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6): y_n, the
-unsmoothed update y_{n+1}, the start slope k1 = f(y_n) and an end slope.
-In adaptive mode the end slope is the last stage k7 = f(y5), which stands in
-for f(y4) with error h L |y5 - y4|. A fixed step has no stage at its end,
-so the march evaluates the exact end slope f(y_{n+1}) of a bracket step
-only: one more right-hand side per flip. detect_event_times bisects each
+unsmoothed update y_{n+1}, the start slope k1 = f(y_n) and the exact end
+slope f(y_{n+1}), which the march evaluates on bracket steps only, in both
+modes: one more right-hand side per flip. detect_event_times bisects each
 bracket on the interpolant, with no further right-hand side, so every flip
 the march steps over is located, whatever the snapshot cadence. The
 diagnostics judge regimes from the same grid minimum.
@@ -87,12 +85,13 @@ _ODD_TOL = 1e-12
 class StepControl:
     """Fixed or adaptive marching parameters, all checked in both modes.
 
-    Adaptive mode starts from dt and keeps |h| in [_MIN_DT, _MAX_DT].
+    Adaptive mode starts from dt and keeps |h| in [_MIN_DT, _MAX_DT]. It
+    accepts a step whose error estimate is at most
+    rel_tol * max(max|y_n|, 1).
     """
     mode: str = "fixed"
     dt: float = 4e-5
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
@@ -100,9 +99,8 @@ class StepControl:
                 f"mode: expected fixed or adaptive, got {self.mode!r}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt: must be positive and finite, got {self.dt}")
-        for name in ("rel_tol", "abs_tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name}: must be positive and finite")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol: must be positive and finite")
         if self.mode == "adaptive" and not _MIN_DT <= self.dt <= _MAX_DT:
             raise ValueError(
                 f"dt: adaptive mode needs {_MIN_DT:g} <= dt <= {_MAX_DT:g},"
@@ -117,9 +115,8 @@ class Trajectory:
     every accepted step across which the sign of min d_alpha z1 changed;
     kind is the ENTER_STABLE or ENTER_UNSTABLE flip the step contains. The
     unsmoothed update y_next and the (2, n) slopes k1 = f(state_before) and
-    k_end fix the step's O(h^4) cubic Hermite interpolant. k_end is the
-    exact f(y_next) on a fixed step, evaluated by the march for the bracket
-    only, and the last stage k7 = f(y5) on an adaptive one. steps and
+    k_end = f(y_next), which the march evaluates for the bracket only, fix
+    the step's O(h^4) cubic Hermite interpolant. steps and
     rejected_steps count accepted and rejected trial steps. pair_sum is
     "half" when the march found its start state odd and summed the
     mirror-independent rows only, else "full".
@@ -148,17 +145,14 @@ class Trajectory:
         return -1 if self.times[-1] < self.times[0] else 1
 
 
-def rk45_step(curve: SampledCurve, dt: float, odd: bool = False,
-              mode: str = "adaptive"
-              ) -> tuple[SampledCurve, float | None, np.ndarray,
-                         np.ndarray | None]:
+def rk45_step(curve: SampledCurve, dt: float, odd: bool, mode: str
+              ) -> tuple[SampledCurve, float | None, np.ndarray]:
     """One explicit Runge-Kutta step of size dt on curve.samples.
 
     mode is a StepControl.mode. "fixed" takes a classical RK4 step and
-    returns (y_next, None, k1, None): it has no error estimate and no stage
-    at its end. "adaptive" takes a Dormand-Prince 5(4) step and returns
-    (y4, max|y5 - y4|, k1, k7), with y5 the last stage input and
-    k7 = f(y5). k1 = f(y_n) and k7 are views of the stage buffer. A
+    returns (y_next, None, k1): it has no error estimate. "adaptive" takes a
+    Dormand-Prince 5(4) step and returns (y4, max|y5 - y4|, k1), with y5 the
+    last stage input. k1 = f(y_n) is a view of the stage buffer. A
     non-finite stage input or update raises NanEncountered from
     with_samples. odd goes to every stage's periodic_rhs.
     """
@@ -172,10 +166,9 @@ def rk45_step(curve: SampledCurve, dt: float, odd: bool = False,
                 y + dt * np.tensordot(a[i, :i], stages[:i], axes=1))
         stages[i] = periodic_rhs(stage, odd=odd)
     nxt = curve.with_samples(y + dt * np.tensordot(b, stages, axes=1))
-    if mode == "fixed":
-        return nxt, None, stages[0], None
-    return (nxt, float(np.max(np.abs(stage.samples - nxt.samples))),
-            stages[0], stages[-1])
+    err = (None if mode == "fixed"
+           else float(np.max(np.abs(stage.samples - nxt.samples))))
+    return nxt, err, stages[0]
 
 
 def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
@@ -212,8 +205,8 @@ def _failure_status(exc: Exception) -> str:
 
 
 def _end_slope(raw: SampledCurve, odd: bool) -> np.ndarray:
-    """f(raw) for a fixed step's Hermite interpolant; a non-finite slope
-    raises NanEncountered."""
+    """f(raw) for a bracket's Hermite interpolant; a non-finite slope raises
+    NanEncountered."""
     k_end = periodic_rhs(raw, odd=odd)
     if not np.isfinite(k_end).all():
         raise NanEncountered("non-finite end slope")
@@ -225,18 +218,25 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
     """Advance traj in place to t_goal, in either direction.
 
     Fixed mode takes steps of traj.control.dt, the last one shortened to
-    land on t_goal, and ends the run at the first failed step; a bracket
-    step whose end slope f(y_next) fails counts as failed. Adaptive mode
+    land on t_goal, and ends the run at the first failed step. Adaptive mode
     rejects a trial step whose error estimate exceeds the tolerance, or that
     failed, and retries with a smaller h; the run ends only when a rejected
-    step was already at _MIN_DT. A run with a stop_slope ends after the
-    first step whose grid_min_slope is below it.
+    step was already at _MIN_DT. In both modes a bracket step whose end
+    slope f(y_next) fails ends the run as a failed step. A run with a
+    stop_slope ends after the first step whose grid_min_slope is below it.
+    A state is recorded after every step that is due, last or stopping;
+    snapshot_every None records the end states only.
 
     An odd start state makes every step sum half the pairs. Each stage's
     velocity is then exactly odd, but the states are not projected onto
     odd ones, which would move the seed's grazing minimum: their defect
     grows by roundoff only, about linearly with the step count.
     """
+    if snapshot_every is not None and not snapshot_every > 0:
+        raise ValueError(
+            f"snapshot_every: must be positive or None, got {snapshot_every}")
+    if stop_slope is not None and not np.isfinite(stop_slope):
+        raise ValueError(f"stop_slope: must be finite, got {stop_slope}")
     ctl, eps = traj.control, traj.smoothing_eps
     t = traj.times[-1]
     cur = traj.snapshots[-1]
@@ -253,13 +253,13 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             h = t_goal - t
         failure = None
         try:
-            raw, err, k1, k_end = rk45_step(cur, h, odd, ctl.mode)
+            raw, err, k1 = rk45_step(cur, h, odd, ctl.mode)
         except (ArcChordError, NanEncountered) as exc:
             failure = _failure_status(exc)
         if ctl.mode == "adaptive":
             if failure is None:
-                scale = ctl.abs_tol + ctl.rel_tol * max(
-                    float(np.max(np.abs(cur.samples))), 1.0)
+                scale = ctl.rel_tol * max(float(np.max(np.abs(cur.samples))),
+                                          1.0)
                 # local error of the propagated member is O(h^5)
                 grow = _STEP_SAFETY * (scale / err) ** 0.2 if err > 0 else 5.0
                 dt = float(np.clip(abs(h) * min(grow, 5.0), _MIN_DT, _MAX_DT))
@@ -276,7 +276,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             nxt = raw if eps is None else _smoothed(raw, eps)
             slope = grid_min_slope(nxt)
             flipped = (slope > 0.0) != stable
-            if flipped and k_end is None:
+            if flipped:
                 try:
                     k_end = _end_slope(raw, odd)
                 except (ArcChordError, NanEncountered) as exc:
@@ -289,27 +289,21 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
         if flipped:
             stable = not stable
             kind = EVENT_ENTER_STABLE if stable else EVENT_ENTER_UNSTABLE
-            traj.brackets.append((t, cur, h, kind, raw, k1.copy(),
-                                  k_end.copy()))
-        del raw, k1, k_end  # views would pin the stage buffer a step longer
+            traj.brackets.append((t, cur, h, kind, raw, k1.copy(), k_end))
+        del raw, k1  # the view k1 would pin the stage buffer a step longer
         cur = nxt
         t += h
         done = (t_goal - t) * sgn <= tiny
         due = snapshot_every is not None and (
             abs(t - last_rec) >= snapshot_every * (1.0 - 1e-9))
-        if due or done:
+        stop = stop_slope is not None and slope < stop_slope
+        if due or done or stop:
             traj.times.append(t)
             traj.snapshots.append(cur)
             last_rec = t
-        if stop_slope is not None and slope < stop_slope:
-            if traj.times[-1] != t:
-                traj.times.append(t)
-                traj.snapshots.append(cur)
+        if stop:
             traj.events.append((t, EVENT_EARLY_STOP))
             break
-    if traj.times[-1] != t and traj.status == STATUS_OK:
-        traj.times.append(t)
-        traj.snapshots.append(cur)
 
 
 def evolve_forward(curve: SampledCurve, t_end: float,

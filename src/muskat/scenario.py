@@ -80,7 +80,6 @@ class RunConfig:
     mode: str = StepControl.mode
     dt: float = StepControl.dt
     rel_tol: float = StepControl.rel_tol
-    abs_tol: float = StepControl.abs_tol
     eps: float = 1e-6
     t_final: float | None = None
     snapshot_every: float = 1e-3
@@ -117,8 +116,7 @@ class RunConfig:
         return _DEFAULT_T_FINAL[self.scenario]
 
     def step_control(self) -> StepControl:
-        return StepControl(mode=self.mode, dt=self.dt, rel_tol=self.rel_tol,
-                           abs_tol=self.abs_tol)
+        return StepControl(mode=self.mode, dt=self.dt, rel_tol=self.rel_tol)
 
 
 @dataclass
@@ -174,7 +172,7 @@ _SCHEMA = {
     "run": {"scenario": str, "out_dir": str, "input_snapshot": str},
     "grid": {"n": int},
     "time": {"dt": float, "t_final": float, "snapshot_every": float,
-             "mode": str, "rel_tol": float, "abs_tol": float},
+             "mode": str, "rel_tol": float},
     "smoothing": {"eps": float},
     "tilt": {"delta": float},
 }

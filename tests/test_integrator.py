@@ -48,8 +48,8 @@ def test_step_control_validation():
     # but not the tolerances; every message starts with its field
     with pytest.raises(ValueError, match="^rel_tol: must be positive"):
         StepControl(mode="fixed", rel_tol=-1.0)
-    with pytest.raises(ValueError, match="^abs_tol: must be positive"):
-        StepControl(mode="fixed", abs_tol=float("nan"))
+    with pytest.raises(ValueError, match="^rel_tol: must be positive"):
+        StepControl(mode="fixed", rel_tol=float("nan"))
     with pytest.raises(ValueError, match="^mode: "):
         StepControl(mode="x")
 
@@ -120,6 +120,63 @@ def test_stop_when_records_early_stop(grid64):
     assert np.array_equal(traj.final.samples, full.snapshots[5].samples)
 
 
+def test_stop_on_the_last_step_records_that_state_once(grid64):
+    # the threshold trips on step 5, which also lands on t_end
+    curve = sample_preset("CONJ_T0", grid64)
+    ctl = StepControl(mode="fixed", dt=1e-4)
+    full = evolve_forward(curve, 5e-4, ctl, snapshot_every=1e-4)
+    stop = 0.5 * (grid_min_slope(full.snapshots[4])
+                  + grid_min_slope(full.snapshots[5]))
+    for every, recorded in ((1e-4, 6), (None, 2)):
+        traj = evolve_forward(curve, 5e-4, ctl, snapshot_every=every,
+                              stop_slope=stop)
+        assert len(traj.times) == len(traj.snapshots) == recorded
+        assert traj.times[-2] < traj.times[-1] == traj.final_time
+        assert traj.events == [(traj.final_time, EVENT_EARLY_STOP)]
+        assert np.array_equal(traj.final.samples, full.final.samples)
+
+
+@pytest.mark.parametrize("every", [0.0, -1.0, np.nan])
+def test_snapshot_cadence_must_be_positive(every):
+    seed = sample_preset("CONJ_T0", make_grid(32))
+    with pytest.raises(ValueError, match="^snapshot_every: "):
+        evolve_forward(seed, 4e-4, snapshot_every=every)
+    with pytest.raises(ValueError, match="^snapshot_every: "):
+        evolve_backward_regularized(seed, -4e-4, snapshot_every=every)
+
+
+@pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+def test_stop_slope_must_be_finite(slope):
+    seed = sample_preset("CONJ_T0", make_grid(32))
+    with pytest.raises(ValueError, match="^stop_slope: must be finite"):
+        evolve_forward(seed, 4e-4, stop_slope=slope)
+
+
+def test_adaptive_steps_meet_the_relative_tolerance(grid64, monkeypatch):
+    # every accepted step's error estimate is within rel_tol * max(|y|, 1)
+    # of its start state, with no absolute floor above it
+    real_step = integrator.rk45_step
+    trials = []
+
+    def recording(curve, dt, odd, mode):
+        out = real_step(curve, dt, odd, mode)
+        trials.append((curve, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(integrator, "rk45_step", recording)
+    rel_tol = 1e-12
+    traj = evolve_forward(sample_preset("CONJ_T0", grid64), 1e-3,
+                          StepControl(mode="adaptive", dt=1e-4,
+                                      rel_tol=rel_tol),
+                          snapshot_every=1e-12)
+    assert traj.status == STATUS_OK
+    accepted = {id(c) for c in traj.snapshots}
+    ratios = [err / (rel_tol * max(np.max(np.abs(cur.samples)), 1.0))
+              for cur, nxt, err in trials if id(nxt) in accepted]
+    assert len(ratios) == traj.steps > 0
+    assert max(ratios) <= 1.0, max(ratios)
+
+
 def test_arc_chord_failure_keeps_last_state(flat64, monkeypatch):
     # an absurd floor makes the very first step fail
     monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", 10.0)
@@ -147,9 +204,9 @@ def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
     seed = sample_preset("SEED_T0", grid64)
     for dt in (4e-5, -1e-3):
         stages.clear()
-        y4, err, k1, k7 = rk45_step(seed, dt)
+        y4, err, k1 = rk45_step(seed, dt, False, "adaptive")
         assert len(stages) == 7
-        assert np.array_equal(k1, stages[0]) and np.array_equal(k7, stages[6])
+        assert np.array_equal(k1, stages[0])
         y5 = seed.samples + dt * np.tensordot(b5, np.array(stages[:6]), 1)
         assert err > 0.0
         assert err == np.max(np.abs(y5 - y4.samples))
@@ -180,9 +237,9 @@ def test_fixed_step_is_classical_rk4(grid64, monkeypatch):
 
     for dt in (4e-5, -1e-3):
         calls.clear()
-        nxt, err, k1, k_end = rk45_step(seed, dt, False, "fixed")
+        nxt, err, k1 = rk45_step(seed, dt, False, "fixed")
         assert len(calls) == 4
-        assert err is None and k_end is None
+        assert err is None
         k = [f(y)]
         k.append(f(y + 0.5 * dt * k[0]))
         k.append(f(y + 0.5 * dt * k[1]))
@@ -195,9 +252,10 @@ def test_fixed_step_is_classical_rk4(grid64, monkeypatch):
         calls.clear()
         dp = rk45_step(seed, dt, False, "adaptive")
         assert len(calls) == 7
-        ref = rk45_step(seed, dt)
-        assert np.array_equal(dp[0].samples, ref[0].samples)
-        assert dp[1] == ref[1] > 0.0
+        assert dp[1] > 0.0
+    # the caller always names the pair sum and the tableau
+    with pytest.raises(TypeError):
+        rk45_step(seed, 4e-5)
 
 
 def test_fixed_run_evaluates_four_slopes_per_step_and_one_per_flip(
@@ -217,6 +275,27 @@ def test_fixed_run_evaluates_four_slopes_per_step_and_one_per_flip(
                 y_next, odd=traj.pair_sum == "half"))
 
 
+def test_adaptive_run_evaluates_seven_slopes_per_trial_and_one_per_flip(
+        grid64, monkeypatch):
+    # rejected trial steps cost their 7 stages too; brackets take the same
+    # exact end slope as in fixed mode
+    calls = _record_pair_sums(monkeypatch)
+    ctl = StepControl(mode="adaptive")
+    runs = (lambda: evolve_backward_regularized(
+                sample_preset("SEED_T0", grid64), -1e-2, ctl),
+            lambda: evolve_forward(sample_preset("CONJ_T0", grid64), 1.2e-2,
+                                   ctl))
+    for run in runs:
+        calls.clear()
+        traj = run()
+        assert traj.status == STATUS_OK and traj.brackets
+        trials = traj.steps + traj.rejected_steps
+        assert len(calls) == 7 * trials + len(traj.brackets)
+        for *_, y_next, k1, k_end in traj.brackets:
+            assert np.array_equal(k_end, periodic_rhs(
+                y_next, odd=traj.pair_sum == "half"))
+
+
 def _collapse(curve):
     raise ArcChordError(ArcChordReport(
         min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),),
@@ -227,22 +306,32 @@ def _nan_velocity(curve):
     return np.full((2, curve.grid.n), np.nan)
 
 
-@pytest.mark.parametrize("failure, status", [(_collapse, STATUS_ARC_CHORD),
-                                             (_nan_velocity, STATUS_NAN)])
+@pytest.mark.parametrize("failure, status, mode", [
+    pytest.param(_collapse, STATUS_ARC_CHORD, "fixed",
+                 id="_collapse-ARC_CHORD_FAILURE"),
+    pytest.param(_nan_velocity, STATUS_NAN, "fixed",
+                 id="_nan_velocity-NAN_ABORT"),
+    pytest.param(_collapse, STATUS_ARC_CHORD, "adaptive",
+                 id="_collapse-ARC_CHORD_FAILURE-adaptive"),
+    pytest.param(_nan_velocity, STATUS_NAN, "adaptive",
+                 id="_nan_velocity-NAN_ABORT-adaptive")])
 def test_failed_end_slope_ends_the_run_as_a_failed_step(
-        grid64, monkeypatch, failure, status):
-    # the smoothed seed lifts off within the first backward step, so the
-    # fifth right-hand side of the run is that step's end slope
+        grid64, monkeypatch, failure, status, mode):
+    # the smoothed seed lifts off within the first backward step, which
+    # both modes accept at dt, so the right-hand side after that step's
+    # stages is its end slope
     seed = sample_preset("SEED_T0", grid64)
-    ctl = StepControl(dt=1e-4)
+    ctl = StepControl(mode=mode, dt=1e-4)
     ref = evolve_backward_regularized(seed, -3e-4, ctl)
-    assert ref.brackets[0][0] == 0.0
-    calls = _record_pair_sums(monkeypatch, fail_at=5, failure=failure)
+    assert ref.brackets[0][0] == 0.0 and ref.brackets[0][2] == -1e-4
+    fail_at = len(integrator._TABLEAUS[mode][1]) + 1
+    calls = _record_pair_sums(monkeypatch, fail_at=fail_at, failure=failure)
     traj = evolve_backward_regularized(seed, -3e-4, ctl)
-    assert len(calls) == 5
+    assert len(calls) == fail_at
     assert traj.status == status
     assert traj.events == [(0.0, status)]
-    assert (traj.steps, traj.brackets, len(traj.snapshots)) == (0, [], 1)
+    assert (traj.steps, traj.rejected_steps, traj.brackets,
+            len(traj.snapshots)) == (0, 0, [], 1)
 
 
 def test_nan_abort(flat64, monkeypatch):
@@ -265,7 +354,7 @@ def test_adaptive_matches_fixed_reference():
                            StepControl(mode="fixed", dt=1.25e-5))
     adaptive = evolve_forward(curve, 1e-3,
                               StepControl(mode="adaptive", dt=1e-4,
-                                          rel_tol=1e-10, abs_tol=1e-12))
+                                          rel_tol=1e-10))
     assert adaptive.status == STATUS_OK
     assert abs(adaptive.final_time - 1e-3) < 1e-12
     assert np.max(np.abs(adaptive.final.z2 - fixed.final.z2)) < 1e-8
@@ -399,7 +488,7 @@ def test_adaptive_step_underflow_has_its_own_status(grid64, monkeypatch):
     monkeypatch.setattr(integrator, "_MIN_DT", 1e-4)
     monkeypatch.setattr(integrator, "_MAX_DT", 1e-4)
     curve = sample_preset("CONJ_T0", grid64)
-    ctl = StepControl(mode="adaptive", dt=1e-4, rel_tol=1e-30, abs_tol=1e-30)
+    ctl = StepControl(mode="adaptive", dt=1e-4, rel_tol=1e-30)
     traj = evolve_forward(curve, 1e-3, ctl)
     assert traj.status == STATUS_STEP_UNDERFLOW
     assert traj.events == [(0.0, STATUS_STEP_UNDERFLOW)]

@@ -1,6 +1,7 @@
 """Run configs, snapshot files, scenario drivers, and the CLI."""
 
 import configparser
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 
 import muskat
 import muskat.integrator as integrator
-from muskat.cli import main
+from muskat.cli import _RUN_FLAGS, main
 from muskat.core import make_curve, make_grid, sample_preset
 from muskat.scenario import (
+    _SCHEMA,
     RunConfig,
     _format_rows,
     export_snapshot,
@@ -55,7 +57,7 @@ def test_config_defaults():
     ({"snapshot_every": float("nan")}, "snapshot_every: must be positive"),
     ({"delta": float("nan")}, "delta: need 0 < delta < 1"),
     ({"rel_tol": float("inf")}, "rel_tol: must be positive and finite"),
-    ({"abs_tol": float("inf")}, "abs_tol: must be positive and finite"),
+    ({"rel_tol": float("nan")}, "rel_tol: must be positive and finite"),
     ({"eps": float("inf")}, "eps: must be finite and nonnegative"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
@@ -495,7 +497,6 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
                           ("--eps", "eps: must be finite and nonnegative"),
                           ("--snapshot-every", "snapshot_every"),
                           ("--rel-tol", "rel_tol: must be positive"),
-                          ("--abs-tol", "abs_tol: must be positive"),
                           ("--delta", "delta: need 0 < delta < 1"),
                           ("--t-final", "FORWARD_RERUN needs")):
         assert main(["run", "--scenario", "FORWARD_RERUN", flag,
@@ -507,12 +508,11 @@ def test_cli_run_sets_every_config_key(tmp_path, capsys):
     out = tmp_path / "adaptive"
     code = main(["run", "--scenario", "DELTA_TILT", "--n", "32",
                  "--t-final", "2e-4", "--mode", "adaptive", "--rel-tol",
-                 "1e-9", "--abs-tol", "1e-11", "--delta", "0.2",
-                 "--out", str(out)])
+                 "1e-9", "--delta", "0.2", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     config = _manifest_section(out, "config")
-    assert [config[k] for k in ("mode", "rel_tol", "abs_tol", "delta")] == \
-        ["adaptive", "1e-09", "1e-11", "0.2"]
+    assert [config[k] for k in ("mode", "rel_tol", "delta")] == \
+        ["adaptive", "1e-09", "0.2"]
 
 
 def test_cli_pattern_events_and_terminal_regime_agree(tmp_path, capsys):
@@ -532,6 +532,22 @@ def test_cli_pattern_events_and_terminal_regime_agree(tmp_path, capsys):
     assert pattern.split()[-1] == terminal
     assert flips[-1] == "ENTER_" + terminal
     assert ("vertical tangents: none" in lines) == (terminal == "STABLE")
+
+
+def test_config_fields_keys_and_flags_are_one_set(tmp_path, capsys):
+    # a key or flag left behind by a deleted field would reach
+    # RunConfig(**values) as a TypeError, which no caller turns into exit 1
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert {key for keys in _SCHEMA.values() for key in keys} == names
+    assert set(_RUN_FLAGS) == names
+    # the absolute tolerance is no setting: rel_tol alone sets the error
+    # scale
+    ini = tmp_path / "abs.ini"
+    ini.write_text("[time]\nabs_tol = 1e-10\n")
+    assert main(["run", "--config", str(ini)]) == 1
+    assert "unknown key 'abs_tol' in [time]" in capsys.readouterr().err
+    assert main(["run", "--abs-tol", "1e-10"]) == 1
+    assert "--abs-tol" in capsys.readouterr().err
 
 
 def test_cli_verify_lemma(tmp_path, capsys):
@@ -571,7 +587,6 @@ def test_cli_step_control_errors_are_config_errors(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flag, value", [("--mode", "verlet"),
                                          ("--rel-tol", "-1"),
-                                         ("--abs-tol", "0"),
                                          ("--eps", "inf")])
 def test_cli_param_checks_are_config_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "run"
