@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 when a
-run finishes with a numerical failure status.
+run ends with any status other than OK, ERROR included: a FORWARD_RERUN
+whose --input file is missing exits 2 with status ERROR.
 """
 
 from __future__ import annotations

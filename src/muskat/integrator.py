@@ -119,7 +119,8 @@ class Trajectory:
     the step's O(h^4) cubic Hermite interpolant. steps and
     rejected_steps count accepted and rejected trial steps. pair_sum is
     "half" when the march found its start state odd and summed the
-    mirror-independent rows only, else "full".
+    mirror-independent rows only, else "full". error says in one line why
+    a failed run ended, and is None while status is OK.
     """
     times: list[float]
     snapshots: list[SampledCurve]
@@ -131,6 +132,7 @@ class Trajectory:
     steps: int = 0
     rejected_steps: int = 0
     pair_sum: str = "full"
+    error: str | None = None
 
     @property
     def final(self) -> SampledCurve:
@@ -199,9 +201,10 @@ def _is_odd(curve: SampledCurve) -> bool:
         float(np.max(np.abs(y))), 1.0)
 
 
-def _failure_status(exc: Exception) -> str:
-    """The run status of an ArcChordError or a NanEncountered."""
-    return STATUS_ARC_CHORD if isinstance(exc, ArcChordError) else STATUS_NAN
+def _failure(exc: Exception) -> tuple[str, str]:
+    """The status and error line of an ArcChordError or a NanEncountered."""
+    status = STATUS_ARC_CHORD if isinstance(exc, ArcChordError) else STATUS_NAN
+    return status, f"{type(exc).__name__}: {exc}"
 
 
 def _end_slope(raw: SampledCurve, odd: bool) -> np.ndarray:
@@ -255,7 +258,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
         try:
             raw, err, k1 = rk45_step(cur, h, odd, ctl.mode)
         except (ArcChordError, NanEncountered) as exc:
-            failure = _failure_status(exc)
+            failure = _failure(exc)
         if ctl.mode == "adaptive":
             if failure is None:
                 scale = ctl.rel_tol * max(float(np.max(np.abs(cur.samples))),
@@ -265,7 +268,9 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
                 dt = float(np.clip(abs(h) * min(grow, 5.0), _MIN_DT, _MAX_DT))
                 if err > scale:
                     # a rejection that can only end the run at _MIN_DT
-                    failure = STATUS_STEP_UNDERFLOW
+                    failure = (STATUS_STEP_UNDERFLOW,
+                               f"error estimate {err:.3e} above tolerance"
+                               f" {scale:.3e} at the minimum step {_MIN_DT:g}")
             else:
                 dt = max(abs(h) * _FAILED_STEP_SHRINK, _MIN_DT)
             if failure is not None:
@@ -280,10 +285,10 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
                 try:
                     k_end = _end_slope(raw, odd)
                 except (ArcChordError, NanEncountered) as exc:
-                    failure = _failure_status(exc)
+                    failure = _failure(exc)
         if failure is not None:
-            traj.status = failure
-            traj.events.append((t, failure))
+            traj.status, traj.error = failure
+            traj.events.append((t, traj.status))
             break
         traj.steps += 1
         if flipped:

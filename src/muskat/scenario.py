@@ -334,9 +334,10 @@ def run_scenario(config: RunConfig) -> RunManifest:
     """Execute one scenario and write its artifacts under config.out_dir.
 
     Numerical failures (arc-chord collapse, NaN, step underflow) are
-    recorded in the manifest status rather than raised; unexpected
-    exceptions produce status ERROR with the message preserved. The
-    manifest file is always written.
+    recorded in the manifest status rather than raised, with the first
+    failed leg's line as its error; unexpected exceptions produce status
+    ERROR with the message preserved. The manifest file is always
+    written.
     """
     started = _time.perf_counter()
     outdir = Path(config.out_dir)
@@ -349,8 +350,8 @@ def run_scenario(config: RunConfig) -> RunManifest:
     timeline = ()
     try:
         legs, events, timeline = _run_evolution(config, outdir, outputs)
-        status = next((leg.status for leg in legs
-                       if leg.status != STATUS_OK), STATUS_OK)
+        status, error = next(((leg.status, leg.error) for leg in legs
+                              if leg.status != STATUS_OK), (STATUS_OK, None))
         events = events + tuple(ev for leg in legs for ev in leg.events)
     except Exception as exc:
         status = STATUS_ERROR

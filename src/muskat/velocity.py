@@ -76,13 +76,13 @@ row chunk whose smallest |dzeta|^2 is at or below that bound picks out the
 pairs that are, and forms their real denominators in the cancellation-free
 form 2 (sinh^2(d2/2) + sin^2(d1/2)), which is accurate to a few eps
 however close the pair. Only these denominators meet ARC_CHORD_FLOOR, so
-an ArcChordReport lists them, and only these kernel entries are replaced
-by sin(d1)/(2 den), K/2 in the real form. Every other pair keeps the
-Cauchy form, whose relative error of about eps/sqrt(den) is below the
-eps/den of cosh(d2) - cos(d1) as written. The bound follows
-ARC_CHORD_FLOOR, which callers may raise; the factor 2 on the floor
-covers the roundoff of the |dzeta|^2 screen. On the paper's seed at
-n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
+the smallest of them is an ArcChordReport's, and only these kernel
+entries are replaced by sin(d1)/(2 den), K/2 in the real form. Every
+other pair keeps the Cauchy form, whose relative error of about
+eps/sqrt(den) is below the eps/den of cosh(d2) - cos(d1) as written. The
+bound follows ARC_CHORD_FLOOR, which callers may raise; the factor 2 on
+the floor covers the roundoff of the |dzeta|^2 screen. On the paper's
+seed at n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
 """
 
 from __future__ import annotations
@@ -118,13 +118,13 @@ _SCREEN_DELTA = 1e-8
 
 @dataclass(frozen=True)
 class ArcChordReport:
-    """Where cosh(dz2) - cos(dz1), evaluated as
-    2 (sinh^2(dz2/2) + sin^2(dz1/2)), fell to or below the floor: at count
-    ordered (target, source) pairs, up to 16 of which are listed in pairs."""
+    """The smallest cosh(dz2) - cos(dz1), evaluated as
+    2 (sinh^2(dz2/2) + sin^2(dz1/2)), over the rows a pair sum formed, at
+    or below the floor, and its (even target, odd source) node pair, the
+    first in row-major order on ties."""
     min_denominator: float
     floor: float
-    pairs: tuple[tuple[int, int], ...]
-    count: int
+    pair: tuple[int, int]
 
 
 class ArcChordError(RuntimeError):
@@ -133,7 +133,7 @@ class ArcChordError(RuntimeError):
     def __init__(self, report: ArcChordReport):
         super().__init__(
             f"arc-chord denominator {report.min_denominator:.3e} at or below"
-            f" floor {report.floor:.3e} for {report.count} node pair(s)")
+            f" floor {report.floor:.3e} between nodes {report.pair}")
         self.report = report
 
 
@@ -170,13 +170,13 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     The caller decides that the curve is odd: the half sum does not check.
 
     Raises ArcChordError, without dividing by it, if some real denominator
-    cosh(dz2) - cos(dz1) is at or below ARC_CHORD_FLOOR; the report gives
-    the smallest denominator, counts the offending (i, j) pairs and lists
-    up to 16, (even, odd) ones first. Denominators are evaluated in the
+    cosh(dz2) - cos(dz1) of the rows summed is at or below ARC_CHORD_FLOOR;
+    the report gives the smallest and its (even, odd) node pair, the first
+    in row-major order, so the row chunking does not change it. A half sum
+    reports from its own rows 0..m//2. Denominators are evaluated in the
     cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
     the near pairs the |dzeta|^2 screen picks out; every other pair's is
-    above max(_SCREEN_DELTA, 2 floor). A half sum that meets such a pair
-    hands over to the full sum, so the report is the same either way.
+    above max(_SCREEN_DELTA, 2 floor).
 
     The pair sum runs in a per-grid workspace shared by every call at the
     same size, so two threads must not call this at once.
@@ -220,10 +220,7 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     bounds = limit * np.maximum.reduceat(mod[0:2 * nrows:2], edges[:-1])
 
     col_acc.fill(0.0)
-    worst = np.inf
-    eo_bad = np.empty((0, 2), dtype=np.intp)
-    oe_bad = eo_bad
-    n_bad = 0
+    worst, pair = np.inf, None
     for r0, r1, bound in zip(edges, edges[1:], bounds.tolist()):
         block = np.matmul(diff[:, r0:r1], right, out=buf[:, :r1 - r0])
         np.square(block, out=block)
@@ -240,16 +237,14 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
             den = np.sinh(0.5 * (z2e[i] - z2o[j])) ** 2
             den += np.sin(0.5 * d1) ** 2
             den *= 2.0
-            worst = min(worst, float(den.min()))
-            if worst <= floor:
-                bad = np.column_stack((i, j))[den <= floor]
-                n_bad += len(bad)
-                # (even, odd) offenders come in row-major order; the
-                # (odd, even) ones in row-major order of the transposed block
-                eo_bad = np.concatenate((eo_bad, bad[:16]))[:16]
-                oe_bad = np.concatenate((oe_bad, bad))
-                oe_bad = oe_bad[np.lexsort((oe_bad[:, 0], oe_bad[:, 1]))][:16]
-                continue
+            # near pairs come in row-major order, so argmin and the strict
+            # < keep the first smallest whatever the chunks
+            k = int(den.argmin())
+            if den[k] < worst:
+                worst, pair = float(den[k]), (i[k], j[k])
+        if worst <= floor:
+            # the remaining chunks are scanned for a smaller denominator only
+            continue
         ker /= dP
         if near is not None:
             ker[near] = 0.5 * np.sin(d1) / den
@@ -257,14 +252,8 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
         np.matmul(ker, ao3, out=row_prod[r0:r1])
         col_acc += np.matmul(ae3[:, r0:r1], ker, out=col_prod)
     if worst <= floor:
-        if odd:
-            # the full sum meets the same pair and reports every offender
-            return periodic_rhs(curve)
-        offenders = ([(2 * int(i), 2 * int(j) + 1) for i, j in eo_bad]
-                     + [(2 * int(j) + 1, 2 * int(i)) for i, j in oe_bad])
-        raise ArcChordError(ArcChordReport(
-            min_denominator=worst, floor=floor, pairs=tuple(offenders[:16]),
-            count=2 * n_bad))
+        pair = (2 * int(pair[0]), 2 * int(pair[1]) + 1)
+        raise ArcChordError(ArcChordReport(worst, floor, pair))
 
     v = np.empty((2, n))
     ve, vo = v[:, 0::2], v[:, 1::2]

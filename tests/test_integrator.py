@@ -1,6 +1,8 @@
 """RK4 and Dormand-Prince marching, the regularized backward solver, event
 search."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,11 @@ def test_arc_chord_failure_keeps_last_state(flat64, monkeypatch):
     traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_ARC_CHORD
+    # the first stage's report, as the kernel raises it
+    with pytest.raises(ArcChordError) as info:
+        periodic_rhs(flat64, odd=True)
+    assert traj.error == f"ArcChordError: {info.value}"
+    assert "at or below floor 1.000e+01 between nodes" in traj.error
     assert traj.events == [(0.0, STATUS_ARC_CHORD)]
     assert len(traj.snapshots) == 1
     assert np.array_equal(traj.final.z2, flat64.z2)
@@ -297,13 +304,19 @@ def test_adaptive_run_evaluates_seven_slopes_per_trial_and_one_per_flip(
 
 
 def _collapse(curve):
-    raise ArcChordError(ArcChordReport(
-        min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),),
-        count=1))
+    raise ArcChordError(ArcChordReport(0.0, ARC_CHORD_FLOOR, (0, 1)))
 
 
 def _nan_velocity(curve):
     return np.full((2, curve.grid.n), np.nan)
+
+
+# the error line of a run that _collapse or _nan_velocity ended at an end
+# slope
+_END_SLOPE_ERRORS = {
+    STATUS_ARC_CHORD: "ArcChordError: arc-chord denominator 0.000e+00 at or"
+                      " below floor 1.000e-12 between nodes (0, 1)",
+    STATUS_NAN: "NanEncountered: non-finite end slope"}
 
 
 @pytest.mark.parametrize("failure, status, mode", [
@@ -328,7 +341,7 @@ def test_failed_end_slope_ends_the_run_as_a_failed_step(
     calls = _record_pair_sums(monkeypatch, fail_at=fail_at, failure=failure)
     traj = evolve_backward_regularized(seed, -3e-4, ctl)
     assert len(calls) == fail_at
-    assert traj.status == status
+    assert (traj.status, traj.error) == (status, _END_SLOPE_ERRORS[status])
     assert traj.events == [(0.0, status)]
     assert (traj.steps, traj.rejected_steps, traj.brackets,
             len(traj.snapshots)) == (0, 0, [], 1)
@@ -343,6 +356,8 @@ def test_nan_abort(flat64, monkeypatch):
     traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_NAN
+    # the poisoned stage velocity makes the next stage input non-finite
+    assert traj.error == "NanEncountered: non-finite samples"
     assert traj.events == [(0.0, STATUS_NAN)]
     assert len(traj.snapshots) == 1
 
@@ -355,7 +370,7 @@ def test_adaptive_matches_fixed_reference():
     adaptive = evolve_forward(curve, 1e-3,
                               StepControl(mode="adaptive", dt=1e-4,
                                           rel_tol=1e-10))
-    assert adaptive.status == STATUS_OK
+    assert (adaptive.status, adaptive.error) == (STATUS_OK, None)
     assert abs(adaptive.final_time - 1e-3) < 1e-12
     assert np.max(np.abs(adaptive.final.z2 - fixed.final.z2)) < 1e-8
     assert np.max(np.abs(adaptive.final.p1 - fixed.final.p1)) < 1e-8
@@ -491,6 +506,9 @@ def test_adaptive_step_underflow_has_its_own_status(grid64, monkeypatch):
     ctl = StepControl(mode="adaptive", dt=1e-4, rel_tol=1e-30)
     traj = evolve_forward(curve, 1e-3, ctl)
     assert traj.status == STATUS_STEP_UNDERFLOW
+    found = re.fullmatch(r"error estimate (\S+) above tolerance (\S+) at"
+                         r" the minimum step 0\.0001", traj.error)
+    assert float(found[1]) > float(found[2]) > 0.0
     assert traj.events == [(0.0, STATUS_STEP_UNDERFLOW)]
     assert (traj.steps, traj.rejected_steps) == (0, 1)
 

@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import muskat
 import muskat.integrator as integrator
+import muskat.velocity as velocity
 from muskat.cli import _RUN_FLAGS, main
 from muskat.core import make_curve, make_grid, sample_preset
 from muskat.scenario import (
@@ -346,17 +348,64 @@ def test_delta_tilt_keeps_backward_leg_failure(tmp_path, monkeypatch):
                     snapshot_every=1e-4, out_dir=str(out))
     manifest = run_scenario(cfg)
     assert manifest.status == integrator.STATUS_NAN
+    assert manifest.error == "NanEncountered: injected"
     assert manifest.events[-1] == (pytest.approx(-1e-4),
                                    integrator.STATUS_NAN)
     assert manifest.steps == 3
 
 
+def _fail_forward_leg(status, monkeypatch):
+    """Make a DELTA_TILT run's forward leg end with status, for real where
+    the kernel or the step control can do it; every backward step raises
+    NanEncountered("injected backward")."""
+    real_step = integrator.rk45_step
+
+    def step(curve, dt, *args):
+        if dt < 0.0:
+            raise integrator.NanEncountered("injected backward")
+        if status == integrator.STATUS_NAN:
+            raise integrator.NanEncountered("injected forward")
+        return real_step(curve, dt, *args)
+
+    monkeypatch.setattr(integrator, "rk45_step", step)
+    if status == integrator.STATUS_ARC_CHORD:
+        # every pair of the n = 32 curve is closer than that
+        monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", 10.0)
+    if status == integrator.STATUS_STEP_UNDERFLOW:
+        # an adaptive step pinned at 1e-4 misses a tolerance of 1e-30
+        monkeypatch.setattr(integrator, "_MIN_DT", 1e-4)
+        monkeypatch.setattr(integrator, "_MAX_DT", 1e-4)
+
+
+@pytest.mark.parametrize("status, line", [
+    (integrator.STATUS_ARC_CHORD,
+     r"ArcChordError: arc-chord denominator \S+ at or below floor 1\.000e\+01"
+     r" between nodes \(\d+, \d+\)"),
+    (integrator.STATUS_NAN, r"NanEncountered: injected forward"),
+    (integrator.STATUS_STEP_UNDERFLOW,
+     r"error estimate \S+ above tolerance \S+ at the minimum step 0\.0001")])
+def test_manifest_error_is_the_first_failed_legs_line(tmp_path, monkeypatch,
+                                                      status, line):
+    # both legs fail; the forward leg, which runs first, names the status
+    # and the error line
+    _fail_forward_leg(status, monkeypatch)
+    out = tmp_path / "tilt"
+    cfg = RunConfig(scenario="DELTA_TILT", n=32, t_final=2e-4, dt=1e-4,
+                    mode="adaptive", rel_tol=1e-30, out_dir=str(out))
+    manifest = run_scenario(cfg)
+    assert manifest.status == status
+    assert re.fullmatch(line, manifest.error)
+    assert manifest.error == manifest.trajectory.error
+    assert [kind for _, kind in manifest.events] == [
+        status, integrator.STATUS_NAN]
+    head = _manifest_section(out)
+    assert (head["status"], head["error"]) == (status, manifest.error)
+
+
 def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                                                         monkeypatch):
     def collapse(curve, *args):
-        raise ArcChordError(ArcChordReport(
-            min_denominator=0.0, floor=ARC_CHORD_FLOOR, pairs=((0, 1),),
-            count=1))
+        raise ArcChordError(ArcChordReport(0.0, ARC_CHORD_FLOOR, (0, 1)))
 
     monkeypatch.setattr(integrator, "rk45_step", collapse)
     out = tmp_path / "bwd"
@@ -364,13 +413,16 @@ def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                     out_dir=str(out))
     manifest = run_scenario(cfg)
     assert manifest.status == integrator.STATUS_ARC_CHORD
-    assert manifest.error is None
+    assert manifest.error == ("ArcChordError: arc-chord denominator"
+                              " 0.000e+00 at or below floor 1.000e-12"
+                              " between nodes (0, 1)")
     assert manifest.events == ((0.0, integrator.STATUS_ARC_CHORD),)
     assert manifest.steps == 0
     # the leg is its initial state alone: one point of the timeline
     assert manifest.timeline == (((0.0, 0.0), "CRITICAL"),)
     text = (out / "manifest.txt").read_text()
     assert "status = ARC_CHORD_FAILURE" in text
+    assert f"error = {manifest.error}" in text
     assert "event_0 = 0 ARC_CHORD_FAILURE" in text
     for name in ("final", "norms", "timeline"):
         assert (out / manifest.outputs[name]).exists()
@@ -611,7 +663,9 @@ def test_cli_flags_override_the_config_file_before_it_is_checked(tmp_path):
     assert "mode = adaptive" in manifest
 
 
-def test_cli_numerical_failure_exits_two(tmp_path, capsys):
+def test_cli_refused_rerun_horizon_exits_two_with_status_error(tmp_path,
+                                                               capsys):
+    # the snapshot sets t0 = 0, which the horizon -1 does not pass
     snap = tmp_path / "start.dat"
     grid = make_grid(32)
     export_snapshot(make_curve(grid, np.zeros(32), np.zeros(32)), snap,
@@ -621,6 +675,27 @@ def test_cli_numerical_failure_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "status = ERROR" in captured.out
+    assert "error = ValueError: t_final: FORWARD_RERUN needs a value past 0"\
+        in captured.out
+
+
+def test_cli_arc_chord_failure_exits_two_and_prints_the_pair(tmp_path,
+                                                             capsys):
+    # p1 = -alpha and z2 = 0 put every node on one point
+    snap = tmp_path / "collapsed.dat"
+    grid = make_grid(32)
+    export_snapshot(make_curve(grid, -grid.nodes, np.zeros(32)), snap,
+                    time=0.0)
+    out = tmp_path / "collapsed"
+    code = main(["run", "--scenario", "FORWARD_RERUN", "--input", str(snap),
+                 "--t-final", "1e-3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    line = ("error = ArcChordError: arc-chord denominator 0.000e+00 at or"
+            " below floor 1.000e-12 between nodes (0, 1)")
+    assert "status = ARC_CHORD_FAILURE" in captured.out.splitlines()
+    assert line in captured.out.splitlines()
+    assert line in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_forward_rerun_refuses_a_snapshot_below_the_minimum_grid(tmp_path,

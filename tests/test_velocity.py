@@ -13,6 +13,7 @@ from muskat.spectral import filtered_derivative
 from muskat.velocity import (
     ARC_CHORD_FLOOR,
     ArcChordError,
+    ArcChordReport,
     periodic_rhs,
 )
 
@@ -22,8 +23,9 @@ from conftest import asymmetric_curve, mirror
 def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
     """Reference pair sum: both parity halves formed in full.
 
-    Returns (v1, v2, min_denominator, offenders); the velocities are None
-    when some denominator is at or below the floor.
+    Returns (v1, v2, min_denominator, pair), pair the (even, odd) node pair
+    of the smallest denominator, the first in row-major order; the
+    velocities are None when that denominator is at or below the floor.
     """
     n = curve.grid.n
     z1, z2 = curve.z1, curve.z2
@@ -33,18 +35,17 @@ def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
     odd = np.arange(1, n, 2)
     halves = []
     worst = np.inf
-    offenders = []
     for tgt, src in ((even, odd), (odd, even)):
         d1 = z1[tgt][:, None] - z1[src][None, :]
         d2 = z2[tgt][:, None] - z2[src][None, :]
         # cosh(d2) - cos(d1) without its cancellation on close pairs
         den = 2.0 * (np.sinh(0.5 * d2) ** 2 + np.sin(0.5 * d1) ** 2)
         worst = min(worst, float(den.min()))
-        bad = np.argwhere(den <= floor)
-        offenders += [(int(tgt[i]), int(src[j])) for i, j in bad[:16]]
         halves.append((tgt, src, d1, den))
-    if offenders:
-        return None, None, worst, tuple(offenders[:16])
+    i, j = np.unravel_index(np.argmin(halves[0][3]), halves[0][3].shape)
+    pair = (int(even[i]), int(odd[j]))
+    if worst <= floor:
+        return None, None, worst, pair
     v1 = np.empty(n)
     v2 = np.empty(n)
     for tgt, src, d1, den in halves:
@@ -52,7 +53,21 @@ def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
         v1[tgt] = ((dz1[tgt][:, None] - dz1[src][None, :]) * ker).sum(axis=1)
         v2[tgt] = ((dz2[tgt][:, None] - dz2[src][None, :]) * ker).sum(axis=1)
     scale = 2.0 * curve.grid.spacing
-    return scale * v1, scale * v2, worst, ()
+    return scale * v1, scale * v2, worst, pair
+
+
+def _report(curve, **kwargs):
+    """The ArcChordReport periodic_rhs(curve, **kwargs) raises."""
+    with pytest.raises(ArcChordError) as info:
+        periodic_rhs(curve, **kwargs)
+    return info.value.report
+
+
+def _reference_report(curve, floor=ARC_CHORD_FLOOR):
+    """The report of a full sum, from the reference pair sum."""
+    _, _, worst, pair = _two_half_sum(curve, floor)
+    assert worst <= floor
+    return ArcChordReport(worst, floor, pair)
 
 
 def _test_curve(name, n):
@@ -224,44 +239,41 @@ def test_returned_velocity_is_the_callers_own():
     assert np.array_equal(again, expect)
 
 
-def test_collided_nodes_raise_arc_chord():
+def _collided_curve():
+    """n = 64 with p1 = -alpha, which collapses every node onto z = (0, 0)."""
     grid = make_grid(64)
-    # p1 = -alpha collapses every node onto z = (0, 0)
-    curve = make_curve(grid, -grid.nodes, np.zeros(grid.n))
+    return make_curve(grid, -grid.nodes, np.zeros(grid.n))
+
+
+def test_collided_nodes_raise_arc_chord():
+    curve = _collided_curve()
     with pytest.raises(ArcChordError) as info:
         periodic_rhs(curve)
-    report = info.value.report
-    assert report.min_denominator == 0.0
-    assert report.floor == ARC_CHORD_FLOOR
-    assert len(report.pairs) == 16
-    # all 32 x 32 (even, odd) pairs, in both orders
-    assert report.count == 2048
-    assert "for 2048 node pair(s)" in str(info.value)
-    assert all((i + j) % 2 == 1 for i, j in report.pairs)
-    assert "arc-chord" in str(info.value)
-    _, _, worst, pairs = _two_half_sum(curve)
-    assert report.min_denominator == worst
-    assert report.pairs == pairs
+    # every pair ties at 0, so the first (even, odd) pair is reported
+    assert info.value.report == ArcChordReport(0.0, ARC_CHORD_FLOOR, (0, 1))
+    assert info.value.report == _reference_report(curve)
+    assert str(info.value) == ("arc-chord denominator 0.000e+00 at or below"
+                               " floor 1.000e-12 between nodes (0, 1)")
 
 
-def test_near_collision_in_middle_chunks_reports_like_two_halves():
-    # at n = 1024 the even rows 200 and 300 fall in two middle chunks; node
-    # 400 (row 200) sits just left of node 601 and node 600 (row 300) just
-    # right of node 401, so the (even, odd) and (odd, even) offenders come
-    # in different orders
+def _middle_chunks_curve():
+    """n = 1024 with node 400 (even row 200) just left of node 601 and node
+    600 (row 300) just right of node 401: two pairs below the floor, in two
+    middle chunks."""
     grid = make_grid(1024)
     p1 = np.zeros(grid.n)
     p1[400] = grid.nodes[601] - grid.nodes[400] - 1e-7
     p1[600] = grid.nodes[401] - grid.nodes[600] + 2e-7
-    curve = make_curve(grid, p1, np.zeros(grid.n))
-    with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve)
-    report = info.value.report
-    _, _, worst, pairs = _two_half_sum(curve)
-    assert pairs == ((400, 601), (600, 401), (401, 600), (601, 400))
-    assert report.min_denominator == worst
-    assert report.pairs == pairs
-    assert report.count == len(pairs)
+    return make_curve(grid, p1, np.zeros(grid.n))
+
+
+def test_near_collision_in_middle_chunks_reports_like_two_halves():
+    curve = _middle_chunks_curve()
+    report = _report(curve)
+    assert report == _reference_report(curve)
+    # the closer pair of the two, not the first row's
+    assert report.pair == (400, 601)
+    assert report.min_denominator < ARC_CHORD_FLOOR
 
 
 def _far_pair_curve(den):
@@ -279,49 +291,69 @@ def _far_pair_curve(den):
 
 def test_far_pair_below_floor_reports_like_two_halves():
     curve = _far_pair_curve(0.9 * ARC_CHORD_FLOOR)
-    with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve)
-    report = info.value.report
-    _, _, worst, pairs = _two_half_sum(curve)
-    assert pairs == ((400, 601), (601, 400))
-    assert report.min_denominator == worst
-    assert report.pairs == pairs
-    assert report.count == len(pairs)
+    report = _report(curve)
+    assert report == _reference_report(curve)
+    assert report.pair == (400, 601)
 
 
-def test_half_sum_meeting_a_near_pair_reports_like_the_full_sum(
-        monkeypatch):
-    # an odd curve with the near pair (400, 601), which lies in the half
-    # sum's rows, and its mirror (624, 423), which does not
+def _odd_near_pair_curve():
+    """An odd n = 1024 curve with the near pair (400, 601), which lies in
+    the half sum's rows 0..256, and its mirror (624, 423), which does not;
+    both pairs have the same denominator, below the floor."""
     grid = make_grid(1024)
     p1 = np.zeros(grid.n)
     z2 = 0.1 * np.sin(grid.nodes)
     p1[400] = grid.nodes[601] - grid.nodes[400] - np.sqrt(1.8e-12)
     z2[400] = z2[601]
     p1[624], z2[624] = -p1[400], -z2[400]
-    curve = make_curve(grid, p1, z2)
-    with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve)
-    full = info.value.report
+    return make_curve(grid, p1, z2)
+
+
+def test_half_sum_meeting_a_near_pair_reports_like_the_full_sum(
+        monkeypatch):
+    curve = _odd_near_pair_curve()
+    full = _report(curve)
+    assert full == _reference_report(curve)
+    assert full.pair == (400, 601)
     calls, reports = [], []
+    real = velocity.periodic_rhs
 
     def recording(curve, **kwargs):
         calls.append(kwargs)
         try:
-            return periodic_rhs(curve, **kwargs)
+            return real(curve, **kwargs)
         except ArcChordError as exc:
             reports.append(exc.report)
             raise
 
+    # patched in both modules, a call the kernel made of itself would be
+    # recorded too
+    monkeypatch.setattr(velocity, "periodic_rhs", recording)
     monkeypatch.setattr(integrator, "periodic_rhs", recording)
     traj = evolve_forward(curve, 1e-4, StepControl(dt=1e-4))
     assert (traj.status, traj.pair_sum) == (STATUS_ARC_CHORD, "half")
     assert calls == [{"odd": True}]
-    assert reports == [full]
-    _, _, worst, pairs = _two_half_sum(curve)
-    assert pairs == ((400, 601), (624, 423), (423, 624), (601, 400))
-    assert (full.min_denominator, full.pairs, full.count) == \
-        (worst, pairs, len(pairs))
+    # the half sum's pair lies in its own rows 0..m//2
+    half, = reports
+    assert half.pair[0] // 2 <= 1024 // 4
+    assert half == full
+    assert traj.error == f"ArcChordError: {ArcChordError(half)}"
+
+
+@pytest.mark.parametrize("curve, odd", [
+    pytest.param(_collided_curve(), False, id="collided"),
+    pytest.param(_middle_chunks_curve(), False, id="middle-chunks"),
+    pytest.param(_odd_near_pair_curve(), False, id="mirror-tie-full"),
+    pytest.param(_odd_near_pair_curve(), True, id="mirror-tie-half")])
+def test_report_is_independent_of_row_chunking(monkeypatch, curve, odd):
+    # one row per chunk puts every pair below the floor in a chunk of its
+    # own: the mirror pairs (400, 601) and (624, 423) tie across chunks,
+    # and all collided pairs tie; 7 rows per chunk leave a short last one
+    base = _report(curve, odd=odd)
+    m = curve.grid.n // 2
+    for pairs in (m, 7 * m + 3):
+        monkeypatch.setattr(velocity, "_CHUNK_PAIRS", pairs)
+        assert _report(curve, odd=odd) == base
 
 
 @pytest.mark.parametrize("factor", [1.1, 1e3, 10.0])
@@ -331,8 +363,8 @@ def test_far_pair_above_floor_matches_two_halves(factor):
     # form of the kernel: the Cauchy form alone, off by about eps / sqrt(den)
     # in that entry, would miss the bound by 26x at 10 floor
     curve = _far_pair_curve(factor * ARC_CHORD_FLOOR)
-    v1, v2, worst, pairs = _two_half_sum(curve)
-    assert pairs == ()
+    v1, v2, worst, pair = _two_half_sum(curve)
+    assert pair == (400, 601)
     assert ARC_CHORD_FLOOR < worst < 2.0 * factor * ARC_CHORD_FLOOR
     assert _max_rel_diff(periodic_rhs(curve), v1, v2) <= 1e-13
 
@@ -340,19 +372,14 @@ def test_far_pair_above_floor_matches_two_halves(factor):
 @pytest.mark.parametrize("floor", [1e-6, 10.0])
 def test_far_pair_screen_scales_with_the_floor(monkeypatch, floor):
     # a raised floor moves the screen with it: at 1e-6 only the far pair
-    # offends, far above the 1e-8 screen; at 10 every pair does
+    # offends, far above the 1e-8 screen; at 10 every pair does, and the
+    # far pair is still the closest
     monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", floor)
     curve = _far_pair_curve(0.9e-6)
-    with pytest.raises(ArcChordError) as info:
-        periodic_rhs(curve)
-    report = info.value.report
-    _, _, worst, pairs = _two_half_sum(curve, floor=floor)
+    report = _report(curve)
+    assert report == _reference_report(curve, floor=floor)
+    assert report.pair == (400, 601)
     assert report.floor == floor
-    assert report.min_denominator == worst
-    assert report.pairs == pairs
-    assert pairs[0] == ((400, 601) if floor < 1.0 else (0, 1))
-    # at 10 all 1024 x 512 ordered (target, source) pairs offend
-    assert report.count == (len(pairs) if floor < 1.0 else 1024 * 512)
 
 
 def test_kernel_memory_is_bounded_at_n2048():
