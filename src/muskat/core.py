@@ -82,31 +82,21 @@ def make_curve(grid: Grid, p1, z2) -> SampledCurve:
     return SampledCurve(grid, _frozen_array((p1, z2)))
 
 
-def sample_preset(name: str, grid: Grid, delta: float | None = None) -> SampledCurve:
+def sample_preset(name: str, grid: Grid) -> SampledCurve:
     """Sample one of the named initial conditions on the grid.
 
     SEED_T0        z1 = alpha - sin(alpha),
                    z2 = (3 sin(alpha) + 8 sin(2 alpha) + 3 sin(3 alpha))/4
     CONJ_T0        z1 = alpha - 0.96 sin(alpha), z2 = (2/3) sin(3 alpha)
-    DELTA_TILT     z1 = alpha - (1-delta) sin(alpha), seed z2; needs delta
     """
     a = grid.nodes
     key = name.strip().upper()
-    if key in ("SEED_T0", "CONJ_T0") and delta is not None:
-        raise ValueError(f"preset {key} takes no delta")
     if key == "SEED_T0":
         p1 = -np.sin(a)
         z2 = (3 * np.sin(a) + 8 * np.sin(2 * a) + 3 * np.sin(3 * a)) / 4
     elif key == "CONJ_T0":
         p1 = -0.96 * np.sin(a)
         z2 = (2.0 / 3.0) * np.sin(3 * a)
-    elif key == "DELTA_TILT":
-        if delta is None:
-            raise ValueError("DELTA_TILT needs a delta value")
-        if not 0.0 < float(delta) < 1.0:
-            raise ValueError(f"DELTA_TILT needs 0 < delta < 1, got {delta}")
-        p1 = -(1.0 - float(delta)) * np.sin(a)
-        z2 = (3 * np.sin(a) + 8 * np.sin(2 * a) + 3 * np.sin(3 * a)) / 4
     else:
         raise ValueError(f"unknown preset {name!r}")
     return make_curve(grid, p1, z2)

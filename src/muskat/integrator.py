@@ -8,7 +8,9 @@ right-hand sides per step. Adaptive steps take the Dormand-Prince 5(4)
 pair: 7 stages, the fourth-order member y4 propagated, and the fifth-order
 companion y5 supplying only the max-norm error estimate. The pair is
 first-same-as-last (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): y5
-is the last stage input. The backward solver follows the regularized
+is the last stage input. The march evaluates the first stage k1 = f(y_n)
+once per state, so a rejected adaptive trial step costs 6 right-hand sides
+and its retry reuses k1. The backward solver follows the regularized
 recipe: march with a negative step and re-threshold the spectra of p1 and
 z2 after every accepted step.
 
@@ -147,30 +149,30 @@ class Trajectory:
         return -1 if self.times[-1] < self.times[0] else 1
 
 
-def rk45_step(curve: SampledCurve, dt: float, odd: bool, mode: str
-              ) -> tuple[SampledCurve, float | None, np.ndarray]:
-    """One explicit Runge-Kutta step of size dt on curve.samples.
+def rk45_step(curve: SampledCurve, dt: float, odd: bool, mode: str,
+              k1: np.ndarray) -> tuple[SampledCurve, float | None]:
+    """One explicit Runge-Kutta step of size dt on curve.samples, from the
+    caller's first stage k1 = f(y_n).
 
     mode is a StepControl.mode. "fixed" takes a classical RK4 step and
-    returns (y_next, None, k1): it has no error estimate. "adaptive" takes a
-    Dormand-Prince 5(4) step and returns (y4, max|y5 - y4|, k1), with y5 the
-    last stage input. k1 = f(y_n) is a view of the stage buffer. A
-    non-finite stage input or update raises NanEncountered from
-    with_samples. odd goes to every stage's periodic_rhs.
+    returns (y_next, None): it has no error estimate. "adaptive" takes a
+    Dormand-Prince 5(4) step and returns (y4, max|y5 - y4|), with y5 the
+    last stage input. A non-finite stage input or update raises
+    NanEncountered from with_samples. odd goes to every later stage's
+    periodic_rhs.
     """
     a, b = _TABLEAUS[mode]
     y = curve.samples
     stages = np.empty((len(b),) + y.shape)
-    stage = curve
-    for i in range(len(b)):
-        if i:
-            stage = curve.with_samples(
-                y + dt * np.tensordot(a[i, :i], stages[:i], axes=1))
+    stages[0] = k1
+    for i in range(1, len(b)):
+        stage = curve.with_samples(
+            y + dt * np.tensordot(a[i, :i], stages[:i], axes=1))
         stages[i] = periodic_rhs(stage, odd=odd)
     nxt = curve.with_samples(y + dt * np.tensordot(b, stages, axes=1))
     err = (None if mode == "fixed"
            else float(np.max(np.abs(stage.samples - nxt.samples))))
-    return nxt, err, stages[0]
+    return nxt, err
 
 
 def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
@@ -207,25 +209,33 @@ def _failure(exc: Exception) -> tuple[str, str]:
     return status, f"{type(exc).__name__}: {exc}"
 
 
-def _end_slope(raw: SampledCurve, odd: bool) -> np.ndarray:
-    """f(raw) for a bracket's Hermite interpolant; a non-finite slope raises
-    NanEncountered."""
-    k_end = periodic_rhs(raw, odd=odd)
-    if not np.isfinite(k_end).all():
-        raise NanEncountered("non-finite end slope")
-    return k_end
+def _slope(curve: SampledCurve, odd: bool, which: str) -> np.ndarray:
+    """f(curve): a step's start slope or a bracket's end slope, as which
+    says; a non-finite slope raises NanEncountered naming it."""
+    k = periodic_rhs(curve, odd=odd)
+    if not np.isfinite(k).all():
+        raise NanEncountered(f"non-finite {which}")
+    return k
+
+
+def _end_run(traj: Trajectory, t: float, failure: tuple[str, str]) -> None:
+    """Record a failed run's status, error line and failure event at t."""
+    traj.status, traj.error = failure
+    traj.events.append((t, traj.status))
 
 
 def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
            stop_slope: float | None):
     """Advance traj in place to t_goal, in either direction.
 
-    Fixed mode takes steps of traj.control.dt, the last one shortened to
-    land on t_goal, and ends the run at the first failed step. Adaptive mode
-    rejects a trial step whose error estimate exceeds the tolerance, or that
-    failed, and retries with a smaller h; the run ends only when a rejected
-    step was already at _MIN_DT. In both modes a bracket step whose end
-    slope f(y_next) fails ends the run as a failed step. A run with a
+    Each state's start slope k1 = f(y_n) is evaluated once; it does not
+    depend on h, so its failure ends the run at once in both modes. Fixed
+    mode takes steps of traj.control.dt, the last one shortened to land on
+    t_goal, and ends the run at the first failed step. Adaptive mode rejects
+    a trial step whose error estimate exceeds the tolerance, or that failed,
+    and retries from the same k1 with a smaller h; the run ends only when a
+    rejected step was already at _MIN_DT. In both modes a bracket step whose
+    end slope f(y_next) fails ends the run as a failed step. A run with a
     stop_slope ends after the first step whose grid_min_slope is below it.
     A state is recorded after every step that is due, last or stopping;
     snapshot_every None records the end states only.
@@ -250,13 +260,20 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
     last_rec = t
     dt = ctl.dt
     tiny = 1e-12 * max(1.0, abs(t_goal), abs(t))
+    k1 = None
     while (t_goal - t) * sgn > tiny:
         h = sgn * dt
         if (t_goal - (t + h)) * sgn < 0.0:
             h = t_goal - t
+        if k1 is None:
+            try:
+                k1 = _slope(cur, odd, "start slope")
+            except (ArcChordError, NanEncountered) as exc:
+                _end_run(traj, t, _failure(exc))
+                break
         failure = None
         try:
-            raw, err, k1 = rk45_step(cur, h, odd, ctl.mode)
+            raw, err = rk45_step(cur, h, odd, ctl.mode, k1)
         except (ArcChordError, NanEncountered) as exc:
             failure = _failure(exc)
         if ctl.mode == "adaptive":
@@ -283,20 +300,18 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             flipped = (slope > 0.0) != stable
             if flipped:
                 try:
-                    k_end = _end_slope(raw, odd)
+                    k_end = _slope(raw, odd, "end slope")
                 except (ArcChordError, NanEncountered) as exc:
                     failure = _failure(exc)
         if failure is not None:
-            traj.status, traj.error = failure
-            traj.events.append((t, traj.status))
+            _end_run(traj, t, failure)
             break
         traj.steps += 1
         if flipped:
             stable = not stable
             kind = EVENT_ENTER_STABLE if stable else EVENT_ENTER_UNSTABLE
-            traj.brackets.append((t, cur, h, kind, raw, k1.copy(), k_end))
-        del raw, k1  # the view k1 would pin the stage buffer a step longer
-        cur = nxt
+            traj.brackets.append((t, cur, h, kind, raw, k1, k_end))
+        cur, k1 = nxt, None
         t += h
         done = (t_goal - t) * sgn <= tiny
         due = snapshot_every is not None and (

@@ -35,7 +35,7 @@ from .integrator import (
 )
 from .spectral import filtered_derivative
 
-SCENARIOS = ("BACKWARD_SEED", "FORWARD_RERUN", "CONJ_TURNOVER", "DELTA_TILT")
+SCENARIOS = ("BACKWARD_SEED", "FORWARD_RERUN", "CONJ_TURNOVER")
 
 STATUS_ERROR = "ERROR"
 
@@ -46,12 +46,10 @@ _DEFAULT_T_FINAL = {
     "BACKWARD_SEED": -4.92e-2,
     "FORWARD_RERUN": 6e-2,
     "CONJ_TURNOVER": 0.3,
-    "DELTA_TILT": 2e-3,
 }
 
 # initial curve of each scenario that starts from a preset
-_PRESET = {"BACKWARD_SEED": "SEED_T0", "CONJ_TURNOVER": "CONJ_T0",
-           "DELTA_TILT": "DELTA_TILT"}
+_PRESET = {"BACKWARD_SEED": "SEED_T0", "CONJ_TURNOVER": "CONJ_T0"}
 
 _SNAPSHOT_HEADER = "alpha, z1, z2, dz1, dz2"
 
@@ -85,7 +83,6 @@ class RunConfig:
     snapshot_every: float = 1e-3
     out_dir: str = "runs/out"
     input_snapshot: str | None = None
-    delta: float = 0.1
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -97,13 +94,14 @@ class RunConfig:
             raise ValueError("snapshot_every: must be positive")
         if not (np.isfinite(self.eps) and self.eps >= 0):
             raise ValueError("eps: must be finite and nonnegative")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta: need 0 < delta < 1, got {self.delta}")
         if self.t_final is not None and not np.isfinite(self.t_final):
             raise ValueError("t_final: must be finite")
         # the step fields are checked by their owner
         self.step_control()
         if self.scenario != "FORWARD_RERUN":
+            if self.input_snapshot is not None:
+                raise ValueError(f"input_snapshot: {self.scenario} starts"
+                                 " from its preset and reads no snapshot")
             _check_horizon(self.scenario, 0.0, self.resolved_t_final)
         elif self.input_snapshot is None:
             raise ValueError("input_snapshot: FORWARD_RERUN needs the final"
@@ -130,9 +128,9 @@ class RunManifest:
     wall_time: float
     error: str | None = None
     grid_n: int | None = None  # size of the grid run; None when nothing ran
-    steps: int = 0  # accepted steps, summed over all legs
+    steps: int = 0  # accepted steps
     rejected_steps: int = 0
-    pair_sums: tuple[str, ...] = ()  # "half" or "full", one per leg
+    pair_sum: str | None = None  # "half" or "full"; None when nothing ran
     trajectory: Trajectory | None = None  # in-memory only, not serialized
     timeline: tuple = ()  # regime segments of `trajectory`, in-memory only
 
@@ -149,8 +147,8 @@ class RunManifest:
         ]
         if self.grid_n is not None:
             lines.append(f"grid_n = {self.grid_n}")
-        if self.pair_sums:
-            lines.append(f"pair_sum = {' '.join(self.pair_sums)}")
+        if self.pair_sum is not None:
+            lines.append(f"pair_sum = {self.pair_sum}")
         if self.error is not None:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]
@@ -174,7 +172,6 @@ _SCHEMA = {
     "time": {"dt": float, "t_final": float, "snapshot_every": float,
              "mode": str, "rel_tol": float},
     "smoothing": {"eps": float},
-    "tilt": {"delta": float},
 }
 
 
@@ -209,11 +206,12 @@ def load_config(path, **overrides) -> RunConfig:
     return RunConfig(**{**values, **overrides})
 
 
-def _format_rows(*cols) -> list[str]:
-    """One line per entry of the equal-length columns, 17 significant
-    digits per value."""
-    fmt = ", ".join(["%.17g"] * len(cols))
-    return [fmt % row for row in zip(*(c.tolist() for c in cols))]
+def _format_rows(*cols) -> str:
+    """One newline-terminated line per entry of the equal-length columns,
+    17 significant digits per value, formatted by a single % over the
+    row-major values."""
+    fmt = (", ".join(["%.17g"] * len(cols)) + "\n") * len(cols[0])
+    return fmt % tuple(np.stack(cols, axis=1).ravel().tolist())
 
 
 def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
@@ -225,11 +223,11 @@ def export_snapshot(curve: SampledCurve, path, time: float = 0.0) -> None:
     """
     path = Path(path)
     dp1, dz2 = filtered_derivative(curve.samples, 1)
-    rows = [f"# time = {time:.17g}", _SNAPSHOT_HEADER,
-            *_format_rows(curve.grid.nodes, curve.z1, curve.z2, 1.0 + dp1,
-                          dz2)]
+    text = (f"# time = {time:.17g}\n{_SNAPSHOT_HEADER}\n"
+            + _format_rows(curve.grid.nodes, curve.z1, curve.z2, 1.0 + dp1,
+                           dz2))
     try:
-        path.write_text("\n".join(rows) + "\n")
+        path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write snapshot {path}: {exc}") from exc
 
@@ -298,9 +296,8 @@ def import_snapshot(path) -> tuple[SampledCurve, float]:
 
 def _write_norms(traj: Trajectory, path: Path) -> None:
     ns = norm_series(traj)
-    rows = ["# columns: t, sup_f, sup_slope (nan when not a graph)",
-            *_format_rows(ns.times, ns.sup_f, ns.sup_slope)]
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text("# columns: t, sup_f, sup_slope (nan when not a graph)\n"
+                    + _format_rows(ns.times, ns.sup_f, ns.sup_slope))
 
 
 def _write_timeline(segments, events, path: Path) -> None:
@@ -313,31 +310,13 @@ def _write_timeline(segments, events, path: Path) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def _analyze(traj: Trajectory, outdir: Path, outputs: dict[str, str],
-             tag: str = "") -> tuple[tuple, tuple]:
-    """Write final snapshot, norms, and timeline; returns the refined events
-    and the timeline segments."""
-    suffix = f"_{tag}" if tag else ""
-    final_name = f"final{suffix}.dat"
-    export_snapshot(traj.final, outdir / final_name, time=traj.final_time)
-    outputs[f"final{suffix}"] = final_name
-    _write_norms(traj, outdir / f"norms{suffix}.dat")
-    outputs[f"norms{suffix}"] = f"norms{suffix}.dat"
-    events = tuple(detect_event_times(traj))
-    segments = regime_timeline(traj, events)
-    _write_timeline(segments, events, outdir / f"timeline{suffix}.txt")
-    outputs[f"timeline{suffix}"] = f"timeline{suffix}.txt"
-    return events, segments
-
-
 def run_scenario(config: RunConfig) -> RunManifest:
     """Execute one scenario and write its artifacts under config.out_dir.
 
     Numerical failures (arc-chord collapse, NaN, step underflow) are
-    recorded in the manifest status rather than raised, with the first
-    failed leg's line as its error; unexpected exceptions produce status
-    ERROR with the message preserved. The manifest file is always
-    written.
+    recorded in the manifest status and error line rather than raised;
+    unexpected exceptions produce status ERROR with the message preserved.
+    The manifest file is always written.
     """
     started = _time.perf_counter()
     outdir = Path(config.out_dir)
@@ -346,33 +325,31 @@ def run_scenario(config: RunConfig) -> RunManifest:
     events: tuple[tuple[float, str], ...] = ()
     status = STATUS_OK
     error = None
-    legs: tuple[Trajectory, ...] = ()
+    traj: Trajectory | None = None
     timeline = ()
     try:
-        legs, events, timeline = _run_evolution(config, outdir, outputs)
-        status, error = next(((leg.status, leg.error) for leg in legs
-                              if leg.status != STATUS_OK), (STATUS_OK, None))
-        events = events + tuple(ev for leg in legs for ev in leg.events)
+        traj, events, timeline = _run_evolution(config, outdir, outputs)
+        status, error = traj.status, traj.error
+        events = events + tuple(traj.events)
     except Exception as exc:
         status = STATUS_ERROR
         error = f"{type(exc).__name__}: {exc}"
+    counts = {} if traj is None else dict(
+        grid_n=traj.final.grid.n, steps=traj.steps,
+        rejected_steps=traj.rejected_steps, pair_sum=traj.pair_sum)
     manifest = RunManifest(
         scenario=config.scenario, status=status, config=config,
         events=events, outputs=outputs,
         wall_time=_time.perf_counter() - started, error=error,
-        grid_n=legs[0].final.grid.n if legs else None,
-        steps=sum(leg.steps for leg in legs),
-        rejected_steps=sum(leg.rejected_steps for leg in legs),
-        pair_sums=tuple(leg.pair_sum for leg in legs),
-        trajectory=legs[0] if legs else None, timeline=timeline)
+        trajectory=traj, timeline=timeline, **counts)
     (outdir / "manifest.txt").write_text(manifest.to_text())
     return manifest
 
 
 def _run_evolution(config: RunConfig, outdir: Path,
                    outputs: dict[str, str]):
-    """Run the scenario's legs; returns the tuple of leg trajectories, the
-    refined flip events of all legs and the first leg's timeline."""
+    """Run the scenario and write its snapshots, norms and timeline; returns
+    its trajectory, the refined flip events and the timeline segments."""
     t_final = config.resolved_t_final
     control = config.step_control()
     every = config.snapshot_every
@@ -383,9 +360,7 @@ def _run_evolution(config: RunConfig, outdir: Path,
         _check_grid_size(curve.grid.n, config.input_snapshot)
         _check_horizon(config.scenario, t0, t_final)
     else:
-        delta = config.delta if config.scenario == "DELTA_TILT" else None
-        curve = sample_preset(_PRESET[config.scenario], make_grid(config.n),
-                              delta=delta)
+        curve = sample_preset(_PRESET[config.scenario], make_grid(config.n))
         t0 = 0.0
     export_snapshot(curve, outdir / "initial.dat", time=t0)
     outputs["initial"] = "initial.dat"
@@ -394,17 +369,17 @@ def _run_evolution(config: RunConfig, outdir: Path,
         traj = evolve_backward_regularized(curve, t_final, control,
                                            eps=config.eps,
                                            snapshot_every=every)
-    elif config.scenario == "DELTA_TILT":
-        fwd = evolve_forward(curve, t_final, control, snapshot_every=every)
-        ev_f, timeline = _analyze(fwd, outdir, outputs, tag="forward")
-        bwd = evolve_backward_regularized(curve, -t_final, control,
-                                          eps=config.eps,
-                                          snapshot_every=every)
-        ev_b, _ = _analyze(bwd, outdir, outputs, tag="backward")
-        return (fwd, bwd), ev_f + ev_b, timeline
     else:
         stop = (TURNOVER_STOP_SLOPE if config.scenario == "CONJ_TURNOVER"
                 else None)
         traj = evolve_forward(curve, t_final, control, t0=t0,
                               snapshot_every=every, stop_slope=stop)
-    return ((traj,), *_analyze(traj, outdir, outputs))
+    export_snapshot(traj.final, outdir / "final.dat", time=traj.final_time)
+    outputs["final"] = "final.dat"
+    _write_norms(traj, outdir / "norms.dat")
+    outputs["norms"] = "norms.dat"
+    events = tuple(detect_event_times(traj))
+    segments = regime_timeline(traj, events)
+    _write_timeline(segments, events, outdir / "timeline.txt")
+    outputs["timeline"] = "timeline.txt"
+    return traj, events, segments

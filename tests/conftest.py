@@ -27,10 +27,17 @@ def mirror(values: np.ndarray) -> np.ndarray:
     return values[(n - np.arange(n)) % n]
 
 
+def tilted_seed(grid, delta):
+    """The seed with z1 = alpha - (1 - delta) sin(alpha): odd and, for
+    0 < delta < 1, strictly a graph with min d_alpha z1 = delta."""
+    seed = sample_preset("SEED_T0", grid)
+    return make_curve(grid, -(1.0 - delta) * np.sin(grid.nodes), seed.z2)
+
+
 def asymmetric_curve(grid):
     """A tilted seed lifted by a cosine: the presets are all odd, this
     curve is not."""
-    curve = sample_preset("DELTA_TILT", grid, delta=0.3)
+    curve = tilted_seed(grid, 0.3)
     return curve.with_samples(
         (curve.p1, curve.z2 + 0.2 * np.cos(2.0 * grid.nodes) + 0.1))
 

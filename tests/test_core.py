@@ -95,29 +95,16 @@ def test_conj_preset_slope(grid64):
     assert abs(slope - 50.0) < 1e-12
 
 
-def test_delta_tilt_preset(grid64):
-    c = sample_preset("DELTA_TILT", grid64, delta=0.25)
-    assert np.array_equal(c.p1, -0.75 * np.sin(grid64.nodes))
-    seed = sample_preset("SEED_T0", grid64)
-    assert np.array_equal(c.z2, seed.z2)
-
-
 def test_preset_errors(grid64):
     with pytest.raises(ValueError):
         sample_preset("NO_SUCH", grid64)
-    with pytest.raises(ValueError):
-        sample_preset("SEED_T0", grid64, delta=0.1)
+    # the tilted seed of the tests is no preset
     with pytest.raises(ValueError):
         sample_preset("DELTA_TILT", grid64)
-    with pytest.raises(ValueError):
-        sample_preset("DELTA_TILT", grid64, delta=0.0)
-    with pytest.raises(ValueError):
-        sample_preset("DELTA_TILT", grid64, delta=1.0)
 
 
 def test_presets_are_odd(grid64):
-    for name, delta in (("SEED_T0", None), ("CONJ_T0", None),
-                        ("DELTA_TILT", 0.1)):
-        c = sample_preset(name, grid64, delta=delta)
+    for name in ("SEED_T0", "CONJ_T0"):
+        c = sample_preset(name, grid64)
         assert np.max(np.abs(c.p1 + mirror(c.p1))) < 1e-13
         assert np.max(np.abs(c.z2 + mirror(c.z2))) < 1e-13

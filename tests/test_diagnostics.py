@@ -29,6 +29,8 @@ from muskat.integrator import (
 )
 from muskat.spectral import TrigInterpolant
 
+from conftest import tilted_seed
+
 
 def overturned_curve(n=256, amp=1.2):
     grid = make_grid(n)
@@ -133,7 +135,7 @@ def test_minima_equal_a_per_node_loop_bitwise(state, request, flat64):
         "two_sites": lambda: make_curve(
             grid, -0.475 * np.sin(2.0 * grid.nodes)
             + 1e-3 * np.sin(7.0 * grid.nodes), np.zeros(grid.n)),
-        "tilt": lambda: sample_preset("DELTA_TILT", grid, delta=0.05),
+        "tilt": lambda: tilted_seed(grid, 0.05),
         "flat": lambda: flat64,
         "conj_past_turnover": lambda: request.getfixturevalue(state),
     }[state]()

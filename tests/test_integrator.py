@@ -160,8 +160,8 @@ def test_adaptive_steps_meet_the_relative_tolerance(grid64, monkeypatch):
     real_step = integrator.rk45_step
     trials = []
 
-    def recording(curve, dt, odd, mode):
-        out = real_step(curve, dt, odd, mode)
+    def recording(curve, dt, odd, mode, k1):
+        out = real_step(curve, dt, odd, mode, k1)
         trials.append((curve, out[0], out[1]))
         return out
 
@@ -209,12 +209,14 @@ def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
 
     monkeypatch.setattr(integrator, "periodic_rhs", recording)
     seed = sample_preset("SEED_T0", grid64)
+    k1 = periodic_rhs(seed)
     for dt in (4e-5, -1e-3):
         stages.clear()
-        y4, err, k1 = rk45_step(seed, dt, False, "adaptive")
-        assert len(stages) == 7
-        assert np.array_equal(k1, stages[0])
-        y5 = seed.samples + dt * np.tensordot(b5, np.array(stages[:6]), 1)
+        y4, err = rk45_step(seed, dt, False, "adaptive", k1)
+        # the caller's k1 is the first stage
+        assert len(stages) == 6
+        y5 = seed.samples + dt * np.tensordot(b5, np.array([k1, *stages[:5]]),
+                                              1)
         assert err > 0.0
         assert err == np.max(np.abs(y5 - y4.samples))
 
@@ -242,27 +244,28 @@ def test_fixed_step_is_classical_rk4(grid64, monkeypatch):
     def f(v):
         return periodic_rhs(seed.with_samples(v))
 
+    k1 = f(y)
     for dt in (4e-5, -1e-3):
+        # the caller's k1 is the first stage; the step evaluates the others
         calls.clear()
-        nxt, err, k1 = rk45_step(seed, dt, False, "fixed")
-        assert len(calls) == 4
+        nxt, err = rk45_step(seed, dt, False, "fixed", k1)
+        assert len(calls) == 3
         assert err is None
-        k = [f(y)]
+        k = [k1]
         k.append(f(y + 0.5 * dt * k[0]))
         k.append(f(y + 0.5 * dt * k[1]))
         k.append(f(y + dt * k[2]))
         b = np.array([1, 2, 2, 1]) / 6
         expect = y + dt * (b @ np.reshape(k, (4, -1))).reshape(y.shape)
         assert np.array_equal(nxt.samples, expect)
-        assert np.array_equal(k1, k[0])
         # an adaptive step is the Dormand-Prince step, 7 stages
         calls.clear()
-        dp = rk45_step(seed, dt, False, "adaptive")
-        assert len(calls) == 7
+        dp = rk45_step(seed, dt, False, "adaptive", k1)
+        assert len(calls) == 6
         assert dp[1] > 0.0
-    # the caller always names the pair sum and the tableau
+    # the caller always names the start slope, the pair sum and the tableau
     with pytest.raises(TypeError):
-        rk45_step(seed, 4e-5)
+        rk45_step(seed, 4e-5, False, "fixed")
 
 
 def test_fixed_run_evaluates_four_slopes_per_step_and_one_per_flip(
@@ -282,25 +285,31 @@ def test_fixed_run_evaluates_four_slopes_per_step_and_one_per_flip(
                 y_next, odd=traj.pair_sum == "half"))
 
 
-def test_adaptive_run_evaluates_seven_slopes_per_trial_and_one_per_flip(
+def test_adaptive_run_evaluates_k1_once_per_state_and_six_slopes_per_trial(
         grid64, monkeypatch):
-    # rejected trial steps cost their 7 stages too; brackets take the same
-    # exact end slope as in fixed mode
+    # a trial step, rejected or not, costs its 6 later stages; its state's
+    # k1 is evaluated once and reused by every retry; brackets take the
+    # same exact end slope as in fixed mode
     calls = _record_pair_sums(monkeypatch)
     ctl = StepControl(mode="adaptive")
     runs = (lambda: evolve_backward_regularized(
                 sample_preset("SEED_T0", grid64), -1e-2, ctl),
             lambda: evolve_forward(sample_preset("CONJ_T0", grid64), 1.2e-2,
                                    ctl))
+    rejected = 0
     for run in runs:
         calls.clear()
         traj = run()
         assert traj.status == STATUS_OK and traj.brackets
         trials = traj.steps + traj.rejected_steps
-        assert len(calls) == 7 * trials + len(traj.brackets)
-        for *_, y_next, k1, k_end in traj.brackets:
-            assert np.array_equal(k_end, periodic_rhs(
-                y_next, odd=traj.pair_sum == "half"))
+        assert len(calls) == 6 * trials + traj.steps + len(traj.brackets)
+        rejected += traj.rejected_steps
+        for _, cur, *_, y_next, k1, k_end in traj.brackets:
+            odd = traj.pair_sum == "half"
+            assert np.array_equal(k1, periodic_rhs(cur, odd=odd))
+            assert np.array_equal(k_end, periodic_rhs(y_next, odd=odd))
+    # the backward run rejects a trial step, so a retry is counted
+    assert rejected > 0
 
 
 def _collapse(curve):
@@ -356,8 +365,8 @@ def test_nan_abort(flat64, monkeypatch):
     traj = evolve_forward(flat64, 1e-3,
                           StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_NAN
-    # the poisoned stage velocity makes the next stage input non-finite
-    assert traj.error == "NanEncountered: non-finite samples"
+    # the march checks the first stage before any step uses it
+    assert traj.error == "NanEncountered: non-finite start slope"
     assert traj.events == [(0.0, STATUS_NAN)]
     assert len(traj.snapshots) == 1
 
@@ -440,10 +449,11 @@ def _restep_event_times(traj, width=1e-10):
     eps = traj.smoothing_eps
     found = []
     for t_a, cur, h, kind, *_ in traj.brackets:
+        k1 = periodic_rhs(cur)
         lo, hi = t_a, t_a + h
         while abs(hi - lo) > width:
             mid = 0.5 * (lo + hi)
-            probe = rk45_step(cur, mid - t_a, False, traj.control.mode)[0]
+            probe = rk45_step(cur, mid - t_a, False, traj.control.mode, k1)[0]
             if eps is not None:
                 probe = integrator._smoothed(probe, eps)
             if (grid_min_slope(probe) > 0.0) == (kind == EVENT_ENTER_UNSTABLE):
@@ -517,8 +527,9 @@ def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):
     calls = []
 
     def nan_once(curve, **kwargs):
+        # call 1 is the start slope k1, call 2 the first trial's second stage
         calls.append(1)
-        if len(calls) == 1:
+        if len(calls) == 2:
             n = curve.grid.n
             return np.stack((np.full(n, np.nan), np.zeros(n)))
         return periodic_rhs(curve)
@@ -530,6 +541,24 @@ def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):
     assert traj.events == []
     assert traj.rejected_steps == 1
     assert abs(traj.final_time - 1e-3) < 1e-12
+    # each accepted step took its state's k1 and 6 stages; the failed trial
+    # took 1 stage, and its retry reused the first state's k1
+    assert len(calls) == 1 + 7 * traj.steps
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_failed_start_slope_ends_the_run_at_once(monkeypatch, mode):
+    # f(y_n) does not depend on h, so no smaller step can mend its failure:
+    # p1 = -alpha and z2 = 0 put every node of the n = 32 curve on one point
+    grid = make_grid(32)
+    collapsed = make_curve(grid, -grid.nodes, np.zeros(32))
+    calls = _record_pair_sums(monkeypatch)
+    traj = evolve_forward(collapsed, 1e-3, StepControl(mode=mode, dt=1e-3))
+    assert len(calls) == 1
+    assert traj.status == STATUS_ARC_CHORD
+    assert traj.error.startswith("ArcChordError: arc-chord denominator")
+    assert traj.events == [(0.0, STATUS_ARC_CHORD)]
+    assert (traj.steps, traj.rejected_steps, len(traj.snapshots)) == (0, 0, 1)
 
 
 def _fixed_rhs_count(manifest):
@@ -542,20 +571,18 @@ def _fixed_rhs_count(manifest):
 
 def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
     flags = _record_pair_sums(monkeypatch)
-    runs = {"BACKWARD_SEED": (-2e-4, ("final",)),
-            "CONJ_TURNOVER": (2e-4, ("final",)),
-            "DELTA_TILT": (2e-4, ("final_forward", "final_backward"))}
     finals = []
-    for scenario, (t_final, names) in runs.items():
+    for scenario, t_final in (("BACKWARD_SEED", -2e-4),
+                              ("CONJ_TURNOVER", 2e-4)):
         out = tmp_path / scenario
         flags.clear()
         manifest = run_scenario(RunConfig(
             scenario=scenario, n=32, t_final=t_final, dt=1e-4,
             out_dir=str(out)))
         assert manifest.status == STATUS_OK
-        assert manifest.pair_sums == ("half",) * len(names)
+        assert manifest.pair_sum == "half"
         assert flags == [True] * _fixed_rhs_count(manifest)
-        finals += [out / manifest.outputs[name] for name in names]
+        finals.append(out / manifest.outputs["final"])
     for k, final in enumerate(finals):
         out = tmp_path / f"rerun{k}"
         flags.clear()
@@ -588,5 +615,5 @@ def test_curves_that_are_not_odd_take_the_full_sum(tmp_path, monkeypatch):
     manifest = run_scenario(RunConfig(
         scenario="FORWARD_RERUN", input_snapshot=str(tmp_path / "asym.dat"),
         t_final=1e-4, dt=1e-4, out_dir=str(tmp_path / "rerun")))
-    assert manifest.pair_sums == ("full",)
+    assert manifest.pair_sum == "full"
     assert "pair_sum = full\n" in (tmp_path / "rerun/manifest.txt").read_text()

@@ -51,13 +51,14 @@ def test_config_defaults():
     ({"n": True}, "n: expected an integer"),
     ({"eps": -1e-9}, "eps"),
     ({"mode": "verlet"}, "mode"),
-    ({"delta": 1.5}, "delta"),
+    ({"input_snapshot": "x.dat"}, "input_snapshot"),
     ({"t_final": float("inf")}, "t_final"),
     ({"dt": float("inf")}, "dt: must be positive and finite"),
     ({"mode": "adaptive", "dt": 0.05}, "dt: adaptive mode needs"),
     ({"rel_tol": -1.0}, "rel_tol: must be positive"),
     ({"snapshot_every": float("nan")}, "snapshot_every: must be positive"),
-    ({"delta": float("nan")}, "delta: need 0 < delta < 1"),
+    ({"scenario": "CONJ_TURNOVER", "input_snapshot": "x.dat"},
+     "input_snapshot: CONJ_TURNOVER"),
     ({"rel_tol": float("inf")}, "rel_tol: must be positive and finite"),
     ({"rel_tol": float("nan")}, "rel_tol: must be positive and finite"),
     ({"eps": float("inf")}, "eps: must be finite and nonnegative"),
@@ -89,7 +90,7 @@ def test_load_config_round_trips_fields(tmp_path):
     assert cfg.snapshot_every == 5e-4
     assert cfg.eps == 1e-7
     # untouched fields keep their defaults
-    assert (cfg.mode, cfg.delta) == (RunConfig.mode, RunConfig.delta)
+    assert (cfg.mode, cfg.rel_tol) == (RunConfig.mode, RunConfig.rel_tol)
 
 
 def test_load_config_rejects_unknown_names(tmp_path):
@@ -173,8 +174,8 @@ def test_export_rows_match_the_per_value_format(tmp_path):
     assert path.read_text() == "\n".join(expected) + "\n"
     # norms.dat rows carry nan for snapshots that are not a graph
     cols = np.array([[np.nan, -np.inf, -0.0], [5e-324, 1e300, 1.0 / 3.0]])
-    assert _format_rows(*cols) == [f"{a:.17g}, {b:.17g}"
-                                   for a, b in zip(*cols)]
+    assert _format_rows(*cols) == "".join(f"{a:.17g}, {b:.17g}\n"
+                                          for a, b in zip(*cols))
 
 
 def test_import_rejects_malformed_files(tmp_path):
@@ -271,11 +272,13 @@ def _manifest_section(out, section="manifest"):
 
 
 def test_manifest_records_the_resolved_horizon(tmp_path):
-    out = tmp_path / "tilt"
-    manifest = run_scenario(RunConfig(scenario="DELTA_TILT", n=32, dt=1e-4,
-                                      out_dir=str(out)))
+    # adaptive steps reach the default horizon in a few dozen steps
+    out = tmp_path / "bwd"
+    manifest = run_scenario(RunConfig(scenario="BACKWARD_SEED", n=32,
+                                      mode="adaptive", out_dir=str(out)))
     assert manifest.status == "OK"
-    assert _manifest_section(out, "config")["t_final"] == "0.002"
+    assert manifest.trajectory.final_time == pytest.approx(-4.92e-2)
+    assert _manifest_section(out, "config")["t_final"] == "-0.0492"
 
 
 def test_scenario_runs_import_no_scipy(tmp_path):
@@ -310,61 +313,41 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_delta_tilt_scenario_writes_both_legs(tmp_path):
-    out = tmp_path / "tilt"
-    cfg = RunConfig(scenario="DELTA_TILT", n=32, t_final=2e-4, dt=1e-4,
-                    snapshot_every=1e-4, out_dir=str(out))
-    manifest = run_scenario(cfg)
-    assert manifest.status == "OK"
-    for name in ("initial", "final_forward", "final_backward",
-                 "norms_forward", "norms_backward", "timeline_forward",
-                 "timeline_backward"):
-        assert name in manifest.outputs
-        assert (out / manifest.outputs[name]).exists()
-    assert manifest.trajectory is not None
-    assert manifest.trajectory.final_time == pytest.approx(2e-4)
-    # two steps per leg, both legs counted
-    head = _manifest_section(out)
-    assert (head["grid_n"], head["steps"], head["rejected_steps"]) == \
-        ("32", "4", "0")
-    # one pair sum per leg, forward first
-    assert head["pair_sum"] == "half half"
-
-
-def test_delta_tilt_keeps_backward_leg_failure(tmp_path, monkeypatch):
+def test_run_failing_on_a_later_step_keeps_its_status(tmp_path,
+                                                      monkeypatch):
     real_step = integrator.rk45_step
-    backward_steps = []
+    steps = []
 
-    def second_backward_step_fails(curve, dt, *args):
-        if dt < 0.0:
-            backward_steps.append(dt)
-            if len(backward_steps) == 2:
-                raise integrator.NanEncountered("injected")
+    def second_step_fails(curve, dt, *args):
+        steps.append(dt)
+        if len(steps) == 2:
+            raise integrator.NanEncountered("injected")
         return real_step(curve, dt, *args)
 
-    monkeypatch.setattr(integrator, "rk45_step", second_backward_step_fails)
-    out = tmp_path / "tilt"
-    cfg = RunConfig(scenario="DELTA_TILT", n=32, t_final=2e-4, dt=1e-4,
+    monkeypatch.setattr(integrator, "rk45_step", second_step_fails)
+    out = tmp_path / "bwd"
+    cfg = RunConfig(scenario="BACKWARD_SEED", n=32, t_final=-2e-4, dt=1e-4,
                     snapshot_every=1e-4, out_dir=str(out))
     manifest = run_scenario(cfg)
     assert manifest.status == integrator.STATUS_NAN
     assert manifest.error == "NanEncountered: injected"
     assert manifest.events[-1] == (pytest.approx(-1e-4),
                                    integrator.STATUS_NAN)
-    assert manifest.steps == 3
+    assert manifest.steps == 1
+    # the state before the failed step is the final snapshot
+    final, t = import_snapshot(out / manifest.outputs["final"])
+    assert t == pytest.approx(-1e-4)
+    assert np.array_equal(final.z2, manifest.trajectory.final.z2)
 
 
-def _fail_forward_leg(status, monkeypatch):
-    """Make a DELTA_TILT run's forward leg end with status, for real where
-    the kernel or the step control can do it; every backward step raises
-    NanEncountered("injected backward")."""
+def _fail_run(status, monkeypatch):
+    """Make a run end with status, for real where the kernel or the step
+    control can do it."""
     real_step = integrator.rk45_step
 
     def step(curve, dt, *args):
-        if dt < 0.0:
-            raise integrator.NanEncountered("injected backward")
         if status == integrator.STATUS_NAN:
-            raise integrator.NanEncountered("injected forward")
+            raise integrator.NanEncountered("injected")
         return real_step(curve, dt, *args)
 
     monkeypatch.setattr(integrator, "rk45_step", step)
@@ -381,23 +364,21 @@ def _fail_forward_leg(status, monkeypatch):
     (integrator.STATUS_ARC_CHORD,
      r"ArcChordError: arc-chord denominator \S+ at or below floor 1\.000e\+01"
      r" between nodes \(\d+, \d+\)"),
-    (integrator.STATUS_NAN, r"NanEncountered: injected forward"),
+    (integrator.STATUS_NAN, r"NanEncountered: injected"),
     (integrator.STATUS_STEP_UNDERFLOW,
      r"error estimate \S+ above tolerance \S+ at the minimum step 0\.0001")])
 def test_manifest_error_is_the_first_failed_legs_line(tmp_path, monkeypatch,
                                                       status, line):
-    # both legs fail; the forward leg, which runs first, names the status
-    # and the error line
-    _fail_forward_leg(status, monkeypatch)
-    out = tmp_path / "tilt"
-    cfg = RunConfig(scenario="DELTA_TILT", n=32, t_final=2e-4, dt=1e-4,
+    # the run's one failure names the status and the error line
+    _fail_run(status, monkeypatch)
+    out = tmp_path / "conj"
+    cfg = RunConfig(scenario="CONJ_TURNOVER", n=32, t_final=2e-4, dt=1e-4,
                     mode="adaptive", rel_tol=1e-30, out_dir=str(out))
     manifest = run_scenario(cfg)
     assert manifest.status == status
     assert re.fullmatch(line, manifest.error)
     assert manifest.error == manifest.trajectory.error
-    assert [kind for _, kind in manifest.events] == [
-        status, integrator.STATUS_NAN]
+    assert manifest.events == ((0.0, status),)
     head = _manifest_section(out)
     assert (head["status"], head["error"]) == (status, manifest.error)
 
@@ -418,7 +399,7 @@ def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                               " between nodes (0, 1)")
     assert manifest.events == ((0.0, integrator.STATUS_ARC_CHORD),)
     assert manifest.steps == 0
-    # the leg is its initial state alone: one point of the timeline
+    # the run is its initial state alone: one point of the timeline
     assert manifest.timeline == (((0.0, 0.0), "CRITICAL"),)
     text = (out / "manifest.txt").read_text()
     assert "status = ARC_CHORD_FAILURE" in text
@@ -450,11 +431,15 @@ def test_backward_seed_scenario_small(tmp_path):
     manifest = run_scenario(cfg)
     assert manifest.status == "OK"
     assert manifest.trajectory.direction == -1
-    for name in ("initial", "final", "norms", "timeline"):
+    assert set(manifest.outputs) == {"initial", "final", "norms", "timeline"}
+    for name in manifest.outputs:
         assert (out / manifest.outputs[name]).exists()
     final, t = import_snapshot(out / manifest.outputs["final"])
     assert t == pytest.approx(-4e-4, abs=1e-12)
     assert final.grid.n == 32
+    head = _manifest_section(out)
+    assert (head["grid_n"], head["steps"], head["rejected_steps"],
+            head["pair_sum"]) == ("32", "4", "0", "half")
 
 
 def test_forward_rerun_requires_input(tmp_path, capsys):
@@ -471,7 +456,7 @@ def test_forward_rerun_requires_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario, t_final", [
     ("BACKWARD_SEED", 1e-3), ("BACKWARD_SEED", 0.0),
-    ("CONJ_TURNOVER", -1e-3), ("DELTA_TILT", 0.0)])
+    ("CONJ_TURNOVER", -1e-3), ("CONJ_TURNOVER", 0.0)])
 def test_preset_horizon_sign_is_a_config_error(tmp_path, capsys, scenario,
                                                t_final):
     with pytest.raises(ValueError, match=f"^t_final: {scenario} needs"):
@@ -507,16 +492,16 @@ def test_scenario_outputs_are_deterministic(tmp_path):
     finals = []
     for tag in ("one", "two"):
         out = tmp_path / tag
-        cfg = RunConfig(scenario="DELTA_TILT", n=32, t_final=2e-4, dt=1e-4,
-                        snapshot_every=1e-4, out_dir=str(out))
+        cfg = RunConfig(scenario="CONJ_TURNOVER", n=32, t_final=2e-4,
+                        dt=1e-4, snapshot_every=1e-4, out_dir=str(out))
         manifest = run_scenario(cfg)
-        finals.append((out / manifest.outputs["final_forward"]).read_bytes())
+        finals.append((out / manifest.outputs["final"]).read_bytes())
     assert finals[0] == finals[1]
 
 
 def test_cli_run_and_inspect(tmp_path, capsys):
     out = tmp_path / "cli"
-    code = main(["run", "--scenario", "DELTA_TILT", "--out", str(out),
+    code = main(["run", "--scenario", "CONJ_TURNOVER", "--out", str(out),
                  "--n", "32", "--t-final", "2e-4", "--dt", "1e-4",
                  "--snapshot-every", "1e-4"])
     captured = capsys.readouterr()
@@ -525,10 +510,10 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert "wrote manifest" in captured.out
     assert "pattern = STABLE\n" in captured.out
     assert "terminal state:" in captured.out
-    # the tilt keeps min d_alpha z1 near delta, inside the near-critical band
+    # min d_alpha z1 starts at 0.04, inside the near-critical band
     assert "near-critical minimum: alpha = " in captured.out
 
-    code = main(["inspect", str(out / "final_forward.dat")])
+    code = main(["inspect", str(out / "final.dat")])
     captured = capsys.readouterr()
     assert code == 0
     assert "regime = " in captured.out
@@ -549,7 +534,6 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
                           ("--eps", "eps: must be finite and nonnegative"),
                           ("--snapshot-every", "snapshot_every"),
                           ("--rel-tol", "rel_tol: must be positive"),
-                          ("--delta", "delta: need 0 < delta < 1"),
                           ("--t-final", "FORWARD_RERUN needs")):
         assert main(["run", "--scenario", "FORWARD_RERUN", flag,
                      "-2.5e-3"]) == 1
@@ -558,13 +542,13 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
 
 def test_cli_run_sets_every_config_key(tmp_path, capsys):
     out = tmp_path / "adaptive"
-    code = main(["run", "--scenario", "DELTA_TILT", "--n", "32",
-                 "--t-final", "2e-4", "--mode", "adaptive", "--rel-tol",
-                 "1e-9", "--delta", "0.2", "--out", str(out)])
+    code = main(["run", "--scenario", "BACKWARD_SEED", "--n", "32",
+                 "--t-final", "-2e-4", "--mode", "adaptive", "--rel-tol",
+                 "1e-9", "--eps", "1e-7", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     config = _manifest_section(out, "config")
-    assert [config[k] for k in ("mode", "rel_tol", "delta")] == \
-        ["adaptive", "1e-09", "0.2"]
+    assert [config[k] for k in ("mode", "rel_tol", "eps")] == \
+        ["adaptive", "1e-09", "1e-07"]
 
 
 def test_cli_pattern_events_and_terminal_regime_agree(tmp_path, capsys):
@@ -600,6 +584,12 @@ def test_config_fields_keys_and_flags_are_one_set(tmp_path, capsys):
     assert "unknown key 'abs_tol' in [time]" in capsys.readouterr().err
     assert main(["run", "--abs-tol", "1e-10"]) == 1
     assert "--abs-tol" in capsys.readouterr().err
+    # nor is a tilt: no scenario reads one
+    ini.write_text("[tilt]\ndelta = 0.1\n")
+    assert main(["run", "--config", str(ini)]) == 1
+    assert "unknown section [tilt]" in capsys.readouterr().err
+    assert main(["run", "--delta", "0.1"]) == 1
+    assert "--delta" in capsys.readouterr().err
 
 
 def test_cli_verify_lemma(tmp_path, capsys):
@@ -618,6 +608,13 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
 
     assert main(["run", "--scenario", "FORWARD_RERUN"]) == 1
     assert "input_snapshot: FORWARD_RERUN needs" in capsys.readouterr().err
+
+    # a snapshot is read by FORWARD_RERUN alone, never silently ignored
+    assert main(["run", "--scenario", "BACKWARD_SEED", "--input",
+                 "x.dat", "--out", str(tmp_path / "bwd")]) == 1
+    assert ("input_snapshot: BACKWARD_SEED starts from its preset"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "bwd").exists()
 
     # the density jump is no setting
     assert main(["run", "--density-jump", "1"]) == 1
