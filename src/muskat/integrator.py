@@ -165,11 +165,13 @@ def rk45_step(curve: SampledCurve, dt: float, odd: bool, mode: str,
     y = curve.samples
     stages = np.empty((len(b),) + y.shape)
     stages[0] = k1
+    # stage sums as vector-matrix products over the flattened stages
+    flat = stages.reshape(len(b), -1)
     for i in range(1, len(b)):
-        stage = curve.with_samples(
-            y + dt * np.tensordot(a[i, :i], stages[:i], axes=1))
+        step = (a[i, :i] @ flat[:i]).reshape(y.shape)
+        stage = curve.with_samples(y + dt * step)
         stages[i] = periodic_rhs(stage, odd=odd)
-    nxt = curve.with_samples(y + dt * np.tensordot(b, stages, axes=1))
+    nxt = curve.with_samples(y + dt * (b @ flat).reshape(y.shape))
     err = (None if mode == "fixed"
            else float(np.max(np.abs(stage.samples - nxt.samples))))
     return nxt, err

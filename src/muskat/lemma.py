@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .piecewise import Piece, PiecewiseCurve, PiecewisePoly
+from .piecewise import Piece, PiecewiseCurve
 
 MIN_SPLICE_R = 9.0  # blocks overlap for smaller R; R > 9 keeps them disjoint
 
@@ -110,36 +110,29 @@ class CrosscheckReport:
     bounds: TailBounds
 
 
+_IDENT = (0.0, 1.0)
+_CUBIC = (0.0, 0.0, 0.0, 1.0)
+
+
 def _tail_block() -> PiecewiseCurve:
-    c1 = PiecewisePoly([
-        Piece(-2.0, -1.0, 0.0, (0.0, 1.0)),
-        Piece(-1.0, 1.0, 0.0, (0.0, 0.0, 0.0, 1.0)),
-        Piece(1.0, 2.0, 0.0, (0.0, 1.0)),
+    return PiecewiseCurve([
+        Piece(-2.0, -1.0, 0.0, _IDENT, (-2.0, -1.0)),
+        Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 1.0)),
+        Piece(1.0, 2.0, 0.0, _IDENT, (2.0, -1.0)),
     ])
-    c2 = PiecewisePoly([
-        Piece(-2.0, -1.0, 0.0, (-2.0, -1.0)),
-        Piece(-1.0, 1.0, 0.0, (0.0, 1.0)),
-        Piece(1.0, 2.0, 0.0, (2.0, -1.0)),
-    ])
-    return PiecewiseCurve(c1, c2)
 
 
 def _center_block() -> PiecewiseCurve:
-    c1 = PiecewisePoly([
-        Piece(-7.0, -1.0, 0.0, (0.0, 1.0)),
-        Piece(-1.0, 1.0, 0.0, (0.0, 0.0, 0.0, 1.0)),
-        Piece(1.0, 7.0, 0.0, (0.0, 1.0)),
+    # z1 is the identity off the cubic on [-1, 1]
+    return PiecewiseCurve([
+        Piece(-7.0, -5.0, 0.0, _IDENT, (10.5, 1.5)),
+        Piece(-5.0, -2.0, 0.0, _IDENT, (3.0,)),
+        Piece(-2.0, -1.0, 0.0, _IDENT, (-7.0, -5.0)),
+        Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 3.0, 0.0, -1.0)),
+        Piece(1.0, 2.0, 0.0, _IDENT, (7.0, -5.0)),
+        Piece(2.0, 5.0, 0.0, _IDENT, (-3.0,)),
+        Piece(5.0, 7.0, 0.0, _IDENT, (-10.5, 1.5)),
     ])
-    c2 = PiecewisePoly([
-        Piece(-7.0, -5.0, 0.0, (10.5, 1.5)),
-        Piece(-5.0, -2.0, 0.0, (3.0,)),
-        Piece(-2.0, -1.0, 0.0, (-7.0, -5.0)),
-        Piece(-1.0, 1.0, 0.0, (0.0, 3.0, 0.0, -1.0)),
-        Piece(1.0, 2.0, 0.0, (7.0, -5.0)),
-        Piece(2.0, 5.0, 0.0, (-3.0,)),
-        Piece(5.0, 7.0, 0.0, (-10.5, 1.5)),
-    ])
-    return PiecewiseCurve(c1, c2)
 
 
 def build_blocks(R: float) -> Blocks:
@@ -149,21 +142,12 @@ def build_blocks(R: float) -> Blocks:
         raise ValueError(f"splice needs R > {MIN_SPLICE_R}, got {R}")
     tail = _tail_block()
     center = _center_block()
-    ident = lambda lo, hi: Piece(lo, hi, 0.0, (0.0, 1.0))
-    zero = lambda lo, hi: Piece(lo, hi, 0.0, (0.0,))
-    c1 = PiecewisePoly(
-        list(tail.c1.shifted(-R).plus_const(-R).pieces)
-        + [ident(-R + 2.0, -7.0)]
-        + list(center.c1.pieces)
-        + [ident(7.0, R - 2.0)]
-        + list(tail.c1.shifted(R).plus_const(R).pieces))
-    c2 = PiecewisePoly(
-        list(tail.c2.shifted(-R).pieces)
-        + [zero(-R + 2.0, -7.0)]
-        + list(center.c2.pieces)
-        + [zero(7.0, R - 2.0)]
-        + list(tail.c2.shifted(R).pieces))
-    return Blocks(tail=tail, center=center, spliced=PiecewiseCurve(c1, c2))
+    # the identity (a, 0) fills the gaps between the blocks
+    gap = lambda lo, hi: (Piece(lo, hi, 0.0, _IDENT, (0.0,)),)
+    spliced = PiecewiseCurve(
+        tail.shifted(-R) + gap(-R + 2.0, -7.0) + center.pieces
+        + gap(7.0, R - 2.0) + tail.shifted(R))
+    return Blocks(tail=tail, center=center, spliced=spliced)
 
 
 def _quad_sum(panels, tol, label) -> float:

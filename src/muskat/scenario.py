@@ -42,6 +42,9 @@ STATUS_ERROR = "ERROR"
 # CONJ_TURNOVER stops once the minimum slope is clearly past turnover.
 TURNOVER_STOP_SLOPE = -0.02
 
+# smoothing threshold of BACKWARD_SEED, the one scenario that smooths
+_DEFAULT_EPS = 1e-6
+
 _DEFAULT_T_FINAL = {
     "BACKWARD_SEED": -4.92e-2,
     "FORWARD_RERUN": 6e-2,
@@ -78,7 +81,7 @@ class RunConfig:
     mode: str = StepControl.mode
     dt: float = StepControl.dt
     rel_tol: float = StepControl.rel_tol
-    eps: float = 1e-6
+    eps: float | None = None
     t_final: float | None = None
     snapshot_every: float = 1e-3
     out_dir: str = "runs/out"
@@ -92,8 +95,12 @@ class RunConfig:
         _check_grid_size(self.n)
         if not self.snapshot_every > 0:
             raise ValueError("snapshot_every: must be positive")
-        if not (np.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError("eps: must be finite and nonnegative")
+        if self.eps is not None:
+            if not (np.isfinite(self.eps) and self.eps >= 0):
+                raise ValueError("eps: must be finite and nonnegative")
+            if self.scenario != "BACKWARD_SEED":
+                raise ValueError(f"eps: {self.scenario} applies no smoothing;"
+                                 " only BACKWARD_SEED takes eps")
         if self.t_final is not None and not np.isfinite(self.t_final):
             raise ValueError("t_final: must be finite")
         # the step fields are checked by their owner
@@ -112,6 +119,14 @@ class RunConfig:
         if self.t_final is not None:
             return self.t_final
         return _DEFAULT_T_FINAL[self.scenario]
+
+    @property
+    def resolved_eps(self) -> float | None:
+        """The smoothing threshold of a BACKWARD_SEED run; None for the
+        scenarios that do not smooth."""
+        if self.eps is not None or self.scenario != "BACKWARD_SEED":
+            return self.eps
+        return _DEFAULT_EPS
 
     def step_control(self) -> StepControl:
         return StepControl(mode=self.mode, dt=self.dt, rel_tol=self.rel_tol)
@@ -154,8 +169,8 @@ class RunManifest:
         lines += ["", "[config]"]
         for f in fields(RunConfig):
             value = getattr(self.config, f.name)
-            if f.name == "t_final":
-                value = self.config.resolved_t_final
+            if f.name in ("t_final", "eps"):
+                value = getattr(self.config, "resolved_" + f.name)
             lines.append(f"{f.name} = {value}")
         lines += ["", "[events]"]
         for i, (t, kind) in enumerate(self.events):
@@ -367,7 +382,7 @@ def _run_evolution(config: RunConfig, outdir: Path,
 
     if config.scenario == "BACKWARD_SEED":
         traj = evolve_backward_regularized(curve, t_final, control,
-                                           eps=config.eps,
+                                           eps=config.resolved_eps,
                                            snapshot_every=every)
     else:
         stop = (TURNOVER_STOP_SLOPE if config.scenario == "CONJ_TURNOVER"

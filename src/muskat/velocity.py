@@ -36,12 +36,14 @@ Q = exp(-z2) sin(z1),
 
 with dzeta = zeta_i - zeta_j. One complex exponential per node replaces
 the sin, cos and cosh per pair, whose sin and cos were most of a
-right-hand side at n = 2048; a chunk is then two small matrix products
-(dP and dQ, then the numerator), a sum of squares, a division and the two
-summing products, 9 numpy calls in all. The chunks hold K/2 and the factor
-2 sits in the final scale. A right-hand side of SEED_T0 takes 0.67-0.70 ms
-at n = 512 and 6.5-6.9 ms at n = 2048 (2-vCPU Xeon, medians over 12
-processes), and 0.38 and 3.4 ms with half the pair sum (below).
+right-hand side at n = 2048; a chunk is then one small stacked matrix
+product (dP, dQ and the numerator at once), a sum of squares, a division
+and the two summing products, 8 numpy calls in all. The chunks hold K/2
+and the factor 2 sits in the final scale. A right-hand side of SEED_T0
+takes 0.57 ms at n = 512 and 6.3 ms at n = 2048, and 0.31 and 3.3 ms with
+half the pair sum (below): medians over 12 processes of each one's median
+call on a shared 2-vCPU Xeon, whose per-process medians spread by about
++-25% (0.46-0.74 and 5.4-6.8 ms; 0.23-0.36 and 2.8-3.5 ms).
 
 Half the pair sum on odd curves. The mirror R: j -> (n - j) mod n takes
 alpha to -alpha. On an odd curve (p1 and z2 odd) z1 is odd modulo 2 pi,
@@ -140,24 +142,24 @@ class ArcChordError(RuntimeError):
 @lru_cache(maxsize=8)
 def _workspace(m: int, rows: int) -> tuple[np.ndarray, ...]:
     """Arrays of the pair sum over m even and m odd nodes in row chunks of
-    the given size, reused by every call at that size: the difference
-    operands [P_e, -1, 0; Q_e, 0, -1] and [1; P_o; Q_o] with their
-    constant entries in place, the numerator operand [Q_e, -P_e], the sum
-    operands a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e]
-    (3, m), the (2, rows, m) chunk buffer, the (m, 3) row products, and
-    the (3, m) column products of one chunk and their running sum.
-    Keeping them across calls spares the allocator the heap trims and page
-    faults of rebuilding them each time."""
-    diff = np.zeros((2, m, 3))
-    diff[0, :, 1] = diff[1, :, 2] = -1.0
+    the given size, reused by every call at that size: the stacked chunk
+    operands [P_e, -1, 0; Q_e, 0, -1; 0, Q_e, -P_e] (3, m, 3) and
+    [1; P_o; Q_o] with their constant entries in place, the sum operands
+    a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e] (3, m), the
+    (3, rows, m) chunk buffer, the (m, 3) row products, and the (3, m)
+    column products of one chunk and their running sum. Keeping them
+    across calls spares the allocator the heap trims and page faults of
+    rebuilding them each time."""
+    left = np.zeros((3, m, 3))
+    left[0, :, 1] = left[1, :, 2] = -1.0
     right = np.empty((3, m))
     right[0] = 1.0
     ao3 = np.empty((m, 3))
     ao3[:, 0] = 1.0
     ae3 = np.empty((3, m))
     ae3[0] = 1.0
-    return (diff, right, np.empty((m, 2)), ao3, ae3, np.empty((2, rows, m)),
-            np.empty((m, 3)), np.empty((3, m)), np.empty((3, m)))
+    return (left, right, ao3, ae3, np.empty((3, rows, m)), np.empty((m, 3)),
+            np.empty((3, m)), np.empty((3, m)))
 
 
 def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
@@ -184,36 +186,39 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     floor = ARC_CHORD_FLOOR
     n = curve.grid.n
     z1, z2 = curve.z1, curve.z2
-    dp1, dz2 = filtered_derivative(curve.samples, 1)
+    deriv = filtered_derivative(curve.samples, 1)
 
     m = n // 2
     nrows = m // 2 + 1 if odd else m
     # equal row chunks of at most _CHUNK_PAIRS pairs (one row at least)
     chunks = min(nrows, -(-nrows * m // _CHUNK_PAIRS))
-    diff, right, cross, ao3, ae3, buf, row_prod, col_prod, col_acc = \
+    left, right, ao3, ae3, buf, row_prod, col_prod, col_acc = \
         _workspace(m, -(-nrows // chunks))
     edges = [nrows * c // chunks for c in range(chunks + 1)]
     z1e, z1o = z1[0::2], z1[1::2]
     z2e, z2o = z2[0::2], z2[1::2]
-    ae3[1], ae3[2] = dp1[0::2], dz2[0::2]
-    ao3[:, 1], ao3[:, 2] = dp1[1::2], dz2[1::2]
-    # the even rows that are their own mirrors weigh 1/2 in the column
-    # products of a half sum; the ones of a_e are restored for a full one
-    fixed = [0, m // 2] if m % 2 == 0 else [0]
+    ae3[1:] = deriv[:, 0::2]
+    ao3[:, 1:] = deriv[:, 1::2].T
+    # the even rows that are their own mirrors, 0 and m/2 for even m, weigh
+    # 1/2 in the column products of a half sum; the ones of a_e are
+    # restored for a full one
+    fixed = slice(0, None, m // 2) if m % 2 == 0 else slice(0, 1)
     ae3[0, fixed] = 1.0
     if odd:
         ae3[:, fixed] *= 0.5
 
     # zeta = P + iQ = exp(i z); per chunk, one stacked matmul forms
     # dP = P_e - P_o and dQ = Q_e - Q_o, whose zero terms are exact, so
-    # they are the rounded differences, and one more the numerator
-    # Q_e P_o - P_e Q_o into dQ's buffer once |dzeta|^2 is formed
+    # they are the rounded differences, and the numerator Q_e P_o - P_e Q_o
     mod = np.exp(-z2)
-    P = mod * np.cos(z1)
-    Q = mod * np.sin(z1)
-    diff[0, :, 0], diff[1, :, 0] = P[0::2], Q[0::2]
-    right[1], right[2] = P[1::2], Q[1::2]
-    cross[:, 0], cross[:, 1] = Q[0::2], -P[0::2]
+    zeta = np.empty((2, n))
+    np.cos(z1, out=zeta[0])
+    np.sin(z1, out=zeta[1])
+    zeta *= mod
+    left[:2, :, 0] = zeta[:, 0::2]
+    left[2, :, 1] = zeta[1, 0::2]
+    np.negative(zeta[0, 0::2], out=left[2, :, 2])
+    right[1:] = zeta[:, 1::2]
     # a pair with |dzeta|^2 above limit * max|zeta_e| (chunk) has its real
     # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
     limit = 2.0 * max(_SCREEN_DELTA, 2.0 * floor) * mod[1::2].max()
@@ -222,11 +227,10 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     col_acc.fill(0.0)
     worst, pair = np.inf, None
     for r0, r1, bound in zip(edges, edges[1:], bounds.tolist()):
-        block = np.matmul(diff[:, r0:r1], right, out=buf[:, :r1 - r0])
-        np.square(block, out=block)
-        dP, dQ = block
+        block = np.matmul(left[:, r0:r1], right, out=buf[:, :r1 - r0])
+        dP, dQ, ker = block
+        np.square(block[:2], out=block[:2])
         dP += dQ
-        ker = np.matmul(cross[r0:r1], right[1:], out=dQ)
         near = None
         if dP.min() <= bound:
             # near pairs: real denominators, free of the cancellation of

@@ -146,3 +146,13 @@ def test_verification_report_contents():
     assert "-0.025088" in report
     assert "I_tt" in report
     assert "True" in report
+    # the scan lines, from I_cc and the majorants transcribed here
+    i_cc = 0.127271158570 + 1.0 / 65.0 - 63.0 / 442.0 - 3.0 / 119.0
+    for R in range(10, 21):
+        center = i_cc + 24.0 * (R + 2.0) / (R - 2.0) ** 4
+        tail = (0.25 - 126.0 * (R + 7.0) / (R - 7.0) ** 4
+                - 12.0 * (2.0 * R + 2.0) / (2.0 * R - 2.0) ** 4)
+        line = (f"  R = {R:2d}: I_cc + bound_tc = {center:+.6f}"
+                f" (center_ok={center < 0}), 1/4 - bounds_ct = {tail:+.6f}"
+                f" (tail_ok={tail > 0})")
+        assert line in report.splitlines()

@@ -34,7 +34,10 @@ def test_config_defaults():
     assert cfg.scenario == "BACKWARD_SEED"
     assert cfg.n == 2048
     assert cfg.dt == 4e-5
-    assert cfg.eps == 1e-6
+    assert cfg.eps is None
+    assert cfg.resolved_eps == 1e-6
+    assert RunConfig(eps=1e-7).resolved_eps == 1e-7
+    assert RunConfig(scenario="CONJ_TURNOVER").resolved_eps is None
     assert cfg.resolved_t_final == -4.92e-2
     assert RunConfig(scenario="FORWARD_RERUN",
                      input_snapshot="final.dat").resolved_t_final == 6e-2
@@ -62,6 +65,10 @@ def test_config_defaults():
     ({"rel_tol": float("inf")}, "rel_tol: must be positive and finite"),
     ({"rel_tol": float("nan")}, "rel_tol: must be positive and finite"),
     ({"eps": float("inf")}, "eps: must be finite and nonnegative"),
+    ({"scenario": "CONJ_TURNOVER", "eps": 1e-6},
+     "eps: CONJ_TURNOVER applies no smoothing"),
+    ({"scenario": "FORWARD_RERUN", "input_snapshot": "x.dat", "eps": 0.0},
+     "eps: FORWARD_RERUN applies no smoothing"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -77,16 +84,16 @@ def test_load_config_empty_file_is_all_defaults(tmp_path):
 def test_load_config_round_trips_fields(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
-        "[run]\nscenario = CONJ_TURNOVER\nout_dir = runs/conj\n"
+        "[run]\nscenario = BACKWARD_SEED\nout_dir = runs/bwd\n"
         "[grid]\nn = 512\n"
-        "[time]\ndt = 2e-5\nt_final = 0.25\nsnapshot_every = 5e-4\n"
+        "[time]\ndt = 2e-5\nt_final = -0.25\nsnapshot_every = 5e-4\n"
         "[smoothing]\neps = 1e-7\n")
     cfg = load_config(path)
-    assert cfg.scenario == "CONJ_TURNOVER"
-    assert cfg.out_dir == "runs/conj"
+    assert cfg.scenario == "BACKWARD_SEED"
+    assert cfg.out_dir == "runs/bwd"
     assert cfg.n == 512
     assert cfg.dt == 2e-5
-    assert cfg.t_final == 0.25
+    assert cfg.t_final == -0.25
     assert cfg.snapshot_every == 5e-4
     assert cfg.eps == 1e-7
     # untouched fields keep their defaults
@@ -466,6 +473,35 @@ def test_preset_horizon_sign_is_a_config_error(tmp_path, capsys, scenario,
                  f"--t-final={t_final}", "--out", str(out)]) == 1
     assert f"t_final: {scenario} needs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["CONJ_TURNOVER", "FORWARD_RERUN"])
+def test_eps_outside_backward_seed_is_a_config_error(tmp_path, capsys,
+                                                     scenario):
+    # only BACKWARD_SEED smooths; an eps elsewhere would be recorded but
+    # change nothing, so it is refused before anything runs
+    snap = tmp_path / "start.dat"
+    export_snapshot(sample_preset("CONJ_T0", make_grid(32)), snap)
+    out = tmp_path / "run"
+    source = (["--input", str(snap)] if scenario == "FORWARD_RERUN"
+              else ["--n", "32"])
+    assert main(["run", "--scenario", scenario, *source, "--t-final",
+                 "2e-4", "--dt", "1e-4", "--eps", "1e-3", "--out",
+                 str(out)]) == 1
+    assert (f"error: eps: {scenario} applies no smoothing"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_manifest_records_the_resolved_eps(tmp_path):
+    bwd = run_scenario(RunConfig(n=16, t_final=-4e-5,
+                                 out_dir=str(tmp_path / "bwd")))
+    conj = run_scenario(RunConfig(scenario="CONJ_TURNOVER", n=16,
+                                  t_final=4e-5,
+                                  out_dir=str(tmp_path / "conj")))
+    assert (bwd.status, conj.status) == ("OK", "OK")
+    assert _manifest_section(tmp_path / "bwd", "config")["eps"] == "1e-06"
+    assert _manifest_section(tmp_path / "conj", "config")["eps"] == "None"
 
 
 def test_forward_rerun_consumes_a_snapshot(tmp_path):
