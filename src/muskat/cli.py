@@ -10,12 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .diagnostics import (
-    SLOPE_TOL,
-    near_critical_minima,
-    regime_pattern,
-    turning_report,
-)
+from .diagnostics import SLOPE_TOL, regime_pattern, turning_report
 from .integrator import STATUS_OK
 from .scenario import (
     _SCHEMA,
@@ -87,15 +82,16 @@ def _cmd_run(args) -> int:
     config = (load_config(args.config, **overrides) if args.config
               else RunConfig(**overrides))
     manifest = run_scenario(config)
-    print(f"scenario = {manifest.scenario}")
+    print(f"scenario = {config.scenario}")
     print(f"status = {manifest.status}")
     if manifest.error:
         print(f"error = {manifest.error}")
     for t, kind in manifest.events:
         print(f"event: t = {t:.9g}  {kind}")
     traj = manifest.trajectory
-    if traj is not None:
+    if manifest.timeline:
         print(f"pattern = {regime_pattern(manifest.timeline)}")
+    if traj is not None:
         print("terminal state:")
         _print_turning_report(traj.final, traj.final_time)
     for name, rel in sorted(manifest.outputs.items()):
@@ -137,11 +133,10 @@ def _print_turning_report(curve, time: float) -> None:
                   f" point = ({x:.9f}, {y:.9f})")
     else:
         print("vertical tangents: none")
-    minima = near_critical_minima(curve)
-    for a, slope in minima:
+    for a, slope in rep.near_critical:
         print(f"near-critical minimum: alpha = {a:.9f},"
               f" slope estimate = {slope:.9e}")
-    if not minima:
+    if not rep.near_critical:
         print("near-critical minima: none")
 
 

@@ -43,12 +43,16 @@ class TurningReport:
     regime is classified from grid_min, the grid minimum of d_alpha z1.
     min_slope and argmin are the parabola-refined estimate of the minimum
     between the nodes; they can differ from grid_min in sign near turnover.
+    near_critical holds the sorted (alpha, slope) of the refined local
+    minima within NEAR_CRITICAL_BAND of zero: the candidate turnover sites
+    while the interface is still a graph.
     """
     min_slope: float
     argmin: float
     grid_min: float
     regime: str
     tangent_points: tuple[tuple[float, float, float], ...]
+    near_critical: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,8 @@ def _refine_minimum(grid: Grid, s: np.ndarray, i
 
 
 def turning_report(curve: SampledCurve) -> TurningReport:
-    """Minimum slope, its refined location, regime, and vertical tangents.
+    """Minimum slope, its refined location, regime, vertical tangents and
+    near-critical minima, all from one slope profile.
 
     Tangent points are sign changes of d_alpha z1 between neighbouring
     nodes, bisected together on the band-limited interpolant once per bit
@@ -92,6 +97,9 @@ def turning_report(curve: SampledCurve) -> TurningReport:
     grid = curve.grid
     s = slope_profile(curve)
     argmin, min_slope = _refine_minimum(grid, s, int(np.argmin(s)))
+    i = np.flatnonzero((s < np.roll(s, 1)) & (s <= np.roll(s, -1)))
+    alpha, val = _refine_minimum(grid, s, i)
+    near = np.abs(val) <= NEAR_CRITICAL_BAND
 
     p1_i = TrigInterpolant(curve.p1)
     slope = lambda a: 1.0 + p1_i(a, order=1)
@@ -117,21 +125,9 @@ def turning_report(curve: SampledCurve) -> TurningReport:
     grid_min = float(s.min())  # grid_min_slope(curve)
     return TurningReport(min_slope=float(min_slope), argmin=float(argmin),
                          grid_min=grid_min, regime=classify_slope(grid_min),
-                         tangent_points=points)
-
-
-def near_critical_minima(curve: SampledCurve
-                         ) -> tuple[tuple[float, float], ...]:
-    """Refined local minima of the slope within NEAR_CRITICAL_BAND of zero.
-
-    These are the candidate turnover sites while the interface is still a
-    graph; each entry is (alpha, slope).
-    """
-    s = slope_profile(curve)
-    i = np.flatnonzero((s < np.roll(s, 1)) & (s <= np.roll(s, -1)))
-    alpha, val = _refine_minimum(curve.grid, s, i)
-    near = np.abs(val) <= NEAR_CRITICAL_BAND
-    return tuple(sorted(zip(alpha[near].tolist(), val[near].tolist())))
+                         tangent_points=points,
+                         near_critical=tuple(sorted(zip(
+                             alpha[near].tolist(), val[near].tolist()))))
 
 
 def norm_series(traj: Trajectory) -> NormSeries:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import time as _time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +35,29 @@ from .integrator import (
 )
 from .spectral import filtered_derivative
 
-SCENARIOS = ("BACKWARD_SEED", "FORWARD_RERUN", "CONJ_TURNOVER")
-
 STATUS_ERROR = "ERROR"
 
-# CONJ_TURNOVER stops once the minimum slope is clearly past turnover.
-TURNOVER_STOP_SLOPE = -0.02
 
-# smoothing threshold of BACKWARD_SEED, the one scenario that smooths
-_DEFAULT_EPS = 1e-6
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario's facts: its default horizon; the preset it starts from
+    (None: the input snapshot, on its grid and at its time); its default
+    smoothing threshold (not None: a backward, smoothed run); and the
+    minimum slope below which a forward run stops (None: it runs on)."""
+    t_final: float
+    preset: str | None = None
+    eps: float | None = None
+    stop_slope: float | None = None
 
-_DEFAULT_T_FINAL = {
-    "BACKWARD_SEED": -4.92e-2,
-    "FORWARD_RERUN": 6e-2,
-    "CONJ_TURNOVER": 0.3,
+
+_SCENARIOS = {
+    "BACKWARD_SEED": _Scenario(-4.92e-2, "SEED_T0", eps=1e-6),
+    "FORWARD_RERUN": _Scenario(6e-2),
+    # stops once the minimum slope is clearly past turnover
+    "CONJ_TURNOVER": _Scenario(0.3, "CONJ_T0", stop_slope=-0.02),
 }
 
-# initial curve of each scenario that starts from a preset
-_PRESET = {"BACKWARD_SEED": "SEED_T0", "CONJ_TURNOVER": "CONJ_T0"}
+SCENARIOS = tuple(_SCENARIOS)
 
 _SNAPSHOT_HEADER = "alpha, z1, z2, dz1, dz2"
 
@@ -64,11 +69,12 @@ def _check_grid_size(n: int, source: str = "n") -> None:
         raise ValueError(f"{source}: need an even grid size >= 16, got {n}")
 
 
-def _check_horizon(scenario: str, t0: float, t_final: float) -> None:
+def _check_horizon(config: RunConfig, t0: float) -> None:
     """A backward run ends below its start time t0, the others past it."""
-    backward = scenario == "BACKWARD_SEED"
+    backward = _SCENARIOS[config.scenario].eps is not None
+    t_final = config.resolved_t_final
     if not (t_final < t0 if backward else t_final > t0):
-        raise ValueError(f"t_final: {scenario} needs a value"
+        raise ValueError(f"t_final: {config.scenario} needs a value"
                          f" {'below' if backward else 'past'} {t0},"
                          f" got {t_final}")
 
@@ -77,7 +83,7 @@ def _check_horizon(scenario: str, t0: float, t_final: float) -> None:
 class RunConfig:
     """Validated scenario parameters; defaults reproduce the headline runs."""
     scenario: str = "BACKWARD_SEED"
-    n: int = 2048
+    n: int | None = None
     mode: str = StepControl.mode
     dt: float = StepControl.dt
     rel_tol: float = StepControl.rel_tol
@@ -90,43 +96,53 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario: unknown id {self.scenario!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"n: expected an integer, got {self.n!r}")
-        _check_grid_size(self.n)
+        spec = _SCENARIOS[self.scenario]
+        if self.n is not None:
+            if spec.preset is None:
+                raise ValueError(f"n: {self.scenario} takes its grid from its"
+                                 " snapshot and sets no n")
+            if not isinstance(self.n, int) or isinstance(self.n, bool):
+                raise ValueError(f"n: expected an integer, got {self.n!r}")
+            _check_grid_size(self.n)
         if not self.snapshot_every > 0:
             raise ValueError("snapshot_every: must be positive")
         if self.eps is not None:
             if not (np.isfinite(self.eps) and self.eps >= 0):
                 raise ValueError("eps: must be finite and nonnegative")
-            if self.scenario != "BACKWARD_SEED":
+            if spec.eps is None:
                 raise ValueError(f"eps: {self.scenario} applies no smoothing;"
                                  " only BACKWARD_SEED takes eps")
         if self.t_final is not None and not np.isfinite(self.t_final):
             raise ValueError("t_final: must be finite")
         # the step fields are checked by their owner
         self.step_control()
-        if self.scenario != "FORWARD_RERUN":
+        if spec.preset is not None:
             if self.input_snapshot is not None:
                 raise ValueError(f"input_snapshot: {self.scenario} starts"
                                  " from its preset and reads no snapshot")
-            _check_horizon(self.scenario, 0.0, self.resolved_t_final)
+            _check_horizon(self, 0.0)
         elif self.input_snapshot is None:
-            raise ValueError("input_snapshot: FORWARD_RERUN needs the final"
+            raise ValueError(f"input_snapshot: {self.scenario} needs the final"
                              " snapshot of a BACKWARD_SEED run (--input)")
 
     @property
+    def resolved_n(self) -> int | None:
+        """The grid size of a run from a preset, 2048 by default; None for
+        a run from a snapshot, whose grid is the snapshot's."""
+        if self.n is not None or _SCENARIOS[self.scenario].preset is None:
+            return self.n
+        return 2048
+
+    @property
     def resolved_t_final(self) -> float:
-        if self.t_final is not None:
-            return self.t_final
-        return _DEFAULT_T_FINAL[self.scenario]
+        return (_SCENARIOS[self.scenario].t_final if self.t_final is None
+                else self.t_final)
 
     @property
     def resolved_eps(self) -> float | None:
-        """The smoothing threshold of a BACKWARD_SEED run; None for the
-        scenarios that do not smooth."""
-        if self.eps is not None or self.scenario != "BACKWARD_SEED":
-            return self.eps
-        return _DEFAULT_EPS
+        """The smoothing threshold of a backward run; None for the forward
+        runs, which do not smooth."""
+        return _SCENARIOS[self.scenario].eps if self.eps is None else self.eps
 
     def step_control(self) -> StepControl:
         return StepControl(mode=self.mode, dt=self.dt, rel_tol=self.rel_tol)
@@ -134,42 +150,39 @@ class RunConfig:
 
 @dataclass
 class RunManifest:
-    """Outcome record of one scenario run; mirrored to manifest.txt."""
-    scenario: str
-    status: str
+    """Outcome record of one scenario run; mirrored to manifest.txt, which
+    reads the scenario from the config and the grid size, step counts and
+    pair sum from the trajectory."""
     config: RunConfig
-    events: tuple[tuple[float, str], ...]
-    outputs: dict[str, str]
-    wall_time: float
+    status: str = STATUS_OK
     error: str | None = None
-    grid_n: int | None = None  # size of the grid run; None when nothing ran
-    steps: int = 0  # accepted steps
-    rejected_steps: int = 0
-    pair_sum: str | None = None  # "half" or "full"; None when nothing ran
-    trajectory: Trajectory | None = None  # in-memory only, not serialized
+    events: tuple[tuple[float, str], ...] = ()
+    outputs: dict[str, str] = field(default_factory=dict)
+    wall_time: float = 0.0
+    trajectory: Trajectory | None = None  # in-memory only; None: nothing ran
     timeline: tuple = ()  # regime segments of `trajectory`, in-memory only
 
     def to_text(self) -> str:
+        traj = self.trajectory
         lines = [
             "[manifest]",
-            f"scenario = {self.scenario}",
+            f"scenario = {self.config.scenario}",
             f"status = {self.status}",
-            f"steps = {self.steps}",
-            f"rejected_steps = {self.rejected_steps}",
+            f"steps = {0 if traj is None else traj.steps}",
+            f"rejected_steps = {0 if traj is None else traj.rejected_steps}",
             f"wall_time_s = {self.wall_time:.3f}",
             f"package_version = {__version__}",
             f"numpy_version = {np.__version__}",
         ]
-        if self.grid_n is not None:
-            lines.append(f"grid_n = {self.grid_n}")
-        if self.pair_sum is not None:
-            lines.append(f"pair_sum = {self.pair_sum}")
+        if traj is not None:
+            lines += [f"grid_n = {traj.final.grid.n}",
+                      f"pair_sum = {traj.pair_sum}"]
         if self.error is not None:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]
         for f in fields(RunConfig):
             value = getattr(self.config, f.name)
-            if f.name in ("t_final", "eps"):
+            if f.name in ("n", "t_final", "eps"):
                 value = getattr(self.config, "resolved_" + f.name)
             lines.append(f"{f.name} = {value}")
         lines += ["", "[events]"]
@@ -336,65 +349,52 @@ def run_scenario(config: RunConfig) -> RunManifest:
     started = _time.perf_counter()
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, str] = {}
-    events: tuple[tuple[float, str], ...] = ()
-    status = STATUS_OK
-    error = None
-    traj: Trajectory | None = None
-    timeline = ()
+    manifest = RunManifest(config)
     try:
-        traj, events, timeline = _run_evolution(config, outdir, outputs)
-        status, error = traj.status, traj.error
-        events = events + tuple(traj.events)
+        _run_evolution(manifest, outdir)
     except Exception as exc:
-        status = STATUS_ERROR
-        error = f"{type(exc).__name__}: {exc}"
-    counts = {} if traj is None else dict(
-        grid_n=traj.final.grid.n, steps=traj.steps,
-        rejected_steps=traj.rejected_steps, pair_sum=traj.pair_sum)
-    manifest = RunManifest(
-        scenario=config.scenario, status=status, config=config,
-        events=events, outputs=outputs,
-        wall_time=_time.perf_counter() - started, error=error,
-        trajectory=traj, timeline=timeline, **counts)
+        manifest.status = STATUS_ERROR
+        manifest.error = f"{type(exc).__name__}: {exc}"
+    manifest.wall_time = _time.perf_counter() - started
     (outdir / "manifest.txt").write_text(manifest.to_text())
     return manifest
 
 
-def _run_evolution(config: RunConfig, outdir: Path,
-                   outputs: dict[str, str]):
-    """Run the scenario and write its snapshots, norms and timeline; returns
-    its trajectory, the refined flip events and the timeline segments."""
-    t_final = config.resolved_t_final
-    control = config.step_control()
-    every = config.snapshot_every
-    if config.scenario == "FORWARD_RERUN":
+def _run_evolution(manifest: RunManifest, outdir: Path) -> None:
+    """Run the scenario and write its snapshots, norms and timeline,
+    recording the trajectory, its outcome and each output in the manifest
+    as it goes."""
+    config = manifest.config
+    spec = _SCENARIOS[config.scenario]
+    if spec.preset is None:
         curve, t0 = import_snapshot(config.input_snapshot)
         # the grid and t0 come from the snapshot; RunConfig checked the
         # presets' n and horizon
         _check_grid_size(curve.grid.n, config.input_snapshot)
-        _check_horizon(config.scenario, t0, t_final)
+        _check_horizon(config, t0)
     else:
-        curve = sample_preset(_PRESET[config.scenario], make_grid(config.n))
+        curve = sample_preset(spec.preset, make_grid(config.resolved_n))
         t0 = 0.0
     export_snapshot(curve, outdir / "initial.dat", time=t0)
-    outputs["initial"] = "initial.dat"
+    manifest.outputs["initial"] = "initial.dat"
 
-    if config.scenario == "BACKWARD_SEED":
-        traj = evolve_backward_regularized(curve, t_final, control,
-                                           eps=config.resolved_eps,
-                                           snapshot_every=every)
+    if spec.eps is not None:
+        traj = evolve_backward_regularized(
+            curve, config.resolved_t_final, config.step_control(),
+            eps=config.resolved_eps, snapshot_every=config.snapshot_every)
     else:
-        stop = (TURNOVER_STOP_SLOPE if config.scenario == "CONJ_TURNOVER"
-                else None)
-        traj = evolve_forward(curve, t_final, control, t0=t0,
-                              snapshot_every=every, stop_slope=stop)
+        traj = evolve_forward(
+            curve, config.resolved_t_final, config.step_control(), t0=t0,
+            snapshot_every=config.snapshot_every, stop_slope=spec.stop_slope)
+    manifest.trajectory = traj
+    manifest.status, manifest.error = traj.status, traj.error
+    manifest.events = tuple(traj.events)
     export_snapshot(traj.final, outdir / "final.dat", time=traj.final_time)
-    outputs["final"] = "final.dat"
+    manifest.outputs["final"] = "final.dat"
     _write_norms(traj, outdir / "norms.dat")
-    outputs["norms"] = "norms.dat"
-    events = tuple(detect_event_times(traj))
-    segments = regime_timeline(traj, events)
-    _write_timeline(segments, events, outdir / "timeline.txt")
-    outputs["timeline"] = "timeline.txt"
-    return traj, events, segments
+    manifest.outputs["norms"] = "norms.dat"
+    flips = tuple(detect_event_times(traj))
+    manifest.events = flips + manifest.events
+    manifest.timeline = regime_timeline(traj, flips)
+    _write_timeline(manifest.timeline, flips, outdir / "timeline.txt")
+    manifest.outputs["timeline"] = "timeline.txt"

@@ -54,8 +54,9 @@ def _derivative_multiplier(n: int) -> np.ndarray:
 
 
 def filtered_derivative(values, order: int = 1) -> np.ndarray:
-    """First spectral derivative with cutoff filter, along the last axis.
-    A (2, n) input is taken as a checked SampledCurve.samples; order must
+    """First spectral derivative with cutoff filter, along the last axis,
+    which must hold an even number n >= 4 of samples. A (2, n) input is
+    taken as a SampledCurve.samples, already checked finite; order must
     be 1.
 
     One real FFT pair, on the first n/2 + 1 bins of the multiplier; these
@@ -64,8 +65,11 @@ def filtered_derivative(values, order: int = 1) -> np.ndarray:
     """
     if order != 1:
         raise ValueError(f"derivative order must be 1, got {order}")
-    v = _check_vector(values) if np.ndim(values) == 1 else values
+    v = _check_vector(values) if np.ndim(values) <= 1 else np.asarray(values)
     n = v.shape[-1]
+    if n < 4 or n % 2:
+        raise ValueError("expected an even length >= 4 along the last axis,"
+                         f" got {n}")
     mult = _derivative_multiplier(n)
     return np.fft.irfft(np.fft.rfft(v) * mult[:n // 2 + 1], n)
 

@@ -17,7 +17,6 @@ from muskat.diagnostics import (
     REGIME_CRITICAL,
     REGIME_STABLE,
     REGIME_UNSTABLE,
-    near_critical_minima,
     norm_series,
     regime_timeline,
     turning_report,
@@ -202,7 +201,7 @@ def test_criterion_8_backward_seed_terminal_state(backward512):
     ran_clean = manifest.status == "OK"
     final = manifest.trajectory.final
     rep = turning_report(final)
-    minima = near_critical_minima(final)
+    minima = rep.near_critical
     # the terminal state has left the stable window: criterion 9 reruns
     # forward from it and must start in the unstable regime
     unstable = rep.regime == REGIME_UNSTABLE

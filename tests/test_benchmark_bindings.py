@@ -83,7 +83,7 @@ def test_traced_run_notes_read_their_arguments(tmp_path, monkeypatch):
                                 out_dir=str(tmp_path))
     manifest = scenario.run_scenario(config)
     assert (manifest.status, manifest.error) == ("OK", None)
-    assert manifest.steps == 4
+    assert manifest.trajectory.steps == 4
     assert [s for s in tracer.spans if s[5] is not None] == []
     notes = {name: [s[4] for s in tracer.spans if s[0] == name]
              for name in spans._NOTES}

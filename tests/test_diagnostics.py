@@ -10,7 +10,6 @@ from muskat.diagnostics import (
     REGIME_STABLE,
     REGIME_UNSTABLE,
     classify_slope,
-    near_critical_minima,
     norm_series,
     regime_pattern,
     regime_timeline,
@@ -146,7 +145,7 @@ def test_minima_equal_a_per_node_loop_bitwise(state, request, flat64):
             alpha, val = _parabola_at(curve, i)
             if abs(val) <= diagnostics.NEAR_CRITICAL_BAND:
                 loop.append((alpha, val))
-    assert near_critical_minima(curve) == tuple(sorted(loop))
+    assert turning_report(curve).near_critical == tuple(sorted(loop))
     rep = turning_report(curve)
     assert (rep.argmin, rep.min_slope) == \
         _parabola_at(curve, int(np.argmin(s)))
@@ -155,7 +154,7 @@ def test_minima_equal_a_per_node_loop_bitwise(state, request, flat64):
 def test_near_critical_minima_single_site():
     grid = make_grid(256)
     curve = make_curve(grid, -0.95 * np.sin(grid.nodes), np.zeros(grid.n))
-    minima = near_critical_minima(curve)
+    minima = turning_report(curve).near_critical
     assert len(minima) == 1
     alpha, val = minima[0]
     assert alpha == pytest.approx(0.0, abs=1e-10)
@@ -165,7 +164,7 @@ def test_near_critical_minima_single_site():
 def test_near_critical_minima_band_exclusion():
     grid = make_grid(256)
     curve = make_curve(grid, -0.7 * np.sin(grid.nodes), np.zeros(grid.n))
-    assert near_critical_minima(curve) == ()
+    assert turning_report(curve).near_critical == ()
 
 
 def test_near_critical_minima_two_sites():
@@ -173,7 +172,7 @@ def test_near_critical_minima_two_sites():
     grid = make_grid(256)
     curve = make_curve(grid, -0.475 * np.sin(2.0 * grid.nodes),
                        np.zeros(grid.n))
-    minima = near_critical_minima(curve)
+    minima = turning_report(curve).near_critical
     assert len(minima) == 2
     assert minima[0][0] == pytest.approx(-np.pi, abs=1e-10)
     assert minima[1][0] == pytest.approx(0.0, abs=1e-10)

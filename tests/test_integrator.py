@@ -566,7 +566,7 @@ def _fixed_rhs_count(manifest):
     slope per flip."""
     flips = [kind for _, kind in manifest.events
              if kind in (EVENT_ENTER_STABLE, EVENT_ENTER_UNSTABLE)]
-    return 4 * manifest.steps + len(flips)
+    return 4 * manifest.trajectory.steps + len(flips)
 
 
 def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
@@ -580,7 +580,7 @@ def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
             scenario=scenario, n=32, t_final=t_final, dt=1e-4,
             out_dir=str(out)))
         assert manifest.status == STATUS_OK
-        assert manifest.pair_sum == "half"
+        assert manifest.trajectory.pair_sum == "half"
         assert flags == [True] * _fixed_rhs_count(manifest)
         finals.append(out / manifest.outputs["final"])
     for k, final in enumerate(finals):
@@ -591,7 +591,7 @@ def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):
             t_final=3e-4, dt=1e-4, out_dir=str(out)))
         assert manifest.status == STATUS_OK
         assert "pair_sum = half\n" in (out / "manifest.txt").read_text()
-        assert manifest.steps
+        assert manifest.trajectory.steps
         assert flags == [True] * _fixed_rhs_count(manifest)
 
 
@@ -615,5 +615,5 @@ def test_curves_that_are_not_odd_take_the_full_sum(tmp_path, monkeypatch):
     manifest = run_scenario(RunConfig(
         scenario="FORWARD_RERUN", input_snapshot=str(tmp_path / "asym.dat"),
         t_final=1e-4, dt=1e-4, out_dir=str(tmp_path / "rerun")))
-    assert manifest.pair_sum == "full"
+    assert manifest.trajectory.pair_sum == "full"
     assert "pair_sum = full\n" in (tmp_path / "rerun/manifest.txt").read_text()

@@ -32,7 +32,11 @@ from muskat.velocity import ARC_CHORD_FLOOR, ArcChordError, ArcChordReport
 def test_config_defaults():
     cfg = RunConfig()
     assert cfg.scenario == "BACKWARD_SEED"
-    assert cfg.n == 2048
+    assert cfg.n is None
+    assert cfg.resolved_n == 2048
+    assert RunConfig(n=512).resolved_n == 512
+    assert RunConfig(scenario="FORWARD_RERUN",
+                     input_snapshot="final.dat").resolved_n is None
     assert cfg.dt == 4e-5
     assert cfg.eps is None
     assert cfg.resolved_eps == 1e-6
@@ -69,6 +73,8 @@ def test_config_defaults():
      "eps: CONJ_TURNOVER applies no smoothing"),
     ({"scenario": "FORWARD_RERUN", "input_snapshot": "x.dat", "eps": 0.0},
      "eps: FORWARD_RERUN applies no smoothing"),
+    ({"scenario": "FORWARD_RERUN", "input_snapshot": "x.dat", "n": 4096},
+     "n: FORWARD_RERUN takes its grid from its snapshot"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -278,6 +284,27 @@ def _manifest_section(out, section="manifest"):
     return parsed[section]
 
 
+def _manifest_head(out):
+    """The [manifest] lines in order, without the wall time and versions."""
+    head = (out / "manifest.txt").read_text().split("\n\n")[0].splitlines()
+    unpinned = ("wall_time_s", "package_version", "numpy_version")
+    return [ln for ln in head if ln.partition(" = ")[0] not in unpinned]
+
+
+def test_manifest_of_a_run_where_nothing_ran_is_pinned(tmp_path, capsys):
+    # the snapshot is missing, so the run stops before it has a grid
+    missing = tmp_path / "missing.dat"
+    out = tmp_path / "rerun"
+    assert main(["run", "--scenario", "FORWARD_RERUN", "--input",
+                 str(missing), "--out", str(out)]) == 2
+    assert _manifest_head(out) == [
+        "[manifest]", "scenario = FORWARD_RERUN", "status = ERROR",
+        "steps = 0", "rejected_steps = 0",
+        f"error = OSError: cannot read snapshot {missing}: [Errno 2] No such"
+        f" file or directory: '{missing}'"]
+    assert "status = ERROR" in capsys.readouterr().out
+
+
 def test_manifest_records_the_resolved_horizon(tmp_path):
     # adaptive steps reach the default horizon in a few dozen steps
     out = tmp_path / "bwd"
@@ -340,7 +367,7 @@ def test_run_failing_on_a_later_step_keeps_its_status(tmp_path,
     assert manifest.error == "NanEncountered: injected"
     assert manifest.events[-1] == (pytest.approx(-1e-4),
                                    integrator.STATUS_NAN)
-    assert manifest.steps == 1
+    assert manifest.trajectory.steps == 1
     # the state before the failed step is the final snapshot
     final, t = import_snapshot(out / manifest.outputs["final"])
     assert t == pytest.approx(-1e-4)
@@ -405,15 +432,38 @@ def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                               " 0.000e+00 at or below floor 1.000e-12"
                               " between nodes (0, 1)")
     assert manifest.events == ((0.0, integrator.STATUS_ARC_CHORD),)
-    assert manifest.steps == 0
+    assert manifest.trajectory.steps == 0
     # the run is its initial state alone: one point of the timeline
     assert manifest.timeline == (((0.0, 0.0), "CRITICAL"),)
-    text = (out / "manifest.txt").read_text()
-    assert "status = ARC_CHORD_FAILURE" in text
-    assert f"error = {manifest.error}" in text
-    assert "event_0 = 0 ARC_CHORD_FAILURE" in text
+    assert _manifest_head(out) == [
+        "[manifest]", "scenario = BACKWARD_SEED",
+        "status = ARC_CHORD_FAILURE", "steps = 0", "rejected_steps = 0",
+        "grid_n = 32", "pair_sum = half", f"error = {manifest.error}"]
+    assert ("event_0 = 0 ARC_CHORD_FAILURE"
+            in (out / "manifest.txt").read_text())
     for name in ("final", "norms", "timeline"):
         assert (out / manifest.outputs[name]).exists()
+
+
+def test_run_failing_after_its_march_keeps_its_trajectory(tmp_path,
+                                                         monkeypatch, capsys):
+    # the manifest records the trajectory as soon as the march returns, so
+    # an output that cannot be written leaves the run's counts on record
+    def full_disk(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("muskat.scenario._write_norms", full_disk)
+    out = tmp_path / "conj"
+    assert main(["run", "--scenario", "CONJ_TURNOVER", "--n", "32",
+                 "--t-final", "2e-4", "--dt", "1e-4", "--out", str(out)]) == 2
+    assert _manifest_head(out) == [
+        "[manifest]", "scenario = CONJ_TURNOVER", "status = ERROR",
+        "steps = 2", "rejected_steps = 0", "grid_n = 32", "pair_sum = half",
+        "error = OSError: no space left on device"]
+    printed = capsys.readouterr().out
+    # no timeline was formed, so there is no pattern to print
+    assert "pattern = " not in printed
+    assert "terminal state:" in printed
 
 
 def test_backward_seed_honours_adaptive_mode(tmp_path):
@@ -423,8 +473,8 @@ def test_backward_seed_honours_adaptive_mode(tmp_path):
                         mode=mode, out_dir=str(tmp_path / mode))
         runs[mode] = run_scenario(cfg)
         assert runs[mode].status == "OK"
-    assert runs["fixed"].steps == 250
-    assert runs["adaptive"].steps < 25
+    assert runs["fixed"].trajectory.steps == 250
+    assert runs["adaptive"].trajectory.steps < 25
     kinds = {mode: [k for _, k in m.events if k.startswith("ENTER_")]
              for mode, m in runs.items()}
     assert kinds["adaptive"] == kinds["fixed"] == ["ENTER_STABLE",
@@ -444,9 +494,9 @@ def test_backward_seed_scenario_small(tmp_path):
     final, t = import_snapshot(out / manifest.outputs["final"])
     assert t == pytest.approx(-4e-4, abs=1e-12)
     assert final.grid.n == 32
-    head = _manifest_section(out)
-    assert (head["grid_n"], head["steps"], head["rejected_steps"],
-            head["pair_sum"]) == ("32", "4", "0", "half")
+    assert _manifest_head(out) == [
+        "[manifest]", "scenario = BACKWARD_SEED", "status = OK", "steps = 4",
+        "rejected_steps = 0", "grid_n = 32", "pair_sum = half"]
 
 
 def test_forward_rerun_requires_input(tmp_path, capsys):
@@ -729,6 +779,18 @@ def test_cli_arc_chord_failure_exits_two_and_prints_the_pair(tmp_path,
     assert "status = ARC_CHORD_FAILURE" in captured.out.splitlines()
     assert line in captured.out.splitlines()
     assert line in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_cli_forward_rerun_refuses_n(tmp_path, capsys):
+    # the grid is the snapshot's, so an n would be recorded but not run
+    snap = tmp_path / "start.dat"
+    export_snapshot(sample_preset("CONJ_T0", make_grid(32)), snap)
+    out = tmp_path / "rerun"
+    assert main(["run", "--scenario", "FORWARD_RERUN", "--input", str(snap),
+                 "--n", "4096", "--t-final", "2e-4", "--out", str(out)]) == 1
+    assert ("error: n: FORWARD_RERUN takes its grid from its snapshot"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_forward_rerun_refuses_a_snapshot_below_the_minimum_grid(tmp_path,

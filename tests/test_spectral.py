@@ -75,6 +75,14 @@ def test_stacked_derivative_rows_match_one_dimensional_calls():
         assert np.array_equal(d_row, filtered_derivative(row, 1))
 
 
+def test_stacked_derivative_checks_the_grid_size():
+    # the 1-D size rule holds on the last axis of every input
+    for shape in ((2, 7), (2, 2), (3, 2, 5)):
+        message = f"along the last axis, got {shape[-1]}$"
+        with pytest.raises(ValueError, match=message):
+            filtered_derivative(np.zeros(shape), 1)
+
+
 def test_filter_profile_shape():
     prof = _filter_profile(64)
     assert prof[0] == 1.0
