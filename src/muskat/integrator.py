@@ -19,11 +19,12 @@ grid minimum of d_alpha z1 (one FFT). A step across which the sign changes
 is a bracket. It keeps the data of the step's O(h^4) cubic Hermite
 interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6): y_n, the
 unsmoothed update y_{n+1}, the start slope k1 = f(y_n) and the exact end
-slope f(y_{n+1}), which the march evaluates on bracket steps only, in both
-modes: one more right-hand side per flip. detect_event_times bisects each
-bracket on the interpolant, with no further right-hand side, so every flip
-the march steps over is located, whatever the snapshot cadence. The
-diagnostics judge regimes from the same grid minimum.
+slope f(y_{n+1}), which the march evaluates on bracket steps only. An
+unsmoothed run takes it as the next k1, so only a smoothed run pays one
+more right-hand side per flip. detect_event_times bisects each bracket on
+the interpolant, with no further right-hand side, so every flip the march
+steps over is located, whatever the snapshot cadence. The diagnostics
+judge regimes from the same grid minimum.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ def rk45_step(curve: SampledCurve, dt: float, odd: bool, mode: str,
 
 
 def _smoothed(curve: SampledCurve, eps: float) -> SampledCurve:
-    return curve.with_samples([threshold_smooth(row, eps)
-                               for row in curve.samples])
+    return curve.with_samples(threshold_smooth(curve.samples, eps))
 
 
 def slope_profile(curve: SampledCurve) -> np.ndarray:
@@ -230,10 +230,11 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
            stop_slope: float | None):
     """Advance traj in place to t_goal, in either direction.
 
-    Each state's start slope k1 = f(y_n) is evaluated once; it does not
-    depend on h, so its failure ends the run at once in both modes. Fixed
-    mode takes steps of traj.control.dt, the last one shortened to land on
-    t_goal, and ends the run at the first failed step. Adaptive mode rejects
+    Each state's start slope k1 = f(y_n) is evaluated once, or is the end
+    slope of the unsmoothed bracket step before; it does not depend on h,
+    so its failure ends the run at once in both modes. Fixed mode takes
+    steps of traj.control.dt, the last one shortened to land on t_goal,
+    and ends the run at the first failed step. Adaptive mode rejects
     a trial step whose error estimate exceeds the tolerance, or that failed,
     and retries from the same k1 with a smaller h; the run ends only when a
     rejected step was already at _MIN_DT. In both modes a bracket step whose
@@ -313,7 +314,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
             stable = not stable
             kind = EVENT_ENTER_STABLE if stable else EVENT_ENTER_UNSTABLE
             traj.brackets.append((t, cur, h, kind, raw, k1, k_end))
-        cur, k1 = nxt, None
+        cur, k1 = nxt, (k_end if flipped and nxt is raw else None)
         t += h
         done = (t_goal - t) * sgn <= tiny
         due = snapshot_every is not None and (
@@ -360,10 +361,7 @@ def evolve_backward_regularized(curve: SampledCurve, t_final: float,
     Failures stop the run with the last valid state kept.
 
     eps goes to threshold_smooth, which compares it with 1/n-normalised
-    coefficients. The default 1e-6 therefore damps resolved modes: from
-    SEED_T0 the first fixed step of 4e-5 keeps a centre-slope rate of 5.97
-    of the unsmoothed 10.19. The reference experiment's eps acts on raw DFT
-    magnitudes, which is eps/n here.
+    coefficients, so the default 1e-6 damps resolved modes (see there).
     """
     if not -np.inf < t_final < 0.0:
         raise ValueError(f"need finite t_final < 0, got {t_final}")

@@ -30,11 +30,15 @@ def _filter_profile(n: int) -> np.ndarray:
     return np.exp(-10.0 * (2.0 * k / n) ** 25)
 
 
-def _check_vector(values) -> np.ndarray:
+def _samples(values) -> np.ndarray:
+    """values as floats with an even length n >= 4 on the last axis; 1-D
+    input is checked finite (a (2, n) state was, by its SampledCurve)."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 4 or arr.size % 2:
-        raise ValueError("expected a 1-D real vector of even length >= 4")
-    if not np.isfinite(arr).all():
+    n = arr.shape[-1] if arr.ndim else 0
+    if n < 4 or n % 2:
+        raise ValueError("expected an even length >= 4 along the last axis,"
+                         f" got {n}")
+    if arr.ndim == 1 and not np.isfinite(arr).all():
         raise ValueError("samples must be finite")
     return arr
 
@@ -54,10 +58,8 @@ def _derivative_multiplier(n: int) -> np.ndarray:
 
 
 def filtered_derivative(values, order: int = 1) -> np.ndarray:
-    """First spectral derivative with cutoff filter, along the last axis,
-    which must hold an even number n >= 4 of samples. A (2, n) input is
-    taken as a SampledCurve.samples, already checked finite; order must
-    be 1.
+    """First spectral derivative with cutoff filter, along the last axis of
+    input that _samples accepts; order must be 1.
 
     One real FFT pair, on the first n/2 + 1 bins of the multiplier; these
     hold k = 0, ..., n/2 - 1 and the Nyquist bin, all the real transform
@@ -65,23 +67,20 @@ def filtered_derivative(values, order: int = 1) -> np.ndarray:
     """
     if order != 1:
         raise ValueError(f"derivative order must be 1, got {order}")
-    v = _check_vector(values) if np.ndim(values) <= 1 else np.asarray(values)
+    v = _samples(values)
     n = v.shape[-1]
-    if n < 4 or n % 2:
-        raise ValueError("expected an even length >= 4 along the last axis,"
-                         f" got {n}")
     mult = _derivative_multiplier(n)
     return np.fft.irfft(np.fft.rfft(v) * mult[:n // 2 + 1], n)
 
 
 def threshold_smooth(values, eps: float) -> np.ndarray:
-    """Zero every coefficient with |c_k| < eps and resynthesize.
+    """Zero each |c_k| < eps along the last axis and resynthesize.
 
     Coefficients with |c_k| >= eps pass through untouched; eps = 0 keeps
-    everything and returns the input unchanged. The map is idempotent: when
-    every below-threshold coefficient already sits at FFT round-off level
-    relative to the largest one, the input is returned as-is, so applying the
-    smoother to its own output is a bitwise no-op.
+    everything and returns the input unchanged. The map is idempotent: a row
+    whose below-threshold coefficients all sit at FFT round-off level
+    relative to its largest one keeps its samples, so applying the smoother
+    to its own output is a bitwise no-op.
 
     eps is compared with the 1/n-normalised |c_k| of the module convention,
     not with raw DFT magnitudes n*|c_k|. At eps = 1e-6 this removes resolved
@@ -91,19 +90,17 @@ def threshold_smooth(values, eps: float) -> np.ndarray:
     (= -d_alpha v1(0)). The reference experiment's eps acts on raw DFT
     magnitudes; passing eps/n here reproduces it (rate 10.197 at n = 512).
     """
-    v = _check_vector(values)
+    v = _samples(values)
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError("eps: must be finite and nonnegative")
-    n = v.size
     raw = np.fft.fft(v)
-    mag = np.abs(raw) / n
+    mag = np.abs(raw) / v.shape[-1]
     drop = mag < eps
-    if not drop.any():
-        return v.copy()
-    if mag[drop].max() <= _ROUNDOFF_FLOOR * mag.max():
+    keep = np.where(drop, mag, 0.0).max(-1) <= _ROUNDOFF_FLOOR * mag.max(-1)
+    if keep.all():
         return v.copy()
     raw[drop] = 0.0
-    return np.fft.ifft(raw).real
+    return np.where(keep[..., None], v, np.fft.ifft(raw).real)
 
 
 class TrigInterpolant:
@@ -115,7 +112,9 @@ class TrigInterpolant:
     """
 
     def __init__(self, values):
-        v = _check_vector(values)
+        v = _samples(values)
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
         self.n = v.size
         self._raw = np.fft.fft(v) / self.n
         self._k = np.fft.fftfreq(self.n, 1.0 / self.n)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import muskat.integrator as integrator
 from muskat.core import make_curve, make_grid, sample_preset
 from muskat.diagnostics import (
     REGIME_CRITICAL,
@@ -33,7 +34,7 @@ from muskat.scenario import RunConfig, run_scenario
 from muskat.spectral import filtered_derivative, threshold_smooth
 from muskat.velocity import periodic_rhs
 
-from conftest import record_acceptance
+from conftest import mirror, record_acceptance
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +310,21 @@ def test_forward_rerun_returns_near_seed(forward_rerun512):
                 / np.max(np.abs(seed.z2)))
     assert abs(traj.times[k]) < 1e-3
     assert gap < 0.05, gap
+
+
+def test_default_chain_keeps_the_half_sum(backward512, forward_rerun512):
+    # the odd defect max|y + Ry| grows about linearly with the step count;
+    # a chain whose rerun lost oddness would silently sum every pair, at
+    # twice the cost
+    final = forward_rerun512.trajectory.final
+    y = final.samples
+    defect = float(np.max(np.abs(y + [mirror(row) for row in y]))) / max(
+        float(np.max(np.abs(y))), 1.0)
+    print(f"rerun final state: odd defect {defect:.3g},"
+          f" tolerance {integrator._ODD_TOL:g}")
+    assert backward512.trajectory.pair_sum == "half"
+    assert forward_rerun512.trajectory.pair_sum == "half"
+    assert integrator._is_odd(final)
 
 
 def test_criterion_10_slope_fifty_turnover(tmp_path_factory):

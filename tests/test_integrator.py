@@ -268,21 +268,35 @@ def test_fixed_step_is_classical_rk4(grid64, monkeypatch):
         rk45_step(seed, 4e-5, False, "fixed")
 
 
+def _paid_end_slopes(traj):
+    """End slopes an OK run evaluates beyond its states' start slopes: one
+    per flip when smoothed; unsmoothed, a flip's end slope is the next
+    state's k1, so only a flip in the last step pays one."""
+    if traj.smoothing_eps is not None:
+        return len(traj.brackets)
+    return sum(t + h == traj.final_time for t, _, h, *_ in traj.brackets)
+
+
 def test_fixed_run_evaluates_four_slopes_per_step_and_one_per_flip(
         grid64, monkeypatch):
     calls = _record_pair_sums(monkeypatch)
     runs = (lambda: evolve_backward_regularized(
                 sample_preset("SEED_T0", grid64), -1e-2),
             lambda: evolve_forward(sample_preset("CONJ_T0", grid64), 1.2e-2))
+    counts = []
     for run in runs:
         calls.clear()
         traj = run()
         assert traj.status == STATUS_OK and traj.brackets
-        assert len(calls) == 4 * traj.steps + len(traj.brackets)
+        counts.append((len(calls) - 4 * traj.steps, len(traj.brackets)))
+        assert len(calls) == 4 * traj.steps + _paid_end_slopes(traj)
         # the Hermite end slope is f of the unsmoothed update, exactly
         for *_, y_next, k1, k_end in traj.brackets:
             assert np.array_equal(k_end, periodic_rhs(
                 y_next, odd=traj.pair_sum == "half"))
+    # (end slopes paid, flips): the smoothed run pays one per flip, the
+    # unsmoothed one reuses its end slope as the next k1
+    assert counts == [(2, 2), (0, 1)]
 
 
 def test_adaptive_run_evaluates_k1_once_per_state_and_six_slopes_per_trial(
@@ -302,7 +316,7 @@ def test_adaptive_run_evaluates_k1_once_per_state_and_six_slopes_per_trial(
         traj = run()
         assert traj.status == STATUS_OK and traj.brackets
         trials = traj.steps + traj.rejected_steps
-        assert len(calls) == 6 * trials + traj.steps + len(traj.brackets)
+        assert len(calls) == 6 * trials + traj.steps + _paid_end_slopes(traj)
         rejected += traj.rejected_steps
         for _, cur, *_, y_next, k1, k_end in traj.brackets:
             odd = traj.pair_sum == "half"
@@ -562,11 +576,10 @@ def test_failed_start_slope_ends_the_run_at_once(monkeypatch, mode):
 
 
 def _fixed_rhs_count(manifest):
-    """Right-hand sides of a fixed-step scenario: 4 per step and one end
-    slope per flip."""
-    flips = [kind for _, kind in manifest.events
-             if kind in (EVENT_ENTER_STABLE, EVENT_ENTER_UNSTABLE)]
-    return 4 * manifest.trajectory.steps + len(flips)
+    """Right-hand sides of a fixed-step scenario: 4 per step and the end
+    slopes the run pays."""
+    traj = manifest.trajectory
+    return 4 * traj.steps + _paid_end_slopes(traj)
 
 
 def test_odd_runs_and_their_reruns_take_the_half_sum(tmp_path, monkeypatch):

@@ -76,11 +76,47 @@ def test_stacked_derivative_rows_match_one_dimensional_calls():
 
 
 def test_stacked_derivative_checks_the_grid_size():
-    # the 1-D size rule holds on the last axis of every input
+    # the 1-D size rule holds on the last axis of every input, and the
+    # smoother shares it
     for shape in ((2, 7), (2, 2), (3, 2, 5)):
-        message = f"along the last axis, got {shape[-1]}$"
+        message = ("^expected an even length >= 4 along the last axis,"
+                   f" got {shape[-1]}$")
         with pytest.raises(ValueError, match=message):
             filtered_derivative(np.zeros(shape), 1)
+        with pytest.raises(ValueError, match=message):
+            threshold_smooth(np.zeros(shape), 1e-6)
+    # the interpolant takes one vector only
+    with pytest.raises(ValueError, match="1-D"):
+        TrigInterpolant(np.zeros((2, 8)))
+
+
+def test_stacked_fft_rows_match_one_dimensional_calls():
+    # the premise of smoothing a (2, n) state in one transform
+    rng = np.random.default_rng(5)
+    for n in (32, 512, 2048):
+        v = rng.normal(size=(2, n))
+        c = np.fft.fft(v)
+        back = np.fft.ifft(c)
+        for row, c_row, back_row in zip(v, c, back):
+            assert np.array_equal(c_row, np.fft.fft(row))
+            assert np.array_equal(back_row, np.fft.ifft(c_row))
+
+
+def test_stacked_smoothing_matches_one_dimensional_calls():
+    # at eps = 1e-6 noise keeps every coefficient, sin drops only FFT
+    # round-off and keeps its samples, and a mode of 1e-9 is smoothed away
+    g = make_grid(64)
+    rows = {"whole": np.random.default_rng(11).normal(size=64),
+            "round-off": np.sin(g.nodes),
+            "resolved": np.sin(g.nodes) + 1e-9 * np.sin(5 * g.nodes)}
+    single = {kind: threshold_smooth(row, 1e-6) for kind, row in rows.items()}
+    assert np.array_equal(single["whole"], rows["whole"])
+    assert np.array_equal(single["round-off"], rows["round-off"])
+    assert not np.array_equal(single["resolved"], rows["resolved"])
+    for a in rows:
+        for b in rows:
+            out = threshold_smooth(np.stack((rows[a], rows[b])), 1e-6)
+            assert np.array_equal(out, np.stack((single[a], single[b])))
 
 
 def test_filter_profile_shape():
