@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import NanEncountered, SampledCurve
 from .spectral import filtered_derivative, threshold_smooth
-from .velocity import ArcChordError, periodic_rhs
+from .velocity import ArcChordError, pair_processes, periodic_rhs
 
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -122,8 +122,9 @@ class Trajectory:
     the step's O(h^4) cubic Hermite interpolant. steps and
     rejected_steps count accepted and rejected trial steps. pair_sum is
     "half" when the march found its start state odd and summed the
-    mirror-independent rows only, else "full". error says in one line why
-    a failed run ended, and is None while status is OK.
+    mirror-independent rows only, else "full"; pair_processes is how many
+    processes summed them (velocity.pair_processes). error says in one
+    line why a failed run ended, and is None while status is OK.
     """
     times: list[float]
     snapshots: list[SampledCurve]
@@ -135,6 +136,7 @@ class Trajectory:
     steps: int = 0
     rejected_steps: int = 0
     pair_sum: str = "full"
+    pair_processes: int = 1
     error: str | None = None
 
     @property
@@ -327,6 +329,8 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
         if stop:
             traj.events.append((t, EVENT_EARLY_STOP))
             break
+    # after the march, so that a helper fork that failed in it reads 1
+    traj.pair_processes = pair_processes(cur.grid.n, odd=odd)
 
 
 def evolve_forward(curve: SampledCurve, t_end: float,

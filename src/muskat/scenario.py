@@ -151,8 +151,8 @@ class RunConfig:
 @dataclass
 class RunManifest:
     """Outcome record of one scenario run; mirrored to manifest.txt, which
-    reads the scenario from the config and the grid size, step counts and
-    pair sum from the trajectory."""
+    reads the scenario from the config and the grid size, step counts, pair
+    sum and pair processes from the trajectory."""
     config: RunConfig
     status: str = STATUS_OK
     error: str | None = None
@@ -176,7 +176,8 @@ class RunManifest:
         ]
         if traj is not None:
             lines += [f"grid_n = {traj.final.grid.n}",
-                      f"pair_sum = {traj.pair_sum}"]
+                      f"pair_sum = {traj.pair_sum}",
+                      f"pair_processes = {traj.pair_processes}"]
         if self.error is not None:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]

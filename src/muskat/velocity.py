@@ -40,10 +40,11 @@ right-hand side at n = 2048; a chunk is then one small stacked matrix
 product (dP, dQ and the numerator at once), a sum of squares, a division
 and the two summing products, 8 numpy calls in all. The chunks hold K/2
 and the factor 2 sits in the final scale. A right-hand side of SEED_T0
-takes 0.57 ms at n = 512 and 6.3 ms at n = 2048, and 0.31 and 3.3 ms with
-half the pair sum (below): medians over 12 processes of each one's median
-call on a shared 2-vCPU Xeon, whose per-process medians spread by about
-+-25% (0.46-0.74 and 5.4-6.8 ms; 0.23-0.36 and 2.8-3.5 ms).
+summed in one process takes 0.57 ms at n = 512 and 6.3 ms at n = 2048,
+and 0.31 and 3.3 ms with half the pair sum (below): medians over 12
+processes of each one's median call on a shared 2-vCPU Xeon, whose
+per-process medians spread by about +-25% (0.46-0.74 and 5.4-6.8 ms;
+0.23-0.36 and 2.8-3.5 ms).
 
 Half the pair sum on odd curves. The mirror R: j -> (n - j) mod n takes
 alpha to -alpha. On an odd curve (p1 and z2 odd) z1 is odd modulo 2 pi,
@@ -85,10 +86,59 @@ eps/sqrt(den) is below the eps/den of cosh(d2) - cos(d1) as written. The
 bound follows ARC_CHORD_FLOOR, which callers may raise; the factor 2 on
 the floor covers the roundoff of the |dzeta|^2 screen. On the paper's
 seed at n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
+
+Two processes. A call that forms at least _SPLIT_PAIRS = 131 072 pairs
+(4 chunks: the half sum from n = 1024, the full sum from n = 726), in a
+process that os.sched_getaffinity allows on two CPUs or more, sums the
+first half of its chunks, rounded up, itself and hands the rest to a
+helper process, forked at the first such call in the workspace. The
+workspace's operands sit in a shared anonymous mmap; the helper reads
+them there and writes its rows of the row products and each of its
+chunks' column products back. The split is bitwise: both processes run
+one chunk loop (_sum_chunks) on the same operands, the row products are
+disjoint, and the caller adds the helper's column products to its own
+running sum in chunk order, so every column sum associates as in one
+process. The arc-chord report is the smaller of the two halves', the
+caller's on a tie, since its rows come first. Threads cannot do this:
+every numpy call in a chunk hands the GIL back and forth, and two
+threads did twice the chunk work of one in 1.8x its time, while two
+processes running the loop at once each took 0.99-1.06x their time
+alone. Per right-hand side of SEED_T0 (same host, medians over 12
+processes) the split takes the half sum from 0.95 to 0.87 ms at
+n = 1024, 3.5 to 2.4 ms at n = 2048 and 13.0 to 8.3 ms at n = 4096, and
+the full sum from 2.0 to 1.7, 6.4 to 4.6 and 25.0 to 16.4 ms. Split and
+serial interleaved in one process, the half sum at n = 512 (2 chunks)
+gained nothing (0.37 against 0.39 ms, split faster in 7 of 41 rounds),
+at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks) 20%, hence the
+threshold. The helper exits at end of file on its command pipe: the
+caller closes the pipe and reaps the helper when the workspace is
+dropped and at interpreter exit (weakref.finalize), and the pipe closes
+with a caller that is killed. A helper found dead is reaped and its
+chunks are summed by the caller in the same call; the next split call
+forks another. A child forked from the caller closes the helpers' pipe
+ends and drops the workspaces (_forget_helpers).
+
+Fork beside threads. OpenBLAS shuts its thread pool down in its own
+fork handler (the caller has one thread when it forks) and starts it
+again on demand, and the chunk products are too small for OpenBLAS to
+thread; forking worked in every measured run. Python 3.12 and later
+warn (DeprecationWarning) when a process with other threads forks, and
+pytest's warnings-as-errors would raise that in the caller with the
+helper already running. The fork therefore runs under
+warnings.catch_warnings(record=True); if it warned, the helper is
+stopped at once and the process sums alone from then on, as it does
+after a fork that failed, and pair_processes says 1.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import struct
+import warnings
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,6 +158,16 @@ ARC_CHORD_FLOOR = 1e-12
 # 6.9-7.3 ms at n = 2048, where a run is almost all pair sum, and
 # 0.59-0.78 / 0.46-0.65 / 0.49-0.69 / 0.63-0.91 ms at n = 512.
 _CHUNK_PAIRS = 1 << 15
+
+# A call that forms at least this many pairs, 4 chunks, splits its chunks
+# with a helper process when it may run on two CPUs (see the module
+# docstring).
+_SPLIT_PAIRS = 4 * _CHUNK_PAIRS
+# A command to a helper: rows summed, chunks, the helper's first chunk and
+# the floor. A reply: the smallest near-pair denominator of its rows and
+# its (even row, odd column), (-1, -1) for none.
+_CMD = struct.Struct("<3qd")
+_REPLY = struct.Struct("<d2q")
 
 # Pairs whose real denominator may be at or below this (or 2 floor) take the
 # real form of the kernel. With one pair 201 nodes apart at denominator
@@ -139,27 +199,268 @@ class ArcChordError(RuntimeError):
         self.report = report
 
 
-@lru_cache(maxsize=8)
-def _workspace(m: int, rows: int) -> tuple[np.ndarray, ...]:
+class _Workspace:
     """Arrays of the pair sum over m even and m odd nodes in row chunks of
-    the given size, reused by every call at that size: the stacked chunk
-    operands [P_e, -1, 0; Q_e, 0, -1; 0, Q_e, -P_e] (3, m, 3) and
-    [1; P_o; Q_o] with their constant entries in place, the sum operands
-    a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e] (3, m), the
-    (3, rows, m) chunk buffer, the (m, 3) row products, and the (3, m)
-    column products of one chunk and their running sum. Keeping them
-    across calls spares the allocator the heap trims and page faults of
-    rebuilding them each time."""
-    left = np.zeros((3, m, 3))
-    left[0, :, 1] = left[1, :, 2] = -1.0
-    right = np.empty((3, m))
-    right[0] = 1.0
-    ao3 = np.empty((m, 3))
-    ao3[:, 0] = 1.0
-    ae3 = np.empty((3, m))
-    ae3[0] = 1.0
-    return (left, right, ao3, ae3, np.empty((3, rows, m)), np.empty((m, 3)),
-            np.empty((3, m)), np.empty((3, m)))
+    the given size, reused by every call at that size. In one shared
+    anonymous mmap, which a helper forked later sees as the caller does:
+    the stacked chunk operands [P_e, -1, 0; Q_e, 0, -1; 0, Q_e, -P_e]
+    (3, m, 3) and [1; P_o; Q_o] with their constant entries in place, the
+    sum operands a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e]
+    (3, m), the rows z1_e, z1_o, z2_e, z2_o (4, m), the chunks' near-pair
+    screen bounds, the (m, 3) row products and one (3, m) column product
+    per chunk. Private: the (3, rows, m) chunk buffer, the column product
+    of one chunk and their running sum; a helper writes its own copy of
+    them. Keeping them across calls spares the allocator the heap trims
+    and page faults of rebuilding them each time.
+
+    A call whose chunks have `rows` rows cuts at most m // (rows - 1) of
+    them (m for one row), so that many bounds and column products fit.
+    helper is the process that sums the last chunks of a split call, or
+    None before the first and after one died."""
+
+    def __init__(self, m: int, rows: int):
+        slots = m // max(rows - 1, 1)
+        shapes = {"left": (3, m, 3), "right": (3, m), "ao3": (m, 3),
+                  "ae3": (3, m), "z": (4, m), "bounds": (slots,),
+                  "row_prod": (m, 3), "col_prods": (slots, 3, m)}
+        # each array on cache lines of its own
+        sizes = [-(-8 * math.prod(s) // 64) * 64 for s in shapes.values()]
+        self._mem = mmap.mmap(-1, sum(sizes))
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, np.frombuffer(
+                self._mem, count=math.prod(shape), offset=offset
+            ).reshape(shape))
+            offset += size
+        # the mmap starts zeroed
+        self.left[0, :, 1] = self.left[1, :, 2] = -1.0
+        self.right[0] = self.ao3[:, 0] = self.ae3[0] = 1.0
+        self.buf = np.empty((3, rows, m))
+        self.col_prod = np.empty((3, m))
+        self.col_acc = np.empty((3, m))
+        self.helper = None
+        self._stop = None
+
+    def start_helper(self) -> None:
+        """Fork the helper. If the fork fails, or warns (see the module
+        docstring) and its helper is stopped at once, this process sums
+        alone from then on."""
+        global _fork_failed
+        try:
+            helper = _Helper(self)
+        except OSError:
+            _fork_failed = True
+            return
+        # reaps the helper when the workspace is dropped or at exit
+        self._stop = weakref.finalize(self, helper.stop)
+        if helper.warned:
+            _fork_failed = True
+            self._stop()
+        else:
+            self.helper = _helpers[helper.pid] = helper
+
+    def stop_helper(self) -> None:
+        """Close the helper's pipes and reap it; the next split call forks
+        another."""
+        self._stop()
+        self.helper = None
+
+
+@lru_cache(maxsize=8)
+def _workspace(m: int, rows: int) -> _Workspace:
+    """The workspace of the pair sum over m even and m odd nodes in row
+    chunks of the given size, kept for the next call at that size; one
+    that is dropped reaps its helper."""
+    return _Workspace(m, rows)
+
+
+class _Helper:
+    """A process forked to sum the last chunks of split calls in a
+    workspace's shared memory, and the caller's ends of its command and
+    reply pipes. It exits at end of file on the command pipe: when the
+    caller closes it, or dies."""
+
+    def __init__(self, ws: _Workspace):
+        cmd_in, self.cmd = os.pipe()
+        self.reply, reply_out = os.pipe()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                self.pid = os.fork()
+        except OSError:
+            for fd in (cmd_in, self.cmd, self.reply, reply_out):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                # the other helpers' pipe ends were closed at the fork, by
+                # _forget_helpers
+                os.close(self.cmd)
+                os.close(self.reply)
+                _serve(ws, cmd_in, reply_out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(cmd_in)
+        os.close(reply_out)
+        self.warned = bool(caught)
+
+    def stop(self, wait: bool = True) -> None:
+        """Close the caller's pipe ends and, with wait, reap the helper,
+        which exits once it has finished the chunks in hand."""
+        if self.cmd < 0:
+            return
+        os.close(self.cmd)
+        os.close(self.reply)
+        self.cmd = self.reply = -1
+        _helpers.pop(self.pid, None)
+        if wait:
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:
+                pass  # reaped already, under a caller's SIGCHLD setting
+
+
+# the live helpers of this process, by pid
+_helpers: dict[int, _Helper] = {}
+# set once a fork for a helper failed or warned; this process then sums
+# alone
+_fork_failed = False
+
+
+def _forget_helpers() -> None:
+    """In a forked child: the helpers and the workspaces whose memory they
+    share are the parent's. Close the helpers' pipe ends, which would
+    keep them from seeing end of file, and drop the workspaces."""
+    for helper in list(_helpers.values()):
+        helper.stop(wait=False)
+    _workspace.cache_clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, as is os.fork
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _serve(ws: _Workspace, cmd: int, reply: int) -> None:
+    """The helper's loop: sum the chunks a command names, keeping each
+    chunk's column product, and reply with their smallest near-pair
+    denominator and its (even row, odd column), (-1, -1) for none."""
+    while msg := os.read(cmd, _CMD.size):
+        nrows, chunks, first, floor = _CMD.unpack(msg)
+        worst, pair = _sum_chunks(ws, ws.z, _edges(nrows, chunks), first,
+                                  chunks, floor)
+        os.write(reply, _REPLY.pack(worst, *(pair or (-1, -1))))
+
+
+def _edges(nrows: int, chunks: int) -> list[int]:
+    """Row edges of nrows rows cut into `chunks` equal chunks."""
+    return [nrows * c // chunks for c in range(chunks + 1)]
+
+
+def _plan(n: int, odd: bool) -> tuple[int, int, int, int]:
+    """(m, rows summed, chunks, processes) of periodic_rhs on n nodes."""
+    m = n // 2
+    nrows = m // 2 + 1 if odd else m
+    # equal row chunks of at most _CHUNK_PAIRS pairs (one row at least)
+    chunks = min(nrows, -(-nrows * m // _CHUNK_PAIRS))
+    split = (chunks > 1 and nrows * m >= _SPLIT_PAIRS and not _fork_failed
+             and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) > 1)
+    return m, nrows, chunks, 2 if split else 1
+
+
+def pair_processes(n: int, *, odd: bool = False) -> int:
+    """Processes that sum the pairs of periodic_rhs(curve, odd=odd) on n
+    nodes: 2 when the call forms at least _SPLIT_PAIRS pairs and this
+    process may run on two CPUs or more, unless a fork for a helper failed
+    or warned here, else 1."""
+    return _plan(n, odd)[3]
+
+
+def _sum_chunks(ws: _Workspace, z: Sequence[np.ndarray], edges: list[int],
+                first: int, stop: int, floor: float,
+                col_acc: np.ndarray | None = None
+                ) -> tuple[float, tuple[int, int] | None]:
+    """Chunks first..stop-1 of the pair sum in workspace ws, chunk c
+    spanning rows edges[c]..edges[c + 1], with z the node rows z1_e, z1_o,
+    z2_e, z2_o (ws.z in a helper). Each chunk's row products go to
+    ws.row_prod, and its column products are added to col_acc or, without
+    it, kept in ws.col_prods[c]. Returns the smallest near-pair
+    denominator of these rows and its (even row, odd column), the first in
+    row-major order, or (inf, None). Once that is at or below floor the
+    remaining chunks are only scanned for a smaller one."""
+    left, right, ao3, ae3 = ws.left, ws.right, ws.ao3, ws.ae3
+    z1e, z1o, z2e, z2o = z
+    worst, pair = np.inf, None
+    for c, bound in zip(range(first, stop), ws.bounds[first:stop].tolist()):
+        r0, r1 = edges[c], edges[c + 1]
+        block = np.matmul(left[:, r0:r1], right, out=ws.buf[:, :r1 - r0])
+        dP, dQ, ker = block
+        np.square(block[:2], out=block[:2])
+        dP += dQ
+        near = None
+        if dP.min() <= bound:
+            # near pairs: real denominators, free of the cancellation of
+            # cosh(d2) - cos(d1) as written
+            near = np.nonzero(dP <= bound)
+            i, j = near[0] + r0, near[1]
+            d1 = z1e[i] - z1o[j]
+            den = np.sinh(0.5 * (z2e[i] - z2o[j])) ** 2
+            den += np.sin(0.5 * d1) ** 2
+            den *= 2.0
+            # near pairs come in row-major order, so argmin and the strict
+            # < keep the first smallest whatever the chunks
+            k = int(den.argmin())
+            if den[k] < worst:
+                worst, pair = float(den[k]), (int(i[k]), int(j[k]))
+        if worst <= floor:
+            continue
+        ker /= dP
+        if near is not None:
+            ker[near] = 0.5 * np.sin(d1) / den
+        # (row sums, K a_o) and (column sums, K^T a_e), one product each
+        np.matmul(ker, ao3, out=ws.row_prod[r0:r1])
+        if col_acc is None:
+            np.matmul(ae3[:, r0:r1], ker, out=ws.col_prods[c])
+        else:
+            col_acc += np.matmul(ae3[:, r0:r1], ker, out=ws.col_prod)
+    return worst, pair
+
+
+def _sum_split(ws: _Workspace, z: Sequence[np.ndarray], nrows: int,
+               edges: list[int], floor: float
+               ) -> tuple[float, tuple[int, int] | None]:
+    """Every chunk of a call, the first half summed here and the rest by
+    ws's helper, whose column products are added to ws.col_acc after this
+    process's own, in chunk order: bitwise the serial sum. A helper found
+    dead is reaped and its chunks are summed here."""
+    ws.z[...] = z
+    chunks = len(edges) - 1
+    cut = (chunks + 1) // 2
+    col_acc = ws.col_acc
+    helper = ws.helper
+    try:
+        try:
+            os.write(helper.cmd, _CMD.pack(nrows, chunks, cut, floor))
+        except BrokenPipeError:
+            pass  # the helper is gone, and its reply reads end of file
+        worst, pair = _sum_chunks(ws, z, edges, 0, cut, floor, col_acc)
+        reply = os.read(helper.reply, _REPLY.size)
+    except BaseException:
+        # a reply left unread would answer the next command
+        ws.stop_helper()
+        raise
+    if len(reply) == _REPLY.size:
+        far, i, j = _REPLY.unpack(reply)
+        for c in range(cut, chunks):
+            col_acc += ws.col_prods[c]
+        far = (far, None if i < 0 else (i, j))
+    else:
+        ws.stop_helper()
+        far = _sum_chunks(ws, z, edges, cut, chunks, floor, col_acc)
+    # the smaller, and on a tie this process's, whose rows come first
+    return far if far[0] < worst else (worst, pair)
 
 
 def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
@@ -188,15 +489,11 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     z1, z2 = curve.z1, curve.z2
     deriv = filtered_derivative(curve.samples, 1)
 
-    m = n // 2
-    nrows = m // 2 + 1 if odd else m
-    # equal row chunks of at most _CHUNK_PAIRS pairs (one row at least)
-    chunks = min(nrows, -(-nrows * m // _CHUNK_PAIRS))
-    left, right, ao3, ae3, buf, row_prod, col_prod, col_acc = \
-        _workspace(m, -(-nrows // chunks))
-    edges = [nrows * c // chunks for c in range(chunks + 1)]
-    z1e, z1o = z1[0::2], z1[1::2]
-    z2e, z2o = z2[0::2], z2[1::2]
+    m, nrows, chunks, processes = _plan(n, odd)
+    ws = _workspace(m, -(-nrows // chunks))
+    edges = _edges(nrows, chunks)
+    ae3, ao3 = ws.ae3, ws.ao3
+    z = (z1[0::2], z1[1::2], z2[0::2], z2[1::2])
     ae3[1:] = deriv[:, 0::2]
     ao3[:, 1:] = deriv[:, 1::2].T
     # the even rows that are their own mirrors, 0 and m/2 for even m, weigh
@@ -215,52 +512,32 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     np.cos(z1, out=zeta[0])
     np.sin(z1, out=zeta[1])
     zeta *= mod
+    left = ws.left
     left[:2, :, 0] = zeta[:, 0::2]
     left[2, :, 1] = zeta[1, 0::2]
     np.negative(zeta[0, 0::2], out=left[2, :, 2])
-    right[1:] = zeta[:, 1::2]
+    ws.right[1:] = zeta[:, 1::2]
     # a pair with |dzeta|^2 above limit * max|zeta_e| (chunk) has its real
     # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
     limit = 2.0 * max(_SCREEN_DELTA, 2.0 * floor) * mod[1::2].max()
-    bounds = limit * np.maximum.reduceat(mod[0:2 * nrows:2], edges[:-1])
+    ws.bounds[:chunks] = limit * np.maximum.reduceat(mod[0:2 * nrows:2],
+                                                     edges[:-1])
 
+    col_acc = ws.col_acc
     col_acc.fill(0.0)
-    worst, pair = np.inf, None
-    for r0, r1, bound in zip(edges, edges[1:], bounds.tolist()):
-        block = np.matmul(left[:, r0:r1], right, out=buf[:, :r1 - r0])
-        dP, dQ, ker = block
-        np.square(block[:2], out=block[:2])
-        dP += dQ
-        near = None
-        if dP.min() <= bound:
-            # near pairs: real denominators, free of the cancellation of
-            # cosh(d2) - cos(d1) as written
-            near = np.nonzero(dP <= bound)
-            i, j = near[0] + r0, near[1]
-            d1 = z1e[i] - z1o[j]
-            den = np.sinh(0.5 * (z2e[i] - z2o[j])) ** 2
-            den += np.sin(0.5 * d1) ** 2
-            den *= 2.0
-            # near pairs come in row-major order, so argmin and the strict
-            # < keep the first smallest whatever the chunks
-            k = int(den.argmin())
-            if den[k] < worst:
-                worst, pair = float(den[k]), (i[k], j[k])
-        if worst <= floor:
-            # the remaining chunks are scanned for a smaller denominator only
-            continue
-        ker /= dP
-        if near is not None:
-            ker[near] = 0.5 * np.sin(d1) / den
-        # (row sums, K a_o) and (column sums, K^T a_e), one product each
-        np.matmul(ker, ao3, out=row_prod[r0:r1])
-        col_acc += np.matmul(ae3[:, r0:r1], ker, out=col_prod)
+    if processes == 2 and ws.helper is None:
+        ws.start_helper()
+    if processes == 2 and ws.helper is not None:
+        worst, pair = _sum_split(ws, z, nrows, edges, floor)
+    else:
+        worst, pair = _sum_chunks(ws, z, edges, 0, chunks, floor, col_acc)
     if worst <= floor:
-        pair = (2 * int(pair[0]), 2 * int(pair[1]) + 1)
+        pair = (2 * pair[0], 2 * pair[1] + 1)
         raise ArcChordError(ArcChordReport(worst, floor, pair))
 
     v = np.empty((2, n))
     ve, vo = v[:, 0::2], v[:, 1::2]
+    row_prod = ws.row_prod
     ve[:, :nrows] = (ae3[1:, :nrows] * row_prod[:nrows, 0]
                      - row_prod[:nrows, 1:].T)
     if odd:

@@ -231,7 +231,7 @@ def test_criterion_8_backward_seed_terminal_state(backward512):
 
 
 @pytest.mark.skipif("MUSKAT_FULL_RES" not in os.environ,
-                    reason="about 20 s; set MUSKAT_FULL_RES=1")
+                    reason="about 16 s; set MUSKAT_FULL_RES=1")
 def test_criterion_8_full_resolution_coordinates(tmp_path_factory):
     # Non-blocking companion check at n = 2048: the near-vertical points of
     # the terminal state against the reference coordinates. Recorded in the

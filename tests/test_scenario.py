@@ -438,7 +438,8 @@ def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
     assert _manifest_head(out) == [
         "[manifest]", "scenario = BACKWARD_SEED",
         "status = ARC_CHORD_FAILURE", "steps = 0", "rejected_steps = 0",
-        "grid_n = 32", "pair_sum = half", f"error = {manifest.error}"]
+        "grid_n = 32", "pair_sum = half", "pair_processes = 1",
+        f"error = {manifest.error}"]
     assert ("event_0 = 0 ARC_CHORD_FAILURE"
             in (out / "manifest.txt").read_text())
     for name in ("final", "norms", "timeline"):
@@ -459,6 +460,7 @@ def test_run_failing_after_its_march_keeps_its_trajectory(tmp_path,
     assert _manifest_head(out) == [
         "[manifest]", "scenario = CONJ_TURNOVER", "status = ERROR",
         "steps = 2", "rejected_steps = 0", "grid_n = 32", "pair_sum = half",
+        "pair_processes = 1",
         "error = OSError: no space left on device"]
     printed = capsys.readouterr().out
     # no timeline was formed, so there is no pattern to print
@@ -496,7 +498,26 @@ def test_backward_seed_scenario_small(tmp_path):
     assert final.grid.n == 32
     assert _manifest_head(out) == [
         "[manifest]", "scenario = BACKWARD_SEED", "status = OK", "steps = 4",
-        "rejected_steps = 0", "grid_n = 32", "pair_sum = half"]
+        "rejected_steps = 0", "grid_n = 32", "pair_sum = half",
+        "pair_processes = 1"]
+
+
+@pytest.mark.parametrize("cpus", [None, {0}])
+def test_manifest_says_how_many_processes_summed_the_pairs(tmp_path,
+                                                          monkeypatch, cpus):
+    # the half sum at n = 2048 forms 525 312 pairs a call, past the split
+    # threshold, so it takes a helper process wherever two CPUs are allowed
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    expect = 2 if len(os.sched_getaffinity(0)) > 1 else 1
+    out = tmp_path / "bwd"
+    cfg = RunConfig(scenario="BACKWARD_SEED", n=2048, t_final=-1e-5,
+                    dt=1e-5, out_dir=str(out))
+    manifest = run_scenario(cfg)
+    assert manifest.status == "OK"
+    assert manifest.trajectory.pair_processes == expect
+    assert _manifest_head(out)[-3:] == [
+        "grid_n = 2048", "pair_sum = half", f"pair_processes = {expect}"]
 
 
 def test_forward_rerun_requires_input(tmp_path, capsys):

@@ -1,10 +1,19 @@
 """Periodic velocity kernel."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muskat
 import muskat.integrator as integrator
 from muskat import velocity
 from muskat.core import make_curve, make_grid, sample_preset
@@ -394,3 +403,321 @@ def test_kernel_memory_is_bounded_at_n2048():
         tracemalloc.stop()
     # two full 1024 x 1024 pair arrays would take 16 MiB
     assert peak < 4 * 2**20
+
+
+_needs_proc = pytest.mark.skipif(not Path("/proc/self/fd").exists(),
+                                 reason="reads /proc")
+
+
+def _cpus(monkeypatch, count):
+    """Let this process run on `count` CPUs, as far as the split rule
+    asks; two let a large call split whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _record_splits(monkeypatch):
+    """Calls of the split pair sum, as the helper pids they met."""
+    splits = []
+    real = velocity._sum_split
+
+    def recording(ws, *args):
+        splits.append(ws.helper.pid)
+        return real(ws, *args)
+
+    monkeypatch.setattr(velocity, "_sum_split", recording)
+    return splits
+
+
+def _serial(monkeypatch, curve, **kwargs):
+    """periodic_rhs(curve, **kwargs) summed by this process alone."""
+    with monkeypatch.context() as patch:
+        _cpus(patch, 1)
+        return periodic_rhs(curve, **kwargs)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, if the block takes longer than this."""
+    def expire(signum, frame):
+        raise TimeoutError(f"blocked for more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_split_follows_the_pair_count_and_the_cpus(monkeypatch):
+    # 4 chunks of _CHUNK_PAIRS at least: the half sum splits from n = 1024
+    # (257 x 512 pairs; 256 x 510 at n = 1020 do not), the full sum from
+    # n = 726 (363 x 363), and n = 512 splits neither
+    _cpus(monkeypatch, 2)
+    assert velocity._SPLIT_PAIRS == 4 * velocity._CHUNK_PAIRS == 131072
+    assert [velocity.pair_processes(n, odd=odd)
+            for n in (512, 724, 726, 1020, 1024, 2048)
+            for odd in (False, True)] == [
+        1, 1, 1, 1, 2, 1, 2, 1, 2, 2, 2, 2]
+    _cpus(monkeypatch, 1)
+    assert velocity.pair_processes(2048) == 1
+
+
+@pytest.mark.parametrize("name, odd", [("SEED_T0", False), ("SEED_T0", True),
+                                       ("ASYMMETRIC", False)])
+def test_split_sum_equals_the_serial_sum_bitwise(monkeypatch, name, odd):
+    curve = _test_curve(name, 2048)
+    serial = _serial(monkeypatch, curve, odd=odd)
+    _cpus(monkeypatch, 2)
+    splits = _record_splits(monkeypatch)
+    for _ in range(2):
+        # the second call meets the helper that the first one forked or met
+        assert np.array_equal(periodic_rhs(curve, odd=odd), serial)
+    assert len(splits) == 2 and splits[0] == splits[1] in velocity._helpers
+
+
+def _helper_rows_curve():
+    """_middle_chunks_curve with the gaps swapped: the closer pair is
+    (600, 401), in even row 300 of 512, which the helper sums."""
+    grid = make_grid(1024)
+    p1 = np.zeros(grid.n)
+    p1[400] = grid.nodes[601] - grid.nodes[400] - 2e-7
+    p1[600] = grid.nodes[401] - grid.nodes[600] + 1e-7
+    return make_curve(grid, p1, np.zeros(grid.n))
+
+
+@pytest.mark.parametrize("curve, pair", [
+    pytest.param(_middle_chunks_curve(), (400, 601), id="callers-rows"),
+    pytest.param(_helper_rows_curve(), (600, 401), id="helpers-rows"),
+    pytest.param(_odd_near_pair_curve(), (400, 601), id="tie-across-split")])
+def test_split_sum_reports_like_the_serial_sum(monkeypatch, curve, pair):
+    # the full sum at n = 1024 cuts 8 chunks, rows 0..255 summed here and
+    # 256..511 by the helper; the mirror pairs (400, 601) and (624, 423)
+    # tie across that boundary, and the first in row-major order wins
+    with monkeypatch.context() as patch:
+        _cpus(patch, 1)
+        serial = _report(curve)
+    _cpus(monkeypatch, 2)
+    splits = _record_splits(monkeypatch)
+    report = _report(curve)
+    assert splits
+    assert report == serial == _reference_report(curve)
+    assert report.pair == pair
+
+
+def test_dead_helper_is_replaced_and_never_blocks(monkeypatch):
+    curve = _test_curve("SEED_T0", 2048)
+    serial = _serial(monkeypatch, curve, odd=True)
+    _cpus(monkeypatch, 2)
+    splits = _record_splits(monkeypatch)
+    periodic_rhs(curve, odd=True)
+    os.kill(splits[-1], signal.SIGKILL)
+    with _deadline(30):
+        # the dead helper's chunks are summed here, and it is reaped
+        assert np.array_equal(periodic_rhs(curve, odd=True), serial)
+        assert splits[-1] not in velocity._helpers
+        # the next call forks another
+        assert np.array_equal(periodic_rhs(curve, odd=True), serial)
+    assert splits[-1] != splits[0] and splits[-1] in velocity._helpers
+
+
+def test_raising_helper_is_replaced_and_never_blocks(monkeypatch):
+    curve = _test_curve("SEED_T0", 2048)
+    serial = _serial(monkeypatch, curve)
+    _cpus(monkeypatch, 2)
+    caller = os.getpid()
+    real = velocity._sum_chunks
+
+    def failing_in_a_helper(*args):
+        if os.getpid() != caller:
+            raise MemoryError("no room for the chunk buffer")
+        return real(*args)
+
+    monkeypatch.setattr(velocity, "_sum_chunks", failing_in_a_helper)
+    splits = _record_splits(monkeypatch)
+    with _deadline(30):
+        # dropped workspaces reap their helpers, and the next helper is
+        # forked with the patch
+        velocity._workspace.cache_clear()
+        assert np.array_equal(periodic_rhs(curve), serial)
+    assert splits and splits[0] not in velocity._helpers
+
+
+_FORKED = []
+
+
+def _warning_fork(real_fork):
+    """os.fork as Python 3.12 runs it in a process with other threads."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            _FORKED.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is"
+                          " multi-threaded, use of fork() may lead to"
+                          " deadlocks in the child.", DeprecationWarning)
+        return pid
+    return fork
+
+
+def _failing_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@_needs_proc
+@pytest.mark.parametrize("fork", [_warning_fork(os.fork), _failing_fork],
+                         ids=["warns", "fails"])
+def test_refused_fork_leaves_the_process_summing_alone(monkeypatch, fork):
+    curve = _test_curve("SEED_T0", 2048)
+    serial = _serial(monkeypatch, curve, odd=True)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(velocity, "_fork_failed", False)
+    # a fresh workspace, which forks at its first call
+    velocity._workspace.cache_clear()
+    helpers, fds = set(velocity._helpers), set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork)
+    splits = _record_splits(monkeypatch)
+    with _deadline(30):
+        assert np.array_equal(periodic_rhs(curve, odd=True), serial)
+    assert not splits and set(velocity._helpers) == helpers
+    assert velocity.pair_processes(2048, odd=True) == 1
+    # the helper forked beside the warning was reaped, and no pipe is left
+    assert set(os.listdir("/proc/self/fd")) == fds
+    for pid in _FORKED:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+_HELPERS_SCRIPT = """
+import atexit, os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+
+
+def reaped():
+    # runs after every exit handler registered later, the package's too
+    for pid in helpers:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            print("reaped", pid)
+
+
+atexit.register(reaped)
+from muskat import velocity
+from muskat.core import make_grid, sample_preset
+curve = sample_preset("SEED_T0", make_grid(2048))
+velocity.periodic_rhs(curve)
+velocity.periodic_rhs(curve, odd=True)
+helpers = list(velocity._helpers)
+for pid, helper in velocity._helpers.items():
+    print(pid, *(os.fstat(fd).st_ino for fd in (helper.cmd, helper.reply)))
+print(flush=True)
+if sys.argv[1] == "stay":
+    time.sleep(60)
+"""
+
+
+def _run_helpers_script(mode):
+    src = str(Path(muskat.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c", _HELPERS_SCRIPT, mode], text=True,
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+
+
+def _helper_pipes(proc):
+    """{helper pid: inodes of its two pipes}, as the script prints them."""
+    helpers = {}
+    for line in iter(proc.stdout.readline, "\n"):
+        pid, *inodes = map(int, line.split())
+        helpers[pid] = set(inodes)
+    return helpers
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited; a zombie has."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@_needs_proc
+def test_helpers_are_reaped_when_the_caller_exits():
+    proc = _run_helpers_script("exit")
+    helpers = _helper_pipes(proc)
+    assert proc.wait(timeout=60) == 0
+    # the script's last exit handler found every helper reaped
+    assert proc.stdout.read().split() == [
+        word for pid in helpers for word in ("reaped", str(pid))]
+    proc.stdout.close()
+    assert len(helpers) == 2
+    assert not any(map(_running, helpers))
+
+
+# Runs the helpers script, notes the pipes each helper holds, SIGKILLs the
+# script and times each helper's exit. As a child subreaper it inherits
+# the orphaned helpers and reaps them, so that none is left a zombie.
+_KILLER_SCRIPT = """
+import ctypes, json, os, subprocess, sys, time
+PR_SET_CHILD_SUBREAPER = 36
+prctl = ctypes.CDLL(None).prctl
+prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+prctl.restype = ctypes.c_int
+if prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+    sys.exit(3)
+
+
+def pipes_held(pid):
+    links = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except FileNotFoundError:
+            pass
+    return [int(ln[6:-1]) for ln in links if ln.startswith("pipe:[")]
+
+
+proc = subprocess.Popen([sys.executable, "-c", sys.argv[1], "stay"],
+                        stdout=subprocess.PIPE, text=True)
+helpers = {}
+for line in iter(proc.stdout.readline, "\\n"):
+    pid, *inodes = map(int, line.split())
+    helpers[pid] = inodes
+held = {pid: pipes_held(pid) for pid in helpers}
+proc.kill()
+proc.wait()
+killed = time.monotonic()
+exit_s = {}
+while len(exit_s) < len(helpers) and time.monotonic() - killed < 10:
+    pid, _ = os.waitpid(-1, os.WNOHANG)
+    if pid:
+        exit_s[pid] = time.monotonic() - killed
+    else:
+        time.sleep(0.001)
+print(json.dumps({"helpers": helpers, "held": held, "exit_s": exit_s}))
+"""
+
+
+@_needs_proc
+def test_helpers_exit_when_the_caller_is_killed():
+    src = str(Path(muskat.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLER_SCRIPT, _HELPERS_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    if done.returncode == 3:
+        pytest.skip("no child subreaper to reap the orphaned helpers")
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    helpers = seen["helpers"]
+    assert len(helpers) == 2
+    # a helper holds its own pipes, and no other helper's
+    for pid, own in helpers.items():
+        others = {ino for h, p in helpers.items() if h != pid for ino in p}
+        held = set(seen["held"][pid])
+        assert set(own) <= held and not others & held
+    # each exits at end of file on its command pipe once the caller died
+    assert sorted(seen["exit_s"]) == sorted(helpers)
+    assert max(seen["exit_s"].values()) < 1.0
