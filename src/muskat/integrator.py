@@ -243,7 +243,10 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
     end slope f(y_next) fails ends the run as a failed step. A run with a
     stop_slope ends after the first step whose grid_min_slope is below it.
     A state is recorded after every step that is due, last or stopping;
-    snapshot_every None records the end states only.
+    snapshot_every None records the end states only. A step is due when it
+    ends at least snapshot_every after the last recorded state, so
+    snapshots land on step ends: an adaptive step longer than
+    snapshot_every records one state, at its end, and none in between.
 
     An odd start state makes every step sum half the pairs. Each stage's
     velocity is then exactly odd, but the states are not projected onto

@@ -91,17 +91,18 @@ Two processes. A call that forms at least _SPLIT_PAIRS = 131 072 pairs
 (4 chunks: the half sum from n = 1024, the full sum from n = 726), in a
 process that os.sched_getaffinity allows on two CPUs or more, sums the
 first half of its chunks, rounded up, itself and hands the rest to a
-helper process, forked at the first such call in the workspace. The
-workspace's operands sit in a shared anonymous mmap; the helper reads
-them there and writes its rows of the row products and each of its
-chunks' column products back. The split is bitwise: both processes run
-one chunk loop (_sum_chunks) on the same operands, the row products are
-disjoint, and the caller adds the helper's column products to its own
-running sum in chunk order, so every column sum associates as in one
-process. The arc-chord report is the smaller of the two halves', the
-caller's on a tie, since its rows come first. Threads cannot do this:
-every numpy call in a chunk hands the GIL back and forth, and two
-threads did twice the chunk work of one in 1.8x its time, while two
+helper process. The workspace's operands and node rows sit in a shared
+anonymous mmap; the helper reads them there and writes its rows of the
+row products and its chunks' column products back. The split is
+bitwise: one chunk loop (_sum_chunks) writes each chunk's column products
+to its own slot of the workspace in either process, the row products are
+disjoint, and the caller adds the column products of every chunk in
+chunk order, as it does when it sums alone. Those slots hold chunks x 3m
+doubles, 3 n^3 / 2^15 bytes for a full sum: 0.8 MB at n = 2048, 6.3 MB
+at 4096 and 50 MB at 8192. The arc-chord report is the smaller of the two
+halves', the caller's on a tie, since its rows come first. Threads cannot
+do this: every numpy call in a chunk hands the GIL back and forth, and
+two threads did twice the chunk work of one in 1.8x its time, while two
 processes running the loop at once each took 0.99-1.06x their time
 alone. Per right-hand side of SEED_T0 (same host, medians over 12
 processes) the split takes the half sum from 0.95 to 0.87 ms at
@@ -110,13 +111,22 @@ the full sum from 2.0 to 1.7, 6.4 to 4.6 and 25.0 to 16.4 ms. Split and
 serial interleaved in one process, the half sum at n = 512 (2 chunks)
 gained nothing (0.37 against 0.39 ms, split faster in 7 of 41 rounds),
 at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks) 20%, hence the
-threshold. The helper exits at end of file on its command pipe: the
-caller closes the pipe and reaps the helper when the workspace is
-dropped and at interpreter exit (weakref.finalize), and the pipe closes
-with a caller that is killed. A helper found dead is reaped and its
-chunks are summed by the caller in the same call; the next split call
-forks another. A child forked from the caller closes the helpers' pipe
-ends and drops the workspaces (_forget_helpers).
+threshold.
+
+One helper. A process has at most one helper (_helper), and it serves
+one workspace. A split call in another workspace, such as a full sum
+after a half sum at the same n, stops it and forks one of its own, so
+calls that alternate workspaces pay a fork each: at n = 2048, alternating
+full and half sums took 9.4-10.0 ms per call, against 4.3 and 2.2 ms for
+either alone. A run, and each benchmark workload, sums in one workspace,
+so it forks once unless its helper dies. The helper exits at end of file
+on its command pipe: the caller closes the pipe and reaps the helper when
+it switches workspaces and at interpreter exit (atexit), and the pipe
+closes with a caller that is killed. A helper found dead is reaped and
+its chunks are summed by the caller in the same call; the next split
+call forks another. A child forked from the caller closes the helper's
+pipe ends and drops the workspaces (_forget_helper), so a helper holds no
+pipe but its own.
 
 Fork beside threads. OpenBLAS shuts its thread pool down in its own
 fork handler (the caller has one thread when it forks) and starts it
@@ -132,13 +142,12 @@ after a fork that failed, and pair_processes says 1.
 
 from __future__ import annotations
 
+import atexit
 import math
 import mmap
 import os
 import struct
 import warnings
-import weakref
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,22 +215,19 @@ class _Workspace:
     the stacked chunk operands [P_e, -1, 0; Q_e, 0, -1; 0, Q_e, -P_e]
     (3, m, 3) and [1; P_o; Q_o] with their constant entries in place, the
     sum operands a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e]
-    (3, m), the rows z1_e, z1_o, z2_e, z2_o (4, m), the chunks' near-pair
-    screen bounds, the (m, 3) row products and one (3, m) column product
-    per chunk. Private: the (3, rows, m) chunk buffer, the column product
-    of one chunk and their running sum; a helper writes its own copy of
-    them. Keeping them across calls spares the allocator the heap trims
-    and page faults of rebuilding them each time.
+    (3, m), the node rows z1 and z2 (2, 2m), the chunks' near-pair screen
+    bounds, the (m, 3) row products and one (3, m) column product per
+    chunk. Private: the (3, rows, m) chunk buffer; a helper writes its own
+    copy of it. Keeping them across calls spares the allocator the heap
+    trims and page faults of rebuilding them each time.
 
     A call whose chunks have `rows` rows cuts at most m // (rows - 1) of
-    them (m for one row), so that many bounds and column products fit.
-    helper is the process that sums the last chunks of a split call, or
-    None before the first and after one died."""
+    them (m for one row), so that many bounds and column products fit."""
 
     def __init__(self, m: int, rows: int):
         slots = m // max(rows - 1, 1)
         shapes = {"left": (3, m, 3), "right": (3, m), "ao3": (m, 3),
-                  "ae3": (3, m), "z": (4, m), "bounds": (slots,),
+                  "ae3": (3, m), "z": (2, 2 * m), "bounds": (slots,),
                   "row_prod": (m, 3), "col_prods": (slots, 3, m)}
         # each array on cache lines of its own
         sizes = [-(-8 * math.prod(s) // 64) * 64 for s in shapes.values()]
@@ -236,51 +242,23 @@ class _Workspace:
         self.left[0, :, 1] = self.left[1, :, 2] = -1.0
         self.right[0] = self.ao3[:, 0] = self.ae3[0] = 1.0
         self.buf = np.empty((3, rows, m))
-        self.col_prod = np.empty((3, m))
-        self.col_acc = np.empty((3, m))
-        self.helper = None
-        self._stop = None
-
-    def start_helper(self) -> None:
-        """Fork the helper. If the fork fails, or warns (see the module
-        docstring) and its helper is stopped at once, this process sums
-        alone from then on."""
-        global _fork_failed
-        try:
-            helper = _Helper(self)
-        except OSError:
-            _fork_failed = True
-            return
-        # reaps the helper when the workspace is dropped or at exit
-        self._stop = weakref.finalize(self, helper.stop)
-        if helper.warned:
-            _fork_failed = True
-            self._stop()
-        else:
-            self.helper = _helpers[helper.pid] = helper
-
-    def stop_helper(self) -> None:
-        """Close the helper's pipes and reap it; the next split call forks
-        another."""
-        self._stop()
-        self.helper = None
 
 
 @lru_cache(maxsize=8)
 def _workspace(m: int, rows: int) -> _Workspace:
     """The workspace of the pair sum over m even and m odd nodes in row
-    chunks of the given size, kept for the next call at that size; one
-    that is dropped reaps its helper."""
+    chunks of the given size, kept for the next call at that size."""
     return _Workspace(m, rows)
 
 
 class _Helper:
-    """A process forked to sum the last chunks of split calls in a
-    workspace's shared memory, and the caller's ends of its command and
-    reply pipes. It exits at end of file on the command pipe: when the
+    """A process forked to sum the last chunks of split calls in the
+    shared memory of workspace ws, and the caller's ends of its command
+    and reply pipes. It exits at end of file on the command pipe: when the
     caller closes it, or dies."""
 
     def __init__(self, ws: _Workspace):
+        self.ws = ws
         cmd_in, self.cmd = os.pipe()
         self.reply, reply_out = os.pipe()
         try:
@@ -294,8 +272,6 @@ class _Helper:
         if self.pid == 0:
             code = 1
             try:
-                # the other helpers' pipe ends were closed at the fork, by
-                # _forget_helpers
                 os.close(self.cmd)
                 os.close(self.reply)
                 _serve(ws, cmd_in, reply_out)
@@ -306,50 +282,72 @@ class _Helper:
         os.close(reply_out)
         self.warned = bool(caught)
 
-    def stop(self, wait: bool = True) -> None:
-        """Close the caller's pipe ends and, with wait, reap the helper,
-        which exits once it has finished the chunks in hand."""
-        if self.cmd < 0:
-            return
-        os.close(self.cmd)
-        os.close(self.reply)
-        self.cmd = self.reply = -1
-        _helpers.pop(self.pid, None)
-        if wait:
-            try:
-                os.waitpid(self.pid, 0)
-            except ChildProcessError:
-                pass  # reaped already, under a caller's SIGCHLD setting
 
-
-# the live helpers of this process, by pid
-_helpers: dict[int, _Helper] = {}
+# the one helper of this process, or None
+_helper: _Helper | None = None
 # set once a fork for a helper failed or warned; this process then sums
 # alone
 _fork_failed = False
 
 
-def _forget_helpers() -> None:
-    """In a forked child: the helpers and the workspaces whose memory they
-    share are the parent's. Close the helpers' pipe ends, which would
-    keep them from seeing end of file, and drop the workspaces."""
-    for helper in list(_helpers.values()):
-        helper.stop(wait=False)
+def _stop_helper(wait: bool = True) -> None:
+    """Close the helper's pipe ends and, with wait, reap it; it exits once
+    it has finished the chunks in hand. The next split call forks
+    another."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is None:
+        return
+    os.close(helper.cmd)
+    os.close(helper.reply)
+    if wait:
+        try:
+            os.waitpid(helper.pid, 0)
+        except ChildProcessError:
+            pass  # reaped already, under a caller's SIGCHLD setting
+
+
+def _helper_for(ws: _Workspace) -> _Helper | None:
+    """The helper that serves ws: the one this process has, or one forked
+    for ws after the helper of another workspace is stopped. None if the
+    fork fails or warns (see the module docstring); this process then
+    sums alone from then on."""
+    global _helper, _fork_failed
+    if _helper is not None and _helper.ws is ws:
+        return _helper
+    _stop_helper()
+    try:
+        _helper = _Helper(ws)
+    except OSError:
+        _fork_failed = True
+        return None
+    if _helper.warned:
+        _fork_failed = True
+        _stop_helper()
+    return _helper
+
+
+def _forget_helper() -> None:
+    """In a forked child: the helper and the workspaces whose memory it
+    shares are the parent's. Close the helper's pipe ends, which would
+    keep it from seeing end of file, and drop the workspaces."""
+    _stop_helper(wait=False)
     _workspace.cache_clear()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only, as is os.fork
-    os.register_at_fork(after_in_child=_forget_helpers)
+    os.register_at_fork(after_in_child=_forget_helper)
+atexit.register(_stop_helper)
 
 
 def _serve(ws: _Workspace, cmd: int, reply: int) -> None:
-    """The helper's loop: sum the chunks a command names, keeping each
-    chunk's column product, and reply with their smallest near-pair
-    denominator and its (even row, odd column), (-1, -1) for none."""
+    """The helper's loop: sum the chunks a command names and reply with
+    their smallest near-pair denominator and its (even row, odd column),
+    (-1, -1) for none."""
     while msg := os.read(cmd, _CMD.size):
         nrows, chunks, first, floor = _CMD.unpack(msg)
-        worst, pair = _sum_chunks(ws, ws.z, _edges(nrows, chunks), first,
-                                  chunks, floor)
+        worst, pair = _sum_chunks(ws, _edges(nrows, chunks), first, chunks,
+                                  floor)
         os.write(reply, _REPLY.pack(worst, *(pair or (-1, -1))))
 
 
@@ -378,20 +376,16 @@ def pair_processes(n: int, *, odd: bool = False) -> int:
     return _plan(n, odd)[3]
 
 
-def _sum_chunks(ws: _Workspace, z: Sequence[np.ndarray], edges: list[int],
-                first: int, stop: int, floor: float,
-                col_acc: np.ndarray | None = None
-                ) -> tuple[float, tuple[int, int] | None]:
+def _sum_chunks(ws: _Workspace, edges: list[int], first: int, stop: int,
+                floor: float) -> tuple[float, tuple[int, int] | None]:
     """Chunks first..stop-1 of the pair sum in workspace ws, chunk c
-    spanning rows edges[c]..edges[c + 1], with z the node rows z1_e, z1_o,
-    z2_e, z2_o (ws.z in a helper). Each chunk's row products go to
-    ws.row_prod, and its column products are added to col_acc or, without
-    it, kept in ws.col_prods[c]. Returns the smallest near-pair
-    denominator of these rows and its (even row, odd column), the first in
-    row-major order, or (inf, None). Once that is at or below floor the
-    remaining chunks are only scanned for a smaller one."""
+    spanning rows edges[c]..edges[c + 1]. Each chunk's row products go to
+    ws.row_prod and its column products to ws.col_prods[c]. Returns the
+    smallest near-pair denominator of these rows and its (even row, odd
+    column), the first in row-major order, or (inf, None). Once that is
+    at or below floor the remaining chunks are only scanned for a smaller
+    one."""
     left, right, ao3, ae3 = ws.left, ws.right, ws.ao3, ws.ae3
-    z1e, z1o, z2e, z2o = z
     worst, pair = np.inf, None
     for c, bound in zip(range(first, stop), ws.bounds[first:stop].tolist()):
         r0, r1 = edges[c], edges[c + 1]
@@ -405,8 +399,9 @@ def _sum_chunks(ws: _Workspace, z: Sequence[np.ndarray], edges: list[int],
             # cosh(d2) - cos(d1) as written
             near = np.nonzero(dP <= bound)
             i, j = near[0] + r0, near[1]
-            d1 = z1e[i] - z1o[j]
-            den = np.sinh(0.5 * (z2e[i] - z2o[j])) ** 2
+            z1, z2 = ws.z
+            d1 = z1[0::2][i] - z1[1::2][j]
+            den = np.sinh(0.5 * (z2[0::2][i] - z2[1::2][j])) ** 2
             den += np.sin(0.5 * d1) ** 2
             den *= 2.0
             # near pairs come in row-major order, so argmin and the strict
@@ -421,44 +416,39 @@ def _sum_chunks(ws: _Workspace, z: Sequence[np.ndarray], edges: list[int],
             ker[near] = 0.5 * np.sin(d1) / den
         # (row sums, K a_o) and (column sums, K^T a_e), one product each
         np.matmul(ker, ao3, out=ws.row_prod[r0:r1])
-        if col_acc is None:
-            np.matmul(ae3[:, r0:r1], ker, out=ws.col_prods[c])
-        else:
-            col_acc += np.matmul(ae3[:, r0:r1], ker, out=ws.col_prod)
+        np.matmul(ae3[:, r0:r1], ker, out=ws.col_prods[c])
     return worst, pair
 
 
-def _sum_split(ws: _Workspace, z: Sequence[np.ndarray], nrows: int,
-               edges: list[int], floor: float
-               ) -> tuple[float, tuple[int, int] | None]:
-    """Every chunk of a call, the first half summed here and the rest by
-    ws's helper, whose column products are added to ws.col_acc after this
-    process's own, in chunk order: bitwise the serial sum. A helper found
-    dead is reaped and its chunks are summed here."""
-    ws.z[...] = z
+def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int], floor: float,
+               split: bool) -> tuple[float, tuple[int, int] | None]:
+    """Every chunk of a call, as _sum_chunks sums them: with split, the
+    first half, rounded up, here and the rest by the helper that serves
+    ws, else all here. The report is the smaller of the two halves', and
+    on a tie this process's, whose rows come first. A helper found dead is
+    reaped and its chunks are summed here."""
     chunks = len(edges) - 1
+    helper = _helper_for(ws) if split else None
+    if helper is None:
+        return _sum_chunks(ws, edges, 0, chunks, floor)
     cut = (chunks + 1) // 2
-    col_acc = ws.col_acc
-    helper = ws.helper
     try:
         try:
             os.write(helper.cmd, _CMD.pack(nrows, chunks, cut, floor))
         except BrokenPipeError:
             pass  # the helper is gone, and its reply reads end of file
-        worst, pair = _sum_chunks(ws, z, edges, 0, cut, floor, col_acc)
+        worst, pair = _sum_chunks(ws, edges, 0, cut, floor)
         reply = os.read(helper.reply, _REPLY.size)
     except BaseException:
         # a reply left unread would answer the next command
-        ws.stop_helper()
+        _stop_helper()
         raise
     if len(reply) == _REPLY.size:
         far, i, j = _REPLY.unpack(reply)
-        for c in range(cut, chunks):
-            col_acc += ws.col_prods[c]
         far = (far, None if i < 0 else (i, j))
     else:
-        ws.stop_helper()
-        far = _sum_chunks(ws, z, edges, cut, chunks, floor, col_acc)
+        _stop_helper()
+        far = _sum_chunks(ws, edges, cut, chunks, floor)
     # the smaller, and on a tie this process's, whose rows come first
     return far if far[0] < worst else (worst, pair)
 
@@ -486,14 +476,15 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     """
     floor = ARC_CHORD_FLOOR
     n = curve.grid.n
-    z1, z2 = curve.z1, curve.z2
     deriv = filtered_derivative(curve.samples, 1)
 
     m, nrows, chunks, processes = _plan(n, odd)
     ws = _workspace(m, -(-nrows // chunks))
     edges = _edges(nrows, chunks)
+    z1, z2 = ws.z
+    z1[...] = curve.z1
+    z2[...] = curve.z2
     ae3, ao3 = ws.ae3, ws.ao3
-    z = (z1[0::2], z1[1::2], z2[0::2], z2[1::2])
     ae3[1:] = deriv[:, 0::2]
     ao3[:, 1:] = deriv[:, 1::2].T
     # the even rows that are their own mirrors, 0 and m/2 for even m, weigh
@@ -523,17 +514,14 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     ws.bounds[:chunks] = limit * np.maximum.reduceat(mod[0:2 * nrows:2],
                                                      edges[:-1])
 
-    col_acc = ws.col_acc
-    col_acc.fill(0.0)
-    if processes == 2 and ws.helper is None:
-        ws.start_helper()
-    if processes == 2 and ws.helper is not None:
-        worst, pair = _sum_split(ws, z, nrows, edges, floor)
-    else:
-        worst, pair = _sum_chunks(ws, z, edges, 0, chunks, floor, col_acc)
+    worst, pair = _sum_pairs(ws, nrows, edges, floor, processes == 2)
     if worst <= floor:
         pair = (2 * pair[0], 2 * pair[1] + 1)
         raise ArcChordError(ArcChordReport(worst, floor, pair))
+    # every column sum associates in chunk order, however many processes
+    col = np.zeros((3, m))
+    for c in range(chunks):
+        col += ws.col_prods[c]
 
     v = np.empty((2, n))
     ve, vo = v[:, 0::2], v[:, 1::2]
@@ -545,13 +533,13 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
         ve[:, nrows:] = -ve[:, m - nrows:0:-1]
         ve[:, fixed] = 0.0
         half = m // 2
-        col = col_acc[:, :half] - col_acc[:, ::-1][:, :half]
+        col = col[:, :half] - col[:, ::-1][:, :half]
         vo[:, :half] = col[1:] - ao3[:half, 1:].T * col[0]
         vo[:, ::-1][:, :half] = -vo[:, :half]
         if m % 2:
             vo[:, half] = 0.0
     else:
-        vo[...] = col_acc[1:] - ao3[:, 1:].T * col_acc[0]
+        vo[...] = col[1:] - ao3[:, 1:].T * col[0]
     # the chunks hold K/2
     v *= 4.0 * curve.grid.spacing
     return v

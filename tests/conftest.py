@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from muskat import velocity
 from muskat.core import make_curve, make_grid, sample_preset
 
 # acceptance results registry, printed in the terminal summary
@@ -19,6 +22,16 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_child_process_left():
+    """Fail the session if, once the pair-sum helper is stopped, some test
+    left a child process behind."""
+    yield
+    velocity._stop_helper()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def mirror(values: np.ndarray) -> np.ndarray:

@@ -483,6 +483,32 @@ def test_backward_seed_honours_adaptive_mode(tmp_path):
                                                    "ENTER_UNSTABLE"]
 
 
+def test_adaptive_snapshots_land_on_step_ends(tmp_path):
+    # an adaptive step may span many snapshot intervals: it records one
+    # state, at its end, and never an interpolated one in between
+    runs = {}
+    for every in (1e-9, 1e-4):
+        out = tmp_path / str(every)
+        runs[every] = run_scenario(RunConfig(
+            scenario="CONJ_TURNOVER", n=64, mode="adaptive",
+            snapshot_every=every, out_dir=str(out)))
+        assert runs[every].status == "OK"
+    # at a cadence of 1e-9 every step end is recorded
+    ends = runs[1e-9].trajectory.times
+    assert len(ends) == runs[1e-9].trajectory.steps + 1
+    times = runs[1e-4].trajectory.times
+    assert max(np.diff(times)) > 20 * 1e-4
+    # the first step end at least snapshot_every after the last one
+    # recorded, and the run's last
+    due = [ends[0]]
+    for t in ends[1:]:
+        if t - due[-1] >= 1e-4 or t == ends[-1]:
+            due.append(t)
+    assert times == due
+    norms = np.loadtxt(tmp_path / "0.0001" / "norms.dat", delimiter=",")
+    assert norms[:, 0].tolist() == times
+
+
 def test_backward_seed_scenario_small(tmp_path):
     out = tmp_path / "bwd"
     cfg = RunConfig(scenario="BACKWARD_SEED", n=32, t_final=-4e-4, dt=1e-4,

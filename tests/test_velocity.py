@@ -416,16 +416,31 @@ def _cpus(monkeypatch, count):
                         lambda pid: set(range(count)))
 
 
+@pytest.fixture(autouse=True)
+def _no_helper_after_the_test():
+    """Stop the pair-sum helper after each test, so that no test meets one
+    that an earlier test forked."""
+    yield
+    velocity._stop_helper()
+
+
+def _helper_pid():
+    """The pid of this process's pair-sum helper, or None."""
+    return velocity._helper and velocity._helper.pid
+
+
 def _record_splits(monkeypatch):
     """Calls of the split pair sum, as the helper pids they met."""
     splits = []
-    real = velocity._sum_split
+    real = velocity._helper_for
 
-    def recording(ws, *args):
-        splits.append(ws.helper.pid)
-        return real(ws, *args)
+    def recording(ws):
+        helper = real(ws)
+        if helper is not None:
+            splits.append(helper.pid)
+        return helper
 
-    monkeypatch.setattr(velocity, "_sum_split", recording)
+    monkeypatch.setattr(velocity, "_helper_for", recording)
     return splits
 
 
@@ -470,12 +485,15 @@ def test_split_follows_the_pair_count_and_the_cpus(monkeypatch):
 def test_split_sum_equals_the_serial_sum_bitwise(monkeypatch, name, odd):
     curve = _test_curve(name, 2048)
     serial = _serial(monkeypatch, curve, odd=odd)
+    # another curve's products in the shared workspace, so that a chunk
+    # that no process sums cannot pass with this curve's
+    _serial(monkeypatch, _test_curve("CONJ_T0", 2048), odd=odd)
     _cpus(monkeypatch, 2)
     splits = _record_splits(monkeypatch)
     for _ in range(2):
         # the second call meets the helper that the first one forked or met
         assert np.array_equal(periodic_rhs(curve, odd=odd), serial)
-    assert len(splits) == 2 and splits[0] == splits[1] in velocity._helpers
+    assert len(splits) == 2 and splits[0] == splits[1] == _helper_pid()
 
 
 def _helper_rows_curve():
@@ -517,10 +535,10 @@ def test_dead_helper_is_replaced_and_never_blocks(monkeypatch):
     with _deadline(30):
         # the dead helper's chunks are summed here, and it is reaped
         assert np.array_equal(periodic_rhs(curve, odd=True), serial)
-        assert splits[-1] not in velocity._helpers
+        assert _helper_pid() is None
         # the next call forks another
         assert np.array_equal(periodic_rhs(curve, odd=True), serial)
-    assert splits[-1] != splits[0] and splits[-1] in velocity._helpers
+    assert splits[-1] != splits[0] and splits[-1] == _helper_pid()
 
 
 def test_raising_helper_is_replaced_and_never_blocks(monkeypatch):
@@ -538,11 +556,39 @@ def test_raising_helper_is_replaced_and_never_blocks(monkeypatch):
     monkeypatch.setattr(velocity, "_sum_chunks", failing_in_a_helper)
     splits = _record_splits(monkeypatch)
     with _deadline(30):
-        # dropped workspaces reap their helpers, and the next helper is
-        # forked with the patch
-        velocity._workspace.cache_clear()
+        # no helper is left from an earlier test, so this call forks one
+        # with the patch
         assert np.array_equal(periodic_rhs(curve), serial)
-    assert splits and splits[0] not in velocity._helpers
+    assert splits and _helper_pid() is None
+
+
+def test_forked_child_drops_the_helper(monkeypatch):
+    # a child forked beside a live helper holds none of its pipe ends,
+    # which would keep it from seeing end of file when the caller dies
+    _cpus(monkeypatch, 2)
+    periodic_rhs(_test_curve("SEED_T0", 2048), odd=True)
+    helper = velocity._helper
+    assert helper is not None
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn when other threads (OpenBLAS's) exist
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            closed = []
+            for fd in (helper.cmd, helper.reply):
+                try:
+                    os.fstat(fd)
+                except OSError:
+                    closed.append(fd)
+            if velocity._helper is None and len(closed) == 2:
+                code = 0
+        finally:
+            os._exit(code)
+    with _deadline(30):
+        assert os.waitpid(pid, 0)[1] == 0
+    assert velocity._helper is helper
 
 
 _FORKED = []
@@ -573,14 +619,13 @@ def test_refused_fork_leaves_the_process_summing_alone(monkeypatch, fork):
     serial = _serial(monkeypatch, curve, odd=True)
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(velocity, "_fork_failed", False)
-    # a fresh workspace, which forks at its first call
-    velocity._workspace.cache_clear()
-    helpers, fds = set(velocity._helpers), set(os.listdir("/proc/self/fd"))
+    # no helper is left from an earlier test, so the first call forks
+    fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", fork)
     splits = _record_splits(monkeypatch)
     with _deadline(30):
         assert np.array_equal(periodic_rhs(curve, odd=True), serial)
-    assert not splits and set(velocity._helpers) == helpers
+    assert not splits and _helper_pid() is None
     assert velocity.pair_processes(2048, odd=True) == 1
     # the helper forked beside the warning was reaped, and no pipe is left
     assert set(os.listdir("/proc/self/fd")) == fds
@@ -592,10 +637,14 @@ def test_refused_fork_leaves_the_process_summing_alone(monkeypatch, fork):
 _HELPERS_SCRIPT = """
 import atexit, os, sys, time
 os.sched_getaffinity = lambda pid: {0, 1}
+# "fork:PID" for each helper forked, "reap:PID" for each blocking wait
+events = []
+helpers = []
 
 
 def reaped():
     # runs after every exit handler registered later, the package's too
+    print(*events)
     for pid in helpers:
         try:
             os.waitpid(pid, os.WNOHANG)
@@ -604,14 +653,34 @@ def reaped():
 
 
 atexit.register(reaped)
+real_fork, real_waitpid = os.fork, os.waitpid
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        helpers.append(pid)
+        events.append(f"fork:{pid}")
+    return pid
+
+
+def waitpid(pid, options):
+    if not options:
+        events.append(f"reap:{pid}")
+    return real_waitpid(pid, options)
+
+
+os.fork, os.waitpid = fork, waitpid
 from muskat import velocity
 from muskat.core import make_grid, sample_preset
 curve = sample_preset("SEED_T0", make_grid(2048))
+# the full and the half sum run in two workspaces, so the second call
+# replaces the first call's helper
 velocity.periodic_rhs(curve)
 velocity.periodic_rhs(curve, odd=True)
-helpers = list(velocity._helpers)
-for pid, helper in velocity._helpers.items():
-    print(pid, *(os.fstat(fd).st_ino for fd in (helper.cmd, helper.reply)))
+events.append("done")
+helper = velocity._helper
+print(helper.pid, *(os.fstat(fd).st_ino for fd in (helper.cmd, helper.reply)))
 print(flush=True)
 if sys.argv[1] == "stay":
     time.sleep(60)
@@ -623,15 +692,6 @@ def _run_helpers_script(mode):
     return subprocess.Popen(
         [sys.executable, "-c", _HELPERS_SCRIPT, mode], text=True,
         stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
-
-
-def _helper_pipes(proc):
-    """{helper pid: inodes of its two pipes}, as the script prints them."""
-    helpers = {}
-    for line in iter(proc.stdout.readline, "\n"):
-        pid, *inodes = map(int, line.split())
-        helpers[pid] = set(inodes)
-    return helpers
 
 
 def _running(pid):
@@ -646,19 +706,25 @@ def _running(pid):
 @_needs_proc
 def test_helpers_are_reaped_when_the_caller_exits():
     proc = _run_helpers_script("exit")
-    helpers = _helper_pipes(proc)
+    live = int(proc.stdout.readline().split()[0])
+    assert proc.stdout.readline() == "\n"
     assert proc.wait(timeout=60) == 0
-    # the script's last exit handler found every helper reaped
-    assert proc.stdout.read().split() == [
-        word for pid in helpers for word in ("reaped", str(pid))]
+    events, *reaped = proc.stdout.read().splitlines()
     proc.stdout.close()
-    assert len(helpers) == 2
-    assert not any(map(_running, helpers))
+    first = int(events.split()[0].removeprefix("fork:"))
+    # the switch reaps the first helper before it forks the second, and
+    # exit reaps the second, the only one alive
+    assert events.split() == [f"fork:{first}", f"reap:{first}",
+                              f"fork:{live}", "done", f"reap:{live}"]
+    # the script's last exit handler found both reaped
+    assert reaped == [f"reaped {first}", f"reaped {live}"]
+    assert not _running(first) and not _running(live)
 
 
-# Runs the helpers script, notes the pipes each helper holds, SIGKILLs the
-# script and times each helper's exit. As a child subreaper it inherits
-# the orphaned helpers and reaps them, so that none is left a zombie.
+# Runs the helpers script, notes the pipes its live helper holds beyond
+# the standard streams, SIGKILLs the script and times the helper's exit.
+# As a child subreaper it inherits the orphaned helper and reaps it, so
+# that it is not left a zombie.
 _KILLER_SCRIPT = """
 import ctypes, json, os, subprocess, sys, time
 PR_SET_CHILD_SUBREAPER = 36
@@ -673,7 +739,8 @@ def pipes_held(pid):
     links = []
     for fd in os.listdir(f"/proc/{pid}/fd"):
         try:
-            links.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+            if int(fd) > 2:
+                links.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
         except FileNotFoundError:
             pass
     return [int(ln[6:-1]) for ln in links if ln.startswith("pipe:[")]
@@ -681,22 +748,18 @@ def pipes_held(pid):
 
 proc = subprocess.Popen([sys.executable, "-c", sys.argv[1], "stay"],
                         stdout=subprocess.PIPE, text=True)
-helpers = {}
-for line in iter(proc.stdout.readline, "\\n"):
-    pid, *inodes = map(int, line.split())
-    helpers[pid] = inodes
-held = {pid: pipes_held(pid) for pid in helpers}
+pid, *own = map(int, proc.stdout.readline().split())
+held = pipes_held(pid)
 proc.kill()
 proc.wait()
 killed = time.monotonic()
-exit_s = {}
-while len(exit_s) < len(helpers) and time.monotonic() - killed < 10:
-    pid, _ = os.waitpid(-1, os.WNOHANG)
-    if pid:
-        exit_s[pid] = time.monotonic() - killed
+exit_s = None
+while exit_s is None and time.monotonic() - killed < 10:
+    if os.waitpid(-1, os.WNOHANG)[0] == pid:
+        exit_s = time.monotonic() - killed
     else:
         time.sleep(0.001)
-print(json.dumps({"helpers": helpers, "held": held, "exit_s": exit_s}))
+print(json.dumps({"own": own, "held": held, "exit_s": exit_s}))
 """
 
 
@@ -708,16 +771,11 @@ def test_helpers_exit_when_the_caller_is_killed():
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
     if done.returncode == 3:
-        pytest.skip("no child subreaper to reap the orphaned helpers")
+        pytest.skip("no child subreaper to reap the orphaned helper")
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    helpers = seen["helpers"]
-    assert len(helpers) == 2
-    # a helper holds its own pipes, and no other helper's
-    for pid, own in helpers.items():
-        others = {ino for h, p in helpers.items() if h != pid for ino in p}
-        held = set(seen["held"][pid])
-        assert set(own) <= held and not others & held
-    # each exits at end of file on its command pipe once the caller died
-    assert sorted(seen["exit_s"]) == sorted(helpers)
-    assert max(seen["exit_s"].values()) < 1.0
+    # the helper holds its own two pipes and none of the first helper's
+    assert len(set(seen["own"])) == 2
+    assert sorted(seen["held"]) == sorted(seen["own"])
+    # it exits at end of file on its command pipe once the caller died
+    assert seen["exit_s"] is not None and seen["exit_s"] < 1.0
