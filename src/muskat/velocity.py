@@ -93,18 +93,19 @@ process that os.sched_getaffinity allows on two CPUs or more, sums the
 first half of its chunks, rounded up, itself and hands the rest to a
 helper process. The workspace's operands and node rows sit in a shared
 anonymous mmap; the helper reads them there and writes its rows of the
-row products and its chunks' column products back. The split is
-bitwise: one chunk loop (_sum_chunks) writes each chunk's column products
-to its own slot of the workspace in either process, the row products are
-disjoint, and the caller adds the column products of every chunk in
-chunk order, as it does when it sums alone. Those slots hold chunks x 3m
-doubles, 3 n^3 / 2^15 bytes for a full sum: 0.8 MB at n = 2048, 6.3 MB
-at 4096 and 50 MB at 8192. The arc-chord report is the smaller of the two
-halves', the caller's on a tie, since its rows come first. Threads cannot
-do this: every numpy call in a chunk hands the GIL back and forth, and
-two threads did twice the chunk work of one in 1.8x its time, while two
-processes running the loop at once each took 0.99-1.06x their time
-alone. Per right-hand side of SEED_T0 (same host, medians over 12
+row products and the column sum of its chunks back. The split is
+bitwise: one chunk loop (_sum_chunks) adds the column products of the
+first half of the chunks, in chunk order, to one (3, m) column sum and
+those of the second half to another, the row products are disjoint, and
+the caller adds the two column sums. A call that does not split, or
+whose helper died, sums the second half itself into the same column sum,
+so it is the split sum run in one process. The shared memory is 256 m
+bytes, 1 MiB at n = 8192. The arc-chord report is the smaller of the two
+halves', the first half's on a tie, since its rows come first. Threads
+cannot do this: every numpy call in a chunk hands the GIL back and
+forth, and two threads did twice the chunk work of one in 1.8x its time,
+while two processes running the loop at once each took 0.99-1.06x their
+time alone. Per right-hand side of SEED_T0 (same host, medians over 12
 processes) the split takes the half sum from 0.95 to 0.87 ms at
 n = 1024, 3.5 to 2.4 ms at n = 2048 and 13.0 to 8.3 ms at n = 4096, and
 the full sum from 2.0 to 1.7, 6.4 to 4.6 and 25.0 to 16.4 ms. Split and
@@ -114,19 +115,19 @@ at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks) 20%, hence the
 threshold.
 
 One helper. A process has at most one helper (_helper), and it serves
-one workspace. A split call in another workspace, such as a full sum
-after a half sum at the same n, stops it and forks one of its own, so
-calls that alternate workspaces pay a fork each: at n = 2048, alternating
-full and half sums took 9.4-10.0 ms per call, against 4.3 and 2.2 ms for
-either alone. A run, and each benchmark workload, sums in one workspace,
-so it forks once unless its helper dies. The helper exits at end of file
-on its command pipe: the caller closes the pipe and reaps the helper when
-it switches workspaces and at interpreter exit (atexit), and the pipe
-closes with a caller that is killed. A helper found dead is reaped and
-its chunks are summed by the caller in the same call; the next split
-call forks another. A child forked from the caller closes the helper's
-pipe ends and drops the workspaces (_forget_helper), so a helper holds no
-pipe but its own.
+one workspace, that is one grid: the full and the half sum on a grid
+meet the same helper. A split call on another grid stops it and forks
+one of its own. At n = 2048, full and half sums alternating in one
+process take 4.4 ms per call and fork once in all; with a workspace per
+pair sum they forked on every call and took 9.7 ms. A run, and each
+benchmark workload, sums on one grid, so it forks once unless its helper
+dies. The helper exits at end of file on its command pipe: the caller
+closes the pipe and reaps the helper when it switches grids and at
+interpreter exit (atexit), and the pipe closes with a caller that is
+killed. A helper found dead is reaped and its chunks are summed by the
+caller in the same call; the next split call forks another. A child
+forked from the caller closes the helper's pipe ends and drops the
+workspaces (_forget_helper), so a helper holds no pipe but its own.
 
 Fork beside threads. OpenBLAS shuts its thread pool down in its own
 fork handler (the caller has one thread when it forks) and starts it
@@ -172,10 +173,10 @@ _CHUNK_PAIRS = 1 << 15
 # with a helper process when it may run on two CPUs (see the module
 # docstring).
 _SPLIT_PAIRS = 4 * _CHUNK_PAIRS
-# A command to a helper: rows summed, chunks, the helper's first chunk and
-# the floor. A reply: the smallest near-pair denominator of its rows and
-# its (even row, odd column), (-1, -1) for none.
-_CMD = struct.Struct("<3qd")
+# A command to a helper: rows summed, chunks and the floor. A reply: the
+# smallest near-pair denominator of its rows and its (even row, odd
+# column), (-1, -1) for none.
+_CMD = struct.Struct("<2qd")
 _REPLY = struct.Struct("<d2q")
 
 # Pairs whose real denominator may be at or below this (or 2 floor) take the
@@ -209,26 +210,24 @@ class ArcChordError(RuntimeError):
 
 
 class _Workspace:
-    """Arrays of the pair sum over m even and m odd nodes in row chunks of
-    the given size, reused by every call at that size. In one shared
-    anonymous mmap, which a helper forked later sees as the caller does:
-    the stacked chunk operands [P_e, -1, 0; Q_e, 0, -1; 0, Q_e, -P_e]
-    (3, m, 3) and [1; P_o; Q_o] with their constant entries in place, the
-    sum operands a_o = [1, p1'_o, z2'_o] (m, 3) and a_e = [1; p1'_e; z2'_e]
-    (3, m), the node rows z1 and z2 (2, 2m), the chunks' near-pair screen
-    bounds, the (m, 3) row products and one (3, m) column product per
-    chunk. Private: the (3, rows, m) chunk buffer; a helper writes its own
-    copy of it. Keeping them across calls spares the allocator the heap
-    trims and page faults of rebuilding them each time.
+    """Arrays of the pair sum over m even and m odd nodes, reused by every
+    call on that grid, the full and the half sum alike. In one shared
+    anonymous mmap of 256 m bytes, which a helper forked later sees as the
+    caller does: the stacked chunk operands [P_e, -1, 0; Q_e, 0, -1;
+    0, Q_e, -P_e] (3, m, 3) and [1; P_o; Q_o] with their constant entries
+    in place, the sum operands a_o = [1, p1'_o, z2'_o] (m, 3) and
+    a_e = [1; p1'_e; z2'_e] (3, m), the node rows z1 and z2 (2, 2m), the
+    chunks' near-pair screen bounds (a call cuts at most m chunks), the
+    (m, 3) row products and two (3, m) column sums, one for each half of a
+    call's chunks. Private to each process: the (3, rows, m) chunk buffer,
+    grown to the largest chunk a call needs. Keeping them across calls
+    spares the allocator the heap trims and page faults of rebuilding them
+    each time."""
 
-    A call whose chunks have `rows` rows cuts at most m // (rows - 1) of
-    them (m for one row), so that many bounds and column products fit."""
-
-    def __init__(self, m: int, rows: int):
-        slots = m // max(rows - 1, 1)
+    def __init__(self, m: int):
         shapes = {"left": (3, m, 3), "right": (3, m), "ao3": (m, 3),
-                  "ae3": (3, m), "z": (2, 2 * m), "bounds": (slots,),
-                  "row_prod": (m, 3), "col_prods": (slots, 3, m)}
+                  "ae3": (3, m), "z": (2, 2 * m), "bounds": (m,),
+                  "row_prod": (m, 3), "col": (2, 3, m)}
         # each array on cache lines of its own
         sizes = [-(-8 * math.prod(s) // 64) * 64 for s in shapes.values()]
         self._mem = mmap.mmap(-1, sum(sizes))
@@ -241,14 +240,14 @@ class _Workspace:
         # the mmap starts zeroed
         self.left[0, :, 1] = self.left[1, :, 2] = -1.0
         self.right[0] = self.ao3[:, 0] = self.ae3[0] = 1.0
-        self.buf = np.empty((3, rows, m))
+        self.buf = np.empty((3, 0, m))
 
 
 @lru_cache(maxsize=8)
-def _workspace(m: int, rows: int) -> _Workspace:
-    """The workspace of the pair sum over m even and m odd nodes in row
-    chunks of the given size, kept for the next call at that size."""
-    return _Workspace(m, rows)
+def _workspace(m: int) -> _Workspace:
+    """The workspace of the pair sum over m even and m odd nodes, kept for
+    the next call on that grid."""
+    return _Workspace(m)
 
 
 class _Helper:
@@ -341,13 +340,12 @@ atexit.register(_stop_helper)
 
 
 def _serve(ws: _Workspace, cmd: int, reply: int) -> None:
-    """The helper's loop: sum the chunks a command names and reply with
-    their smallest near-pair denominator and its (even row, odd column),
-    (-1, -1) for none."""
+    """The helper's loop: sum the second half of the chunks a command
+    names and reply with their smallest near-pair denominator and its
+    (even row, odd column), (-1, -1) for none."""
     while msg := os.read(cmd, _CMD.size):
-        nrows, chunks, first, floor = _CMD.unpack(msg)
-        worst, pair = _sum_chunks(ws, _edges(nrows, chunks), first, chunks,
-                                  floor)
+        nrows, chunks, floor = _CMD.unpack(msg)
+        worst, pair = _sum_chunks(ws, _edges(nrows, chunks), 1, floor)
         os.write(reply, _REPLY.pack(worst, *(pair or (-1, -1))))
 
 
@@ -376,16 +374,23 @@ def pair_processes(n: int, *, odd: bool = False) -> int:
     return _plan(n, odd)[3]
 
 
-def _sum_chunks(ws: _Workspace, edges: list[int], first: int, stop: int,
+def _sum_chunks(ws: _Workspace, edges: list[int], half: int,
                 floor: float) -> tuple[float, tuple[int, int] | None]:
-    """Chunks first..stop-1 of the pair sum in workspace ws, chunk c
-    spanning rows edges[c]..edges[c + 1]. Each chunk's row products go to
-    ws.row_prod and its column products to ws.col_prods[c]. Returns the
-    smallest near-pair denominator of these rows and its (even row, odd
-    column), the first in row-major order, or (inf, None). Once that is
-    at or below floor the remaining chunks are only scanned for a smaller
-    one."""
+    """One half of the chunks of the pair sum in workspace ws, chunk c
+    spanning rows edges[c]..edges[c + 1]: half 0 is the first half of the
+    chunks, rounded up, and half 1 the rest. The row products go to
+    ws.row_prod, and the column products are added in chunk order to
+    ws.col[half], from zero. Returns the smallest near-pair denominator of
+    these rows and its (even row, odd column), the first in row-major
+    order, or (inf, None). Once that is at or below floor the remaining
+    chunks are only scanned for a smaller one."""
+    first, stop = (0, len(edges) // 2, len(edges) - 1)[half:half + 2]
+    # this process's own chunk buffer holds the largest chunk
+    if ws.buf.shape[1] < (rows := -(-edges[-1] // (len(edges) - 1))):
+        ws.buf = np.empty((3, rows, ws.buf.shape[2]))
     left, right, ao3, ae3 = ws.left, ws.right, ws.ao3, ws.ae3
+    col = ws.col[half]
+    col.fill(0.0)
     worst, pair = np.inf, None
     for c, bound in zip(range(first, stop), ws.bounds[first:stop].tolist()):
         r0, r1 = edges[c], edges[c + 1]
@@ -416,40 +421,40 @@ def _sum_chunks(ws: _Workspace, edges: list[int], first: int, stop: int,
             ker[near] = 0.5 * np.sin(d1) / den
         # (row sums, K a_o) and (column sums, K^T a_e), one product each
         np.matmul(ker, ao3, out=ws.row_prod[r0:r1])
-        np.matmul(ae3[:, r0:r1], ker, out=ws.col_prods[c])
+        col += ae3[:, r0:r1] @ ker
     return worst, pair
 
 
 def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int], floor: float,
                split: bool) -> tuple[float, tuple[int, int] | None]:
-    """Every chunk of a call, as _sum_chunks sums them: with split, the
-    first half, rounded up, here and the rest by the helper that serves
-    ws, else all here. The report is the smaller of the two halves', and
-    on a tie this process's, whose rows come first. A helper found dead is
-    reaped and its chunks are summed here."""
-    chunks = len(edges) - 1
+    """Every chunk of a call, as _sum_chunks sums them: the first half here
+    into ws.col[0], and the second into ws.col[1] by the helper that serves
+    ws with split, else here too, so that both sum alike. The report is the
+    smaller of the two halves', and on a tie the first half's, whose rows
+    come first. A helper found dead is reaped and its chunks are summed
+    here."""
     helper = _helper_for(ws) if split else None
-    if helper is None:
-        return _sum_chunks(ws, edges, 0, chunks, floor)
-    cut = (chunks + 1) // 2
     try:
-        try:
-            os.write(helper.cmd, _CMD.pack(nrows, chunks, cut, floor))
-        except BrokenPipeError:
-            pass  # the helper is gone, and its reply reads end of file
-        worst, pair = _sum_chunks(ws, edges, 0, cut, floor)
-        reply = os.read(helper.reply, _REPLY.size)
+        if helper is not None:
+            try:
+                os.write(helper.cmd, _CMD.pack(nrows, len(edges) - 1, floor))
+            except BrokenPipeError:
+                pass  # the helper is gone, and its reply reads end of file
+        worst, pair = _sum_chunks(ws, edges, 0, floor)
+        reply = b"" if helper is None else os.read(helper.reply, _REPLY.size)
     except BaseException:
         # a reply left unread would answer the next command
-        _stop_helper()
+        if helper is not None:
+            _stop_helper()
         raise
     if len(reply) == _REPLY.size:
         far, i, j = _REPLY.unpack(reply)
         far = (far, None if i < 0 else (i, j))
     else:
-        _stop_helper()
-        far = _sum_chunks(ws, edges, cut, chunks, floor)
-    # the smaller, and on a tie this process's, whose rows come first
+        if helper is not None:
+            _stop_helper()  # found dead
+        far = _sum_chunks(ws, edges, 1, floor)
+    # the smaller, and on a tie the first half's, whose rows come first
     return far if far[0] < worst else (worst, pair)
 
 
@@ -471,15 +476,15 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     the near pairs the |dzeta|^2 screen picks out; every other pair's is
     above max(_SCREEN_DELTA, 2 floor).
 
-    The pair sum runs in a per-grid workspace shared by every call at the
-    same size, so two threads must not call this at once.
+    The pair sum runs in a per-grid workspace shared by every call on the
+    same grid, so two threads must not call this at once.
     """
     floor = ARC_CHORD_FLOOR
     n = curve.grid.n
     deriv = filtered_derivative(curve.samples, 1)
 
     m, nrows, chunks, processes = _plan(n, odd)
-    ws = _workspace(m, -(-nrows // chunks))
+    ws = _workspace(m)
     edges = _edges(nrows, chunks)
     z1, z2 = ws.z
     z1[...] = curve.z1
@@ -518,10 +523,8 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     if worst <= floor:
         pair = (2 * pair[0], 2 * pair[1] + 1)
         raise ArcChordError(ArcChordReport(worst, floor, pair))
-    # every column sum associates in chunk order, however many processes
-    col = np.zeros((3, m))
-    for c in range(chunks):
-        col += ws.col_prods[c]
+    # the column sums of the two halves, in either process
+    col = ws.col[0] + ws.col[1]
 
     v = np.empty((2, n))
     ve, vo = v[:, 0::2], v[:, 1::2]

@@ -207,15 +207,16 @@ def test_half_sum_matches_full_sum_on_odd_curves(name, n):
 def test_kernel_is_independent_of_row_chunking(monkeypatch):
     curve = _test_curve("ASYMMETRIC", 512)
     base = periodic_rhs(curve)
-    # 7 rows per chunk leave a short last chunk of the 256 even rows
+    # chunks of at most 7 rows cut the 256 even rows into 37 chunks of 6
+    # and 7 rows
     monkeypatch.setattr(velocity, "_CHUNK_PAIRS", 7 * 256 + 3)
-    workspace = velocity._workspace
+    cut = velocity._edges
     sizes = []
-    monkeypatch.setattr(velocity, "_workspace",
-                        lambda m, rows: sizes.append((m, rows))
-                        or workspace(m, rows))
+    monkeypatch.setattr(velocity, "_edges",
+                        lambda nrows, chunks: sizes.append(cut(nrows, chunks))
+                        or sizes[-1])
     chunked = periodic_rhs(curve)
-    assert sizes == [(256, 7)]
+    assert [(edges[-1], max(np.diff(edges))) for edges in sizes] == [(256, 7)]
     assert _max_rel_diff(chunked, *base) <= 1e-14
 
 
@@ -227,14 +228,13 @@ def test_workspace_reuse_across_sizes_is_bitwise():
     assert np.array_equal(periodic_rhs(small), first)
 
 
-def test_full_sum_after_a_half_sum_in_one_workspace_is_bitwise(monkeypatch):
-    # a half sum weights entries of the shared operands that a full sum
-    # must find restored
+def test_full_sum_after_a_half_sum_in_one_workspace_is_bitwise():
+    # both sums on a grid share one workspace: a half sum weights entries
+    # of the shared operands that a full sum must find restored, and its
+    # 17-row chunk leaves a buffer that the full sum's 32 rows must grow
     curve = _test_curve("SEED_T0", 64)
     full = periodic_rhs(curve)
-    workspace = velocity._workspace
-    monkeypatch.setattr(velocity, "_workspace",
-                        lambda m, rows: workspace(m, m))
+    velocity._workspace.cache_clear()
     periodic_rhs(curve, odd=True)
     assert np.array_equal(periodic_rhs(curve), full)
 
@@ -392,6 +392,13 @@ def test_far_pair_screen_scales_with_the_floor(monkeypatch, floor):
     assert report.floor == floor
 
 
+def test_shared_memory_of_the_pair_sum_is_linear_in_n():
+    # 256 m bytes: 1 MiB at n = 8192, where one (3, m) column product per
+    # chunk would take 48 MiB more
+    periodic_rhs(sample_preset("SEED_T0", make_grid(8192)))
+    assert len(velocity._workspace(4096)._mem) < 2 * 2**20
+
+
 def test_kernel_memory_is_bounded_at_n2048():
     curve = sample_preset("SEED_T0", make_grid(2048))
     periodic_rhs(curve)
@@ -496,6 +503,19 @@ def test_split_sum_equals_the_serial_sum_bitwise(monkeypatch, name, odd):
     assert len(splits) == 2 and splits[0] == splits[1] == _helper_pid()
 
 
+def test_full_and_half_sums_share_one_helper(monkeypatch):
+    curve = _test_curve("SEED_T0", 2048)
+    serial = [_serial(monkeypatch, curve, odd=odd) for odd in (False, True)]
+    _cpus(monkeypatch, 2)
+    splits = _record_splits(monkeypatch)
+    for _ in range(4):
+        for odd in (False, True):
+            assert np.array_equal(periodic_rhs(curve, odd=odd), serial[odd])
+    # one workspace per grid: the helper forked by the first call serves
+    # every other
+    assert len(splits) == 8 and set(splits) == {_helper_pid()}
+
+
 def _helper_rows_curve():
     """_middle_chunks_curve with the gaps swapped: the closer pair is
     (600, 401), in even row 300 of 512, which the helper sums."""
@@ -560,6 +580,30 @@ def test_raising_helper_is_replaced_and_never_blocks(monkeypatch):
         # with the patch
         assert np.array_equal(periodic_rhs(curve), serial)
     assert splits and _helper_pid() is None
+
+
+def test_helper_is_stopped_when_the_callers_half_raises(monkeypatch):
+    curve = _test_curve("SEED_T0", 2048)
+    serial = _serial(monkeypatch, curve)
+    _cpus(monkeypatch, 2)
+    real = velocity._sum_chunks
+    failed = []
+
+    def failing_once_here(ws, edges, half, floor):
+        if half == 0 and not failed:
+            failed.append(half)
+            raise MemoryError("no room for the chunk buffer")
+        return real(ws, edges, half, floor)
+
+    monkeypatch.setattr(velocity, "_sum_chunks", failing_once_here)
+    splits = _record_splits(monkeypatch)
+    with _deadline(30):
+        with pytest.raises(MemoryError):
+            periodic_rhs(curve)
+        # the helper's reply to the failed call would answer the next one
+        assert splits and _helper_pid() is None
+        assert np.array_equal(periodic_rhs(curve), serial)
+    assert len(splits) == 2 and splits[1] == _helper_pid() != splits[0]
 
 
 def test_forked_child_drops_the_helper(monkeypatch):
@@ -673,11 +717,10 @@ def waitpid(pid, options):
 os.fork, os.waitpid = fork, waitpid
 from muskat import velocity
 from muskat.core import make_grid, sample_preset
-curve = sample_preset("SEED_T0", make_grid(2048))
-# the full and the half sum run in two workspaces, so the second call
-# replaces the first call's helper
-velocity.periodic_rhs(curve)
-velocity.periodic_rhs(curve, odd=True)
+# a helper serves one grid, so the second call replaces the first call's
+# helper
+velocity.periodic_rhs(sample_preset("SEED_T0", make_grid(2048)))
+velocity.periodic_rhs(sample_preset("SEED_T0", make_grid(1024)), odd=True)
 events.append("done")
 helper = velocity._helper
 print(helper.pid, *(os.fstat(fd).st_ino for fd in (helper.cmd, helper.reply)))
