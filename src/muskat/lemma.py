@@ -6,6 +6,7 @@ between. Turnover at the center and stability at the tails reduce to sign
 conditions on a handful of one-dimensional integrals; the headline ones
 have closed-form antiderivatives that are transcribed here and cross-checked
 against adaptive quadrature of independently transcribed integrands.
+The quadratures are numpy Gauss-Legendre panels (see _quad_sum).
 
 Every integral in this module is a contribution to
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .piecewise import Piece, PiecewiseCurve
 
@@ -38,6 +39,11 @@ PRECONDITION_TOL = 1e-10
 # block decomposition adds
 _BLOCK_TOL = 1e-12
 _PREDICTOR_TOL = 1e-10
+
+# the Gauss-Legendre pair G_k, G_2k (k = 20) on [-1, 1], and the smallest
+# share of a panel's width that _quad_sum still bisects
+_RULES = (leggauss(20), leggauss(40))
+_MIN_SPLIT = 1e-6
 
 
 class PreconditionError(ValueError):
@@ -151,12 +157,28 @@ def build_blocks(R: float) -> Blocks:
 
 
 def _quad_sum(panels, tol, label) -> float:
+    """Sum of the integrals of f over (lo, hi) for each (f, lo, hi).
+
+    f takes arrays. A panel keeps G_2k where G_k and G_2k agree within tol
+    relative and is bisected otherwise, down to _MIN_SPLIT of its width;
+    the summed |G_2k - G_k| of the kept panels is the error estimate,
+    which must not exceed max(tol |sum|, 1e-11).
+    """
     total = 0.0
     err = 0.0
     for f, lo, hi in panels:
-        val, e = quad(f, lo, hi, epsabs=1e-14, epsrel=tol, limit=200)
-        total += val
-        err += e
+        todo = [(lo, hi)]
+        while todo:
+            a, b = todo.pop()
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            coarse, fine = (half * np.dot(w, f(mid + half * x))
+                            for x, w in _RULES)
+            diff = abs(fine - coarse)
+            if diff <= tol * abs(fine) or b - a <= _MIN_SPLIT * (hi - lo):
+                total += fine
+                err += diff
+            else:
+                todo += [(mid, b), (a, mid)]
     if err > max(tol * abs(total), 1e-11):
         raise QuadratureError(
             f"{label}: quadrature error {err:.3e} exceeds tolerance")
@@ -280,7 +302,7 @@ def turnover_predictor(curve: PiecewiseCurve, alpha0: float) -> float:
             val = d * dz1(b) * w / (d * d + w * w) ** 2
         # b -> alpha0 is removable: numerator ~ (b - alpha0)^4 against
         # denominator ~ (b - alpha0)^2 under the flatness preconditions.
-        return val if np.isfinite(val) else 0.0
+        return np.where(np.isfinite(val), val, 0.0)
 
     total = _quad_sum([(integrand, lo, hi) for lo, hi in panels],
                       _PREDICTOR_TOL, f"turnover predictor at alpha0={alpha0}")

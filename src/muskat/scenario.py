@@ -101,8 +101,11 @@ class RunConfig:
             if spec.preset is None:
                 raise ValueError(f"n: {self.scenario} takes its grid from its"
                                  " snapshot and sets no n")
-            if not isinstance(self.n, int) or isinstance(self.n, bool):
+            if (not isinstance(self.n, (int, np.integer))
+                    or isinstance(self.n, bool)):
                 raise ValueError(f"n: expected an integer, got {self.n!r}")
+            # a numpy integer, say from a sweep's np.arange, is stored as int
+            object.__setattr__(self, "n", int(self.n))
             _check_grid_size(self.n)
         if not self.snapshot_every > 0:
             raise ValueError("snapshot_every: must be positive")

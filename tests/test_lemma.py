@@ -1,10 +1,16 @@
+import time
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+import muskat.lemma as lemma
 from muskat.lemma import (
     I_TT_LOWER_BOUND,
     PreconditionError,
+    QuadratureError,
+    _quad_sum,
     build_blocks,
     cc_integrals,
     min_admissible_R,
@@ -156,3 +162,72 @@ def test_verification_report_contents():
                 f" (center_ok={center < 0}), 1/4 - bounds_ct = {tail:+.6f}"
                 f" (tail_ok={tail > 0})")
         assert line in report.splitlines()
+
+
+# every adaptive quadrature that verification_report runs, by label
+_REPORT_LABELS = {"I_cc^1", "I_tt^2", "turnover predictor at alpha0=0.0",
+                  "turnover predictor at alpha0=18.0", "I_tc", "I_ct^1",
+                  "I_ct^2"}
+
+
+@pytest.fixture(scope="module")
+def report_quadratures():
+    """label -> (panels, value) of each _quad_sum call in the report."""
+    calls = {}
+    real = lemma._quad_sum
+
+    def recording(panels, tol, label):
+        calls[label] = (panels, real(panels, tol, label))
+        return calls[label][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemma, "_quad_sum", recording)
+        lemma.verification_report()
+    return calls
+
+
+def _quadpack(panels):
+    total = 0.0
+    for f, lo, hi in panels:
+        total += quad(lambda x: float(f(x)), lo, hi, epsabs=1e-14,
+                      epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def test_report_quadratures_match_quadpack(report_quadratures):
+    # scipy's QUADPACK, a test-only dependency, on the same panels
+    assert set(report_quadratures) == _REPORT_LABELS
+    for label, (panels, value) in report_quadratures.items():
+        ref = _quadpack(panels)
+        assert abs(value - ref) <= 1e-12 * abs(ref), label
+
+
+def test_gauss_legendre_converges_geometrically_on_i_cc1(report_quadratures):
+    # the G_k / G_2k comparison estimates the error only if G_k converges
+    # like rho^(-2k): doubling k at least squares the error ratio, down to
+    # roundoff
+    [(f, lo, hi)], exact = report_quadratures["I_cc^1"]
+    err = {}
+    for k in (4, 8, 16):
+        x, w = leggauss(k)
+        half = 0.5 * (hi - lo)
+        err[k] = abs(half * np.dot(w, f(lo + half * (x + 1.0))) - exact)
+    assert 1e-6 < err[4] < 1e-4
+    assert err[8] <= 1e-3 * err[4]
+    assert err[16] <= max(err[8] ** 2 / err[4], 4 * np.finfo(float).eps)
+
+
+def test_unresolvable_integrand_raises_quadrature_error():
+    evals = []
+
+    def inverse(x):
+        evals.append(x.size)
+        return 1.0 / x
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError,
+                       match=r"^1/x on \(0, 1\): quadrature error"):
+        _quad_sum([(inverse, 0.0, 1.0)], 1e-12, "1/x on (0, 1)")
+    assert time.perf_counter() - start < 1.0
+    # bisection toward the pole stops at 1e-6 of the panel, about 20 levels
+    assert sum(evals) < 5000

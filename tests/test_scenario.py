@@ -75,6 +75,8 @@ def test_config_defaults():
      "eps: FORWARD_RERUN applies no smoothing"),
     ({"scenario": "FORWARD_RERUN", "input_snapshot": "x.dat", "n": 4096},
      "n: FORWARD_RERUN takes its grid from its snapshot"),
+    ({"n": np.True_}, "n: expected an integer"),
+    ({"n": np.float64(64.0)}, "n: expected an integer"),
 ])
 def test_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -305,6 +307,18 @@ def test_manifest_of_a_run_where_nothing_ran_is_pinned(tmp_path, capsys):
     assert "status = ERROR" in capsys.readouterr().out
 
 
+def test_numpy_integer_grid_size_runs(tmp_path):
+    # a sweep may take its sizes from numpy, as make_grid does
+    out = tmp_path / "conj"
+    cfg = RunConfig(scenario="CONJ_TURNOVER", n=np.int64(64), t_final=1e-3,
+                    dt=1e-4, snapshot_every=5e-4, out_dir=str(out))
+    assert type(cfg.n) is int and cfg == dataclasses.replace(cfg, n=64)
+    manifest = run_scenario(cfg)
+    assert manifest.status == "OK", manifest.error
+    assert _manifest_section(out, "config")["n"] == "64"
+    assert _manifest_section(out)["grid_n"] == "64"
+
+
 def test_manifest_records_the_resolved_horizon(tmp_path):
     # adaptive steps reach the default horizon in a few dozen steps
     out = tmp_path / "bwd"
@@ -316,9 +330,9 @@ def test_manifest_records_the_resolved_horizon(tmp_path):
 
 
 def test_scenario_runs_import_no_scipy(tmp_path):
-    # the run path (kernel, stepper, diagnostics of a run) and the turning
+    # the run path (kernel, stepper, diagnostics of a run), the turning
     # report that `muskat run` and `muskat inspect` print, tangent points
-    # included, need numpy alone
+    # included, and the lemma check of `muskat verify-lemma` need numpy alone
     script = f"""
 import sys
 import numpy as np
@@ -337,6 +351,7 @@ grid = make_grid(64)
 export_snapshot(make_curve(grid, -1.2 * np.sin(grid.nodes),
                            0.3 * np.sin(grid.nodes)), out + "/turned.dat")
 assert main(["inspect", out + "/turned.dat"]) == 0
+assert main(["verify-lemma", "--out", out + "/lemma.txt"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(muskat.__file__).resolve().parents[1])
@@ -344,6 +359,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert "vertical tangent: alpha = " in done.stdout
+    assert "min_admissible_R = 18" in (tmp_path / "lemma.txt").read_text()
     assert done.stdout.splitlines()[-1] == "[]"
 
 
