@@ -17,6 +17,8 @@ at a0 = 0 (center conditions, I_cc and I_tc) or a0 = R (tail conditions,
 I_tt and I_ct); a negative value at the center forces the interface past
 vertical while a positive value at the tails keeps the ends graph-like.
 turnover_predictor evaluates it directly on a piecewise curve.
+certificate() evaluates every constant once into one Certificate, which
+verification_report formats.
 """
 
 from __future__ import annotations
@@ -62,31 +64,6 @@ class Blocks:
 
 
 @dataclass(frozen=True)
-class CcIntegrals:
-    """Center-center contributions; i2..i4 from closed antiderivatives."""
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-
-    @property
-    def total(self) -> float:
-        return self.i1 + self.i2 + self.i3 + self.i4
-
-
-@dataclass(frozen=True)
-class TtIntegrals:
-    """Same-tail contributions at a0 = R; i1 and i3 are exactly 1/8."""
-    i1: float
-    i2: float
-    i3: float
-
-    @property
-    def total(self) -> float:
-        return self.i1 + self.i2 + self.i3
-
-
-@dataclass(frozen=True)
 class TailBounds:
     """Closed-form majorants of the cross contributions."""
     tc: float
@@ -95,25 +72,57 @@ class TailBounds:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    R: float
-    i_cc: float
-    bounds: TailBounds
-    center_ok: bool
-    tail_ok: bool
+class Condition:
+    """The two sign conditions at splice radius R, as margins.
+
+    center = I_cc + bound_tc must be negative (the center turns over) and
+    tail = 1/4 - bound_ct1 - bound_ct2 positive (the tails stay graphs).
+    """
+    R: int
+    center: float
+    tail: float
+
+    @property
+    def center_ok(self) -> bool:
+        return self.center < 0.0
+
+    @property
+    def tail_ok(self) -> bool:
+        return self.tail > 0.0
 
 
 @dataclass(frozen=True)
-class CrosscheckReport:
-    R: float
+class Certificate:
+    """Every number of the verification, each computed once.
+
+    cc holds the center pieces I_cc^1..I_cc^4 (at a0 = 0) and i_cc their
+    sum; tt holds the same-tail pieces I_tt^1..I_tt^3 (at a0 = R) and i_tt
+    their sum. scan holds the conditions at R = 10, 11, ..., r_min + 2,
+    r_min being the smallest admissible R. At R = r_min, at_center and
+    at_tail are the direct predictor on z^R at 0 and R, i_tc, i_ct1 and
+    i_ct2 the cross terms from per-block quadratures, and bounds their
+    majorants.
+    """
+    cc: tuple[float, float, float, float]
+    i_cc: float
+    tt: tuple[float, float, float]
+    i_tt: float
+    scan: tuple[Condition, ...]
+    r_min: int
     at_center: float
     at_tail: float
-    recon_center: float
-    recon_tail: float
     i_tc: float
     i_ct1: float
     i_ct2: float
     bounds: TailBounds
+
+    @property
+    def recon_center(self) -> float:
+        return 3.0 * (self.i_cc + self.i_tc)
+
+    @property
+    def recon_tail(self) -> float:
+        return 1.0 * (self.i_tt + self.i_ct1 + self.i_ct2)
 
 
 _IDENT = (0.0, 1.0)
@@ -185,45 +194,6 @@ def _quad_sum(panels, tol, label) -> float:
     return total
 
 
-def cc_integrals() -> CcIntegrals:
-    """The four center-center pieces of d_alpha v1(z(0)).
-
-    i1 is integrated adaptively: its integrand -6x^2 (x^2 - 3) /
-    (2x^4 - 6x^2 + 9)^2 is rational, with an elementary antiderivative by
-    partial fractions in y = x^2 that is not transcribed here. The other
-    three come from the closed-form antiderivatives
-
-        F2(x) = (10x - 7) / (26 (26x^2 - 70x + 49)),
-        F3(x) = 3 / (9 + x^2),
-        F4(x) = 48 (7 - 2x) / (338x^2 - 3276x + 11466),
-
-    giving i2 = 1/65, i3 = -63/442, i4 = -3/119 exactly.
-    """
-    i1 = _quad_sum(
-        [(lambda x: -6.0 * x * x * (x * x - 3.0)
-          / (2.0 * x ** 4 - 6.0 * x * x + 9.0) ** 2, 0.0, 1.0)],
-        _BLOCK_TOL, "I_cc^1")
-    F2 = lambda x: (10.0 * x - 7.0) / (26.0 * (26.0 * x * x - 70.0 * x + 49.0))
-    F3 = lambda x: 3.0 / (9.0 + x * x)
-    F4 = lambda x: 48.0 * (7.0 - 2.0 * x) / (338.0 * x * x - 3276.0 * x + 11466.0)
-    return CcIntegrals(i1=i1, i2=F2(2.0) - F2(1.0), i3=F3(5.0) - F3(2.0),
-                       i4=F4(7.0) - F4(5.0))
-
-
-def tt_integrals() -> TtIntegrals:
-    """Same-tail pieces; the outer two telescope to exactly 1/8 each via
-
-        G1(x) = (1 + x) / (4 (2 + 2x + x^2)),
-        G3(x) = (x - 1) / (4 (2 - 2x + x^2)).
-    """
-    G1 = lambda x: (1.0 + x) / (4.0 * (2.0 + 2.0 * x + x * x))
-    G3 = lambda x: (x - 1.0) / (4.0 * (2.0 - 2.0 * x + x * x))
-    i2 = _quad_sum(
-        [(lambda x: 3.0 * x * x / (1.0 + x ** 4) ** 2, -1.0, 1.0)],
-        _BLOCK_TOL, "I_tt^2")
-    return TtIntegrals(i1=G1(-1.0) - G1(-2.0), i2=i2, i3=G3(2.0) - G3(1.0))
-
-
 def tail_bounds(R: float) -> TailBounds:
     """Majorants of the tail-center cross terms; each is sup of the
     integrand times the interval length."""
@@ -235,28 +205,6 @@ def tail_bounds(R: float) -> TailBounds:
         ct1=126.0 * (R + 7.0) / (R - 7.0) ** 4,
         ct2=12.0 * (2.0 * R + 2.0) / (2.0 * R - 2.0) ** 4,
     )
-
-
-def verify_conditions(R: float) -> ConditionReport:
-    """Check the two sign conditions at splice radius R."""
-    cc = cc_integrals()
-    bounds = tail_bounds(R)
-    return ConditionReport(
-        R=float(R),
-        i_cc=cc.total,
-        bounds=bounds,
-        center_ok=cc.total + bounds.tc < 0.0,
-        tail_ok=I_TT_LOWER_BOUND - (bounds.ct1 + bounds.ct2) > 0.0,
-    )
-
-
-def min_admissible_R() -> int:
-    """Smallest integer R in [10, 60] satisfying both conditions."""
-    for R in range(10, 61):
-        rep = verify_conditions(R)
-        if rep.center_ok and rep.tail_ok:
-            return R
-    raise RuntimeError("no admissible R found up to 60")
 
 
 def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):
@@ -319,18 +267,63 @@ def _kernel(x0: float):
     return make
 
 
-def predictor_crosscheck(R: float = 18.0) -> CrosscheckReport:
-    """Compare the direct predictor on z^R against its block decomposition.
 
-    The direct route integrates over the spliced curve's full z2 support;
-    the reconstruction assembles 3*(I_cc + I_tc) and 1*(I_tt + I_ct1 + I_ct2)
+
+def certificate() -> Certificate:
+    """Evaluate the construction's constants, each once.
+
+    I_cc^1 is integrated adaptively: its integrand -6x^2 (x^2 - 3) /
+    (2x^4 - 6x^2 + 9)^2 is rational, with an elementary antiderivative by
+    partial fractions in y = x^2 that is not transcribed here. The other
+    three center pieces come from the closed-form antiderivatives
+
+        F2(x) = (10x - 7) / (26 (26x^2 - 70x + 49)),
+        F3(x) = 3 / (9 + x^2),
+        F4(x) = 48 (7 - 2x) / (338x^2 - 3276x + 11466),
+
+    giving I_cc^2 = 1/65, I_cc^3 = -63/442, I_cc^4 = -3/119 exactly. Of the
+    same-tail pieces I_tt^2 is integrated adaptively, and the outer two
+    telescope to exactly 1/8 each via
+
+        G1(x) = (1 + x) / (4 (2 + 2x + x^2)),
+        G3(x) = (x - 1) / (4 (2 - 2x + x^2)).
+
+    One scan over R = 10, 11, ... finds r_min (RuntimeError past 60) and
+    runs on to r_min + 2 for the report. The cross-check at r_min compares
+    the direct predictor on z^R, integrated over the spliced curve's full
+    z2 support, with 3 (I_cc + I_tc) and I_tt + I_ct^1 + I_ct^2 assembled
     from per-block quadratures of independently transcribed integrands.
     """
-    R = float(R)
-    blocks = build_blocks(R)
-    at_center = turnover_predictor(blocks.spliced, 0.0)
-    at_tail = turnover_predictor(blocks.spliced, R)
+    F2 = lambda x: (10.0 * x - 7.0) / (26.0 * (26.0 * x * x - 70.0 * x + 49.0))
+    F3 = lambda x: 3.0 / (9.0 + x * x)
+    F4 = lambda x: 48.0 * (7.0 - 2.0 * x) / (338.0 * x * x - 3276.0 * x + 11466.0)
+    G1 = lambda x: (1.0 + x) / (4.0 * (2.0 + 2.0 * x + x * x))
+    G3 = lambda x: (x - 1.0) / (4.0 * (2.0 - 2.0 * x + x * x))
+    i_cc1 = _quad_sum(
+        [(lambda x: -6.0 * x * x * (x * x - 3.0)
+          / (2.0 * x ** 4 - 6.0 * x * x + 9.0) ** 2, 0.0, 1.0)],
+        _BLOCK_TOL, "I_cc^1")
+    i_tt2 = _quad_sum(
+        [(lambda x: 3.0 * x * x / (1.0 + x ** 4) ** 2, -1.0, 1.0)],
+        _BLOCK_TOL, "I_tt^2")
+    cc = (i_cc1, F2(2.0) - F2(1.0), F3(5.0) - F3(2.0), F4(7.0) - F4(5.0))
+    tt = (G1(-1.0) - G1(-2.0), i_tt2, G3(2.0) - G3(1.0))
+    i_cc = cc[0] + cc[1] + cc[2] + cc[3]
 
+    scan, r_min = [], None
+    for R in range(10, 63):
+        tb = tail_bounds(R)
+        cond = Condition(R, i_cc + tb.tc, I_TT_LOWER_BOUND - tb.ct1 - tb.ct2)
+        scan.append(cond)
+        if r_min is None and R <= 60 and cond.center_ok and cond.tail_ok:
+            r_min, bounds = R, tb
+        if r_min is not None and R == r_min + 2:
+            break
+    else:
+        raise RuntimeError("no admissible R found up to 60")
+
+    R = float(r_min)
+    blocks = build_blocks(R)
     tail, center = blocks.tail, blocks.center
     # Tail at +R seen from the center (x0 = 0): z1 = t1(s) + R on s in [-2,2],
     # and its mirror image contributes equally, hence the factor 2.
@@ -348,69 +341,57 @@ def predictor_crosscheck(R: float = 18.0) -> CrosscheckReport:
     i_ct2 = _quad_sum([(f_ct2, -2.0, -1.0), (f_ct2, -1.0, 1.0),
                        (f_ct2, 1.0, 2.0)], _PREDICTOR_TOL, "I_ct^2")
 
-    cc = cc_integrals()
-    tt = tt_integrals()
-    return CrosscheckReport(
-        R=R,
-        at_center=at_center,
-        at_tail=at_tail,
-        recon_center=3.0 * (cc.total + i_tc),
-        recon_tail=1.0 * (tt.total + i_ct1 + i_ct2),
-        i_tc=i_tc,
-        i_ct1=i_ct1,
-        i_ct2=i_ct2,
-        bounds=tail_bounds(R),
-    )
+    return Certificate(
+        cc=cc, i_cc=i_cc, tt=tt, i_tt=tt[0] + tt[1] + tt[2],
+        scan=tuple(scan), r_min=r_min,
+        at_center=turnover_predictor(blocks.spliced, 0.0),
+        at_tail=turnover_predictor(blocks.spliced, R),
+        i_tc=i_tc, i_ct1=i_ct1, i_ct2=i_ct2, bounds=bounds)
 
 
 def verification_report() -> str:
-    """Human-readable verification of every condition, as structured text."""
-    cc = cc_integrals()
-    tt = tt_integrals()
-    r_min = min_admissible_R()
+    """The certificate, formatted as structured text."""
+    c = certificate()
     lines = [
         "turnover construction verification",
         "==================================",
         "",
         "center integrals (target alpha0 = 0)",
-        f"  I_cc^1 = {cc.i1:+.12f}   (adaptive quadrature)",
-        f"  I_cc^2 = {cc.i2:+.12f}   (closed form, 1/65)",
-        f"  I_cc^3 = {cc.i3:+.12f}   (closed form, -63/442)",
-        f"  I_cc^4 = {cc.i4:+.12f}   (closed form, -3/119)",
-        f"  I_cc = {cc.total:+.12f}",
+        f"  I_cc^1 = {c.cc[0]:+.12f}   (adaptive quadrature)",
+        f"  I_cc^2 = {c.cc[1]:+.12f}   (closed form, 1/65)",
+        f"  I_cc^3 = {c.cc[2]:+.12f}   (closed form, -63/442)",
+        f"  I_cc^4 = {c.cc[3]:+.12f}   (closed form, -3/119)",
+        f"  I_cc = {c.i_cc:+.12f}",
         "",
         "tail integrals (target alpha0 = R)",
-        f"  I_tt^1 = {tt.i1:+.12f}   (closed form, 1/8)",
-        f"  I_tt^2 = {tt.i2:+.12f}   (adaptive quadrature, positive)",
-        f"  I_tt^3 = {tt.i3:+.12f}   (closed form, 1/8)",
-        f"  I_tt = {tt.total:+.12f}  >= {I_TT_LOWER_BOUND}",
+        f"  I_tt^1 = {c.tt[0]:+.12f}   (closed form, 1/8)",
+        f"  I_tt^2 = {c.tt[1]:+.12f}   (adaptive quadrature, positive)",
+        f"  I_tt^3 = {c.tt[2]:+.12f}   (closed form, 1/8)",
+        f"  I_tt = {c.i_tt:+.12f}  >= {I_TT_LOWER_BOUND}",
         "",
         "admissibility scan (integer R)",
     ]
-    for R in range(10, r_min + 3):
-        rep = verify_conditions(R)
-        lines.append(
-            f"  R = {R:2d}: I_cc + bound_tc = {rep.i_cc + rep.bounds.tc:+.6f}"
-            f" (center_ok={rep.center_ok}), 1/4 - bounds_ct ="
-            f" {I_TT_LOWER_BOUND - rep.bounds.ct1 - rep.bounds.ct2:+.6f}"
-            f" (tail_ok={rep.tail_ok})")
-    lines.append(f"  min_admissible_R = {r_min}")
-    lines.append("")
-    lines.append(f"predictor cross-check at R = {r_min}")
-    xc = predictor_crosscheck(float(r_min))
     lines += [
-        f"  d_alpha v1 at center: direct = {xc.at_center:+.9f},"
-        f" reconstruction 3(I_cc + I_tc) = {xc.recon_center:+.9f}",
-        f"  d_alpha v1 at tail:   direct = {xc.at_tail:+.9f},"
-        f" reconstruction I_tt + I_ct = {xc.recon_tail:+.9f}",
-        f"  |I_tc| = {abs(xc.i_tc):.6e} <= bound {xc.bounds.tc:.6e}:"
-        f" {abs(xc.i_tc) <= xc.bounds.tc}",
-        f"  |I_ct^1| = {abs(xc.i_ct1):.6e} <= bound {xc.bounds.ct1:.6e}:"
-        f" {abs(xc.i_ct1) <= xc.bounds.ct1}",
-        f"  |I_ct^2| = {abs(xc.i_ct2):.6e} <= bound {xc.bounds.ct2:.6e}:"
-        f" {abs(xc.i_ct2) <= xc.bounds.ct2}",
-        f"  turnover at center: {xc.at_center < 0},"
-        f" tails stay graph-like: {xc.at_tail > 0}",
+        f"  R = {s.R:2d}: I_cc + bound_tc = {s.center:+.6f}"
+        f" (center_ok={s.center_ok}), 1/4 - bounds_ct = {s.tail:+.6f}"
+        f" (tail_ok={s.tail_ok})" for s in c.scan]
+    b = c.bounds
+    lines += [
+        f"  min_admissible_R = {c.r_min}",
+        "",
+        f"predictor cross-check at R = {c.r_min}",
+        f"  d_alpha v1 at center: direct = {c.at_center:+.9f},"
+        f" reconstruction 3(I_cc + I_tc) = {c.recon_center:+.9f}",
+        f"  d_alpha v1 at tail:   direct = {c.at_tail:+.9f},"
+        f" reconstruction I_tt + I_ct = {c.recon_tail:+.9f}",
+        f"  |I_tc| = {abs(c.i_tc):.6e} <= bound {b.tc:.6e}:"
+        f" {abs(c.i_tc) <= b.tc}",
+        f"  |I_ct^1| = {abs(c.i_ct1):.6e} <= bound {b.ct1:.6e}:"
+        f" {abs(c.i_ct1) <= b.ct1}",
+        f"  |I_ct^2| = {abs(c.i_ct2):.6e} <= bound {b.ct2:.6e}:"
+        f" {abs(c.i_ct2) <= b.ct2}",
+        f"  turnover at center: {c.at_center < 0},"
+        f" tails stay graph-like: {c.at_tail > 0}",
         "",
     ]
     return "\n".join(lines)

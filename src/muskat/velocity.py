@@ -114,6 +114,18 @@ gained nothing (0.37 against 0.39 ms, split faster in 7 of 41 rounds),
 at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks) 20%, hence the
 threshold.
 
+Two processes are not two CPUs: the scheduler places the helper, and some
+processes keep it on the caller's CPU for every call (field 39 of
+/proc/<pid>/stat, read after each call). A split call then costs the
+caller's time plus the helper's: on the 2-vCPU Xeon a split half sum at
+n = 2048 took 2.3-2.9 ms per call, as long as one process, against
+1.5-1.9 ms on separate CPUs, and direct runs of the benchmark's
+backward-2048 config took 0.145-0.19 s against 0.095-0.12 s. Pinning the
+helper to its own CPU was tried and not kept: with the caller pinned away
+from it for each call it lost 9 of 10 benchmark pairs by about 4%, and
+with the caller polling the reply instead it won 8 of 10 pairs, then 8 of
+16.
+
 One helper. A process has at most one helper (_helper), and it serves
 one workspace, that is one grid: the full and the half sum on a grid
 meet the same helper. A split call on another grid stops it and forks

@@ -23,13 +23,7 @@ from muskat.diagnostics import (
     turning_report,
 )
 from muskat.integrator import StepControl, evolve_forward
-from muskat.lemma import (
-    cc_integrals,
-    min_admissible_R,
-    predictor_crosscheck,
-    tt_integrals,
-    verify_conditions,
-)
+from muskat.lemma import certificate
 from muskat.scenario import RunConfig, run_scenario
 from muskat.spectral import filtered_derivative, threshold_smooth
 from muskat.velocity import periodic_rhs
@@ -54,14 +48,15 @@ def forward_rerun512(backward512, tmp_path_factory):
 
 
 def test_criterion_1_lemma_closed_forms():
-    cc = cc_integrals()
-    tt = tt_integrals()
+    cert = certificate()
+    _, cc2, cc3, cc4 = cert.cc
+    tt1, _, tt3 = cert.tt
     checks = {
-        "cc2": abs(cc.i2 - 1.0 / 65.0),
-        "cc3": abs(cc.i3 + 63.0 / 442.0),
-        "cc4": abs(cc.i4 + 3.0 / 119.0),
-        "tt1": abs(tt.i1 - 0.125),
-        "tt3": abs(tt.i3 - 0.125),
+        "cc2": abs(cc2 - 1.0 / 65.0),
+        "cc3": abs(cc3 + 63.0 / 442.0),
+        "cc4": abs(cc4 + 3.0 / 119.0),
+        "tt1": abs(tt1 - 0.125),
+        "tt3": abs(tt3 - 0.125),
     }
     worst = max(checks.values())
     record_acceptance(1, "closed-form lemma integrals", worst < 1e-12,
@@ -70,18 +65,20 @@ def test_criterion_1_lemma_closed_forms():
 
 
 def test_criterion_2_lemma_quadratures():
-    cc = cc_integrals()
-    ok = abs(cc.i1 - 0.127271158) <= 1e-8 and abs(cc.total + 0.0250882) <= 1e-6
+    cert = certificate()
+    i1, total = cert.cc[0], cert.i_cc
+    ok = abs(i1 - 0.127271158) <= 1e-8 and abs(total + 0.0250882) <= 1e-6
     record_acceptance(2, "adaptive lemma quadratures", ok,
-                      f"i1 = {cc.i1:.9f}, total = {cc.total:.7f}")
-    assert abs(cc.i1 - 0.127271158) <= 1e-8
-    assert abs(cc.total + 0.0250882) <= 1e-6
+                      f"i1 = {i1:.9f}, total = {total:.7f}")
+    assert abs(i1 - 0.127271158) <= 1e-8
+    assert abs(total + 0.0250882) <= 1e-6
 
 
 def test_criterion_3_admissible_radius_scan():
-    r_min = min_admissible_R()
-    at12 = verify_conditions(12.0)
-    at17 = verify_conditions(17.0)
+    cert = certificate()
+    r_min = cert.r_min
+    scan = {cond.R: cond for cond in cert.scan}
+    at12, at17 = scan[12], scan[17]
     ok = r_min == 18 and not at12.center_ok and not at17.tail_ok
     record_acceptance(3, "admissible splice radius scan", ok,
                       f"min R = {r_min}")
@@ -91,7 +88,8 @@ def test_criterion_3_admissible_radius_scan():
 
 
 def test_criterion_4_predictor_signs_and_bounds():
-    rep = predictor_crosscheck(18.0)
+    # the record's cross-check is at r_min, which criterion 3 pins to 18
+    rep = certificate()
     ok_signs = rep.at_center < 0.0 < rep.at_tail
     ok_tc = abs(rep.i_tc) <= 24.0 * 20.0 / 16.0 ** 4
     ok_ct = abs(rep.i_ct1) + abs(rep.i_ct2) <= rep.bounds.ct1 + rep.bounds.ct2
@@ -231,7 +229,7 @@ def test_criterion_8_backward_seed_terminal_state(backward512):
 
 
 @pytest.mark.skipif("MUSKAT_FULL_RES" not in os.environ,
-                    reason="about 16 s; set MUSKAT_FULL_RES=1")
+                    reason="about 13 s; set MUSKAT_FULL_RES=1")
 def test_criterion_8_full_resolution_coordinates(tmp_path_factory):
     # Non-blocking companion check at n = 2048: the near-vertical points of
     # the terminal state against the reference coordinates. Recorded in the

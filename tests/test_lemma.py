@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +13,10 @@ from muskat.lemma import (
     QuadratureError,
     _quad_sum,
     build_blocks,
-    cc_integrals,
-    min_admissible_R,
-    predictor_crosscheck,
+    certificate,
     tail_bounds,
-    tt_integrals,
     turnover_predictor,
     verification_report,
-    verify_conditions,
 )
 
 # (integrand, antiderivative, lo, hi) pairs for the closed-form pieces;
@@ -96,20 +93,22 @@ def test_spliced_curve_geometry():
 
 
 def test_cc_integrals_closed_forms():
-    cc = cc_integrals()
-    assert cc.i2 == pytest.approx(1.0 / 65.0, abs=1e-12)
-    assert cc.i3 == pytest.approx(-63.0 / 442.0, abs=1e-12)
-    assert cc.i4 == pytest.approx(-3.0 / 119.0, abs=1e-12)
-    assert cc.i1 == pytest.approx(0.127271158, abs=1e-8)
-    assert cc.total == pytest.approx(-0.0250882, abs=1e-6)
+    cert = certificate()
+    i1, i2, i3, i4 = cert.cc
+    assert i2 == pytest.approx(1.0 / 65.0, abs=1e-12)
+    assert i3 == pytest.approx(-63.0 / 442.0, abs=1e-12)
+    assert i4 == pytest.approx(-3.0 / 119.0, abs=1e-12)
+    assert i1 == pytest.approx(0.127271158, abs=1e-8)
+    assert cert.i_cc == pytest.approx(-0.0250882, abs=1e-6)
 
 
 def test_tt_integrals():
-    tt = tt_integrals()
-    assert tt.i1 == pytest.approx(0.125, abs=1e-12)
-    assert tt.i3 == pytest.approx(0.125, abs=1e-12)
-    assert tt.i2 > 0.0
-    assert tt.total > 0.25
+    cert = certificate()
+    i1, i2, i3 = cert.tt
+    assert i1 == pytest.approx(0.125, abs=1e-12)
+    assert i3 == pytest.approx(0.125, abs=1e-12)
+    assert i2 > 0.0
+    assert cert.i_tt > 0.25
     assert I_TT_LOWER_BOUND == 0.25
 
 
@@ -121,15 +120,25 @@ def test_tail_bounds_closed_forms():
 
 
 def test_condition_scan():
-    assert not verify_conditions(12.0).center_ok
-    assert not verify_conditions(17.0).tail_ok
-    rep = verify_conditions(18.0)
+    cert = certificate()
+    scan = {cond.R: cond for cond in cert.scan}
+    assert not scan[12].center_ok
+    assert not scan[17].tail_ok
+    rep = scan[18]
     assert rep.center_ok and rep.tail_ok
-    assert min_admissible_R() == 18
+    assert cert.r_min == 18
+
+
+def test_condition_scan_gives_up_past_sixty(monkeypatch):
+    # no tail margin can be positive below a bound of -1
+    monkeypatch.setattr(lemma, "I_TT_LOWER_BOUND", -1.0)
+    with pytest.raises(RuntimeError, match="no admissible R found up to 60"):
+        certificate()
 
 
 def test_predictor_crosscheck_routes_agree():
-    xc = predictor_crosscheck(18.0)
+    xc = certificate()
+    assert xc.r_min == 18
     assert xc.at_center < 0.0
     assert xc.at_tail > 0.0
     assert xc.at_center == pytest.approx(xc.recon_center, rel=1e-8)
@@ -164,6 +173,12 @@ def test_verification_report_contents():
         assert line in report.splitlines()
 
 
+def test_verification_report_matches_the_record():
+    # the committed `muskat verify-lemma` output
+    record = Path(__file__).parent / "data" / "verify_lemma.txt"
+    assert verification_report().encode() == record.read_bytes()
+
+
 # every adaptive quadrature that verification_report runs, by label
 _REPORT_LABELS = {"I_cc^1", "I_tt^2", "turnover predictor at alpha0=0.0",
                   "turnover predictor at alpha0=18.0", "I_tc", "I_ct^1",
@@ -171,19 +186,31 @@ _REPORT_LABELS = {"I_cc^1", "I_tt^2", "turnover predictor at alpha0=0.0",
 
 
 @pytest.fixture(scope="module")
-def report_quadratures():
-    """label -> (panels, value) of each _quad_sum call in the report."""
-    calls = {}
+def report_calls():
+    """(label, panels, value) of each _quad_sum call in the report."""
+    calls = []
     real = lemma._quad_sum
 
     def recording(panels, tol, label):
-        calls[label] = (panels, real(panels, tol, label))
-        return calls[label][1]
+        calls.append((label, panels, real(panels, tol, label)))
+        return calls[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lemma, "_quad_sum", recording)
         lemma.verification_report()
     return calls
+
+
+@pytest.fixture(scope="module")
+def report_quadratures(report_calls):
+    """label -> (panels, value) of each _quad_sum call in the report."""
+    return {label: (panels, value) for label, panels, value in report_calls}
+
+
+def test_report_integrates_each_quadrature_once(report_calls):
+    labels = [label for label, _, _ in report_calls]
+    assert sorted(labels) == sorted(_REPORT_LABELS)
+    assert len(labels) == 7
 
 
 def _quadpack(panels):

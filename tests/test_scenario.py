@@ -363,6 +363,32 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_scenario_runs_import_no_lemma(tmp_path):
+    # the lemma check is `muskat verify-lemma`'s alone: a run, through the
+    # library or the CLI, loads neither the lemma nor its piecewise curves
+    script = f"""
+import sys
+from muskat.cli import main
+from muskat.scenario import RunConfig, run_scenario
+out = {str(tmp_path)!r}
+m = run_scenario(RunConfig(scenario="BACKWARD_SEED", t_final=-1e-3, n=32,
+                           dt=1e-4, snapshot_every=5e-4, out_dir=out + "/b"))
+assert m.status == "OK", m.error
+assert main(["run", "--scenario", "CONJ_TURNOVER", "--n", "32",
+             "--t-final", "1e-3", "--dt", "1e-4", "--snapshot-every", "5e-4",
+             "--out", out + "/conj"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("muskat.")))
+"""
+    src = str(Path(muskat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.splitlines()[-1]
+    assert "muskat.scenario" in loaded
+    assert "muskat.lemma" not in loaded
+    assert "muskat.piecewise" not in loaded
+
+
 def test_run_failing_on_a_later_step_keeps_its_status(tmp_path,
                                                       monkeypatch):
     real_step = integrator.rk45_step
@@ -744,8 +770,13 @@ def test_config_fields_keys_and_flags_are_one_set(tmp_path, capsys):
 def test_cli_verify_lemma(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["verify-lemma", "--out", str(target)]) == 0
-    assert "min_admissible_R = 18" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "min_admissible_R = 18" in out
     assert target.exists()
+    # stdout and the --out file are the committed record, byte for byte
+    record = (Path(__file__).parent / "data" / "verify_lemma.txt").read_bytes()
+    assert out.encode() == record
+    assert target.read_bytes() == record
 
 
 def test_cli_usage_and_config_errors(tmp_path, capsys):
