@@ -2,11 +2,13 @@
 
 The construction splices three odd piecewise-polynomial blocks: a cubic
 center, a tent-shaped tail translated to +-R, and identity continuation in
-between. Turnover at the center and stability at the tails reduce to sign
-conditions on a handful of one-dimensional integrals; the headline ones
-have closed-form antiderivatives that are transcribed here and cross-checked
-against adaptive quadrature of independently transcribed integrands.
-The quadratures are numpy Gauss-Legendre panels (see _quad_sum).
+between. A curve is a tuple of Pieces that tile an interval, checked
+contiguous, continuous and odd where it is built. Turnover at the center
+and stability at the tails reduce to sign conditions on a handful of
+one-dimensional integrals; the headline ones have closed-form
+antiderivatives that are transcribed here and cross-checked against
+adaptive quadrature of independently transcribed integrands. The
+quadratures are numpy Gauss-Legendre panels (see _quad_sum).
 
 Every integral in this module is a contribution to
 
@@ -16,7 +18,9 @@ Every integral in this module is a contribution to
 at a0 = 0 (center conditions, I_cc and I_tc) or a0 = R (tail conditions,
 I_tt and I_ct); a negative value at the center forces the interface past
 vertical while a positive value at the tails keeps the ends graph-like.
-turnover_predictor evaluates it directly on a piecewise curve.
+One integrand of (piece, z1(a0)) serves every term that is integrated
+piece by piece: turnover_predictor, on the pieces of z^R that carry z2,
+and the cross terms I_tc, I_ct^1 and I_ct^2, on one block each.
 certificate() evaluates every constant once into one Certificate, which
 verification_report formats.
 """
@@ -26,15 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
-
-from .piecewise import Piece, PiecewiseCurve
 
 MIN_SPLICE_R = 9.0  # blocks overlap for smaller R; R > 9 keeps them disjoint
 
 I_TT_LOWER_BOUND = 0.25  # I_tt^1 + I_tt^3 = 1/4 exactly and I_tt^2 > 0
 
 PRECONDITION_TOL = 1e-10
+CONTINUITY_TOL = 1e-14
+ODDNESS_TOL = 1e-12
 
 # relative tolerances of the adaptive quadratures: the center and same-tail
 # integrals I_cc^1, I_tt^2, and the predictor with the cross terms its
@@ -57,10 +62,65 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Piece:
+    """z1 and z2 on [lo, hi] as polynomials in (x - center), lowest
+    coefficient first. In local coordinates a shift by +-R is exact: lo,
+    hi, center and z1's constant term move, the other coefficients do not.
+    """
+    lo: float
+    hi: float
+    center: float
+    c1: tuple[float, ...]
+    c2: tuple[float, ...]
+
+    def z1(self, x, order: int = 0):
+        """z1 or its derivative of the given order at x."""
+        return npoly.polyval(x - self.center, npoly.polyder(self.c1, order))
+
+    def z2(self, x, order: int = 0):
+        """z2 or its derivative of the given order at x."""
+        return npoly.polyval(x - self.center, npoly.polyder(self.c2, order))
+
+
+def _shift(pieces, dx: float) -> tuple[Piece, ...]:
+    """The pieces moved by dx along alpha and along z1, for splicing into
+    a larger curve (moved, they are no longer odd)."""
+    return tuple(Piece(p.lo + dx, p.hi + dx, p.center + dx,
+                       (p.c1[0] + dx,) + p.c1[1:], p.c2) for p in pieces)
+
+
+def _curve(pieces) -> tuple[Piece, ...]:
+    """The pieces as a curve, checked to tile a contiguous interval with
+    z1 and z2 continuous (their derivatives may jump) and to be odd: the
+    k-th piece from the left mirrors the k-th from the right, interval and
+    values at 5 points, which decides oddness up to degree 4."""
+    pieces = tuple(pieces)
+    if not pieces:
+        raise ValueError("need at least one piece")
+    for left, right in zip(pieces, pieces[1:]):
+        if left.hi != right.lo:
+            raise ValueError("pieces must tile a contiguous interval")
+        for name in ("z1", "z2"):
+            gap = abs(getattr(left, name)(left.hi)
+                      - getattr(right, name)(right.lo))
+            if gap > CONTINUITY_TOL:
+                raise ValueError(f"{name} discontinuity {gap:.3e}"
+                                 f" at breakpoint {left.hi}")
+    for p, q in zip(pieces, reversed(pieces)):
+        x = np.linspace(p.lo, p.hi, 5)
+        bad = max(abs(p.lo + q.hi), abs(p.hi + q.lo),
+                  *np.abs(p.z1(x) + q.z1(-x)), *np.abs(p.z2(x) + q.z2(-x)))
+        if bad > ODDNESS_TOL:
+            raise ValueError(f"curve is not odd (defect {bad:.3e}"
+                             f" on [{p.lo}, {p.hi}])")
+    return pieces
+
+
+@dataclass(frozen=True)
 class Blocks:
-    tail: PiecewiseCurve
-    center: PiecewiseCurve
-    spliced: PiecewiseCurve
+    tail: tuple[Piece, ...]
+    center: tuple[Piece, ...]
+    spliced: tuple[Piece, ...]
 
 
 @dataclass(frozen=True)
@@ -128,26 +188,22 @@ class Certificate:
 _IDENT = (0.0, 1.0)
 _CUBIC = (0.0, 0.0, 0.0, 1.0)
 
+_TAIL = (
+    Piece(-2.0, -1.0, 0.0, _IDENT, (-2.0, -1.0)),
+    Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 1.0)),
+    Piece(1.0, 2.0, 0.0, _IDENT, (2.0, -1.0)),
+)
 
-def _tail_block() -> PiecewiseCurve:
-    return PiecewiseCurve([
-        Piece(-2.0, -1.0, 0.0, _IDENT, (-2.0, -1.0)),
-        Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 1.0)),
-        Piece(1.0, 2.0, 0.0, _IDENT, (2.0, -1.0)),
-    ])
-
-
-def _center_block() -> PiecewiseCurve:
-    # z1 is the identity off the cubic on [-1, 1]
-    return PiecewiseCurve([
-        Piece(-7.0, -5.0, 0.0, _IDENT, (10.5, 1.5)),
-        Piece(-5.0, -2.0, 0.0, _IDENT, (3.0,)),
-        Piece(-2.0, -1.0, 0.0, _IDENT, (-7.0, -5.0)),
-        Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 3.0, 0.0, -1.0)),
-        Piece(1.0, 2.0, 0.0, _IDENT, (7.0, -5.0)),
-        Piece(2.0, 5.0, 0.0, _IDENT, (-3.0,)),
-        Piece(5.0, 7.0, 0.0, _IDENT, (-10.5, 1.5)),
-    ])
+# z1 is the identity off the cubic on [-1, 1]
+_CENTER = (
+    Piece(-7.0, -5.0, 0.0, _IDENT, (10.5, 1.5)),
+    Piece(-5.0, -2.0, 0.0, _IDENT, (3.0,)),
+    Piece(-2.0, -1.0, 0.0, _IDENT, (-7.0, -5.0)),
+    Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 3.0, 0.0, -1.0)),
+    Piece(1.0, 2.0, 0.0, _IDENT, (7.0, -5.0)),
+    Piece(2.0, 5.0, 0.0, _IDENT, (-3.0,)),
+    Piece(5.0, 7.0, 0.0, _IDENT, (-10.5, 1.5)),
+)
 
 
 def build_blocks(R: float) -> Blocks:
@@ -155,13 +211,11 @@ def build_blocks(R: float) -> Blocks:
     R = float(R)
     if R <= MIN_SPLICE_R:
         raise ValueError(f"splice needs R > {MIN_SPLICE_R}, got {R}")
-    tail = _tail_block()
-    center = _center_block()
+    tail, center = _curve(_TAIL), _curve(_CENTER)
     # the identity (a, 0) fills the gaps between the blocks
     gap = lambda lo, hi: (Piece(lo, hi, 0.0, _IDENT, (0.0,)),)
-    spliced = PiecewiseCurve(
-        tail.shifted(-R) + gap(-R + 2.0, -7.0) + center.pieces
-        + gap(7.0, R - 2.0) + tail.shifted(R))
+    spliced = _curve(_shift(tail, -R) + gap(-R + 2.0, -7.0) + center
+                     + gap(7.0, R - 2.0) + _shift(tail, R))
     return Blocks(tail=tail, center=center, spliced=spliced)
 
 
@@ -171,7 +225,8 @@ def _quad_sum(panels, tol, label) -> float:
     f takes arrays. A panel keeps G_2k where G_k and G_2k agree within tol
     relative and is bisected otherwise, down to _MIN_SPLIT of its width;
     the summed |G_2k - G_k| of the kept panels is the error estimate,
-    which must not exceed max(tol |sum|, 1e-11).
+    which must not exceed max(tol |sum|, 1e-11). A G_k or G_2k that is
+    not finite fails at once.
     """
     total = 0.0
     err = 0.0
@@ -182,13 +237,16 @@ def _quad_sum(panels, tol, label) -> float:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             coarse, fine = (half * np.dot(w, f(mid + half * x))
                             for x, w in _RULES)
+            if not (np.isfinite(coarse) and np.isfinite(fine)):
+                raise QuadratureError(
+                    f"{label}: integrand not finite on ({a}, {b})")
             diff = abs(fine - coarse)
             if diff <= tol * abs(fine) or b - a <= _MIN_SPLIT * (hi - lo):
                 total += fine
                 err += diff
             else:
                 todo += [(mid, b), (a, mid)]
-    if err > max(tol * abs(total), 1e-11):
+    if not err <= max(tol * abs(total), 1e-11):
         raise QuadratureError(
             f"{label}: quadrature error {err:.3e} exceeds tolerance")
     return total
@@ -207,66 +265,65 @@ def tail_bounds(R: float) -> TailBounds:
     )
 
 
-def _piecewise_panels(curve: PiecewiseCurve, alpha0: float):
-    """Smooth quadrature panels covering the z2 support, split at alpha0."""
-    cuts = set(curve.breakpoints)
-    cuts.add(alpha0)
+def _integrand(piece: Piece, x0: float):
+    """b -> (z1 - x0) z1' z2 / ((z1 - x0)^2 + z2^2)^2 on one piece.
+
+    The exact 0/0, z1 = x0 with z2 = 0, reads 0: at the predictor's target
+    it is removable, the numerator ~ (b - alpha0)^4 against a denominator
+    ~ (b - alpha0)^2 under the flatness preconditions.
+    """
+    def f(b):
+        d = piece.z1(b) - x0
+        w = piece.z2(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = d * piece.z1(b, 1) * w / (d * d + w * w) ** 2
+        return np.where((d == 0.0) & (w == 0.0), 0.0, val)
+    return f
+
+
+def _panels(curve, x0: float, cut: float | None = None):
+    """(integrand, lo, hi) on each piece of curve that carries z2, the one
+    holding cut in its interior split there."""
     panels = []
-    for lo, hi in curve.support2():
-        inner = sorted([lo, hi] + [c for c in cuts if lo < c < hi])
-        panels += list(zip(inner[:-1], inner[1:]))
+    for p in curve:
+        if any(p.c2):
+            inner = [cut] if cut is not None and p.lo < cut < p.hi else []
+            edges = [p.lo, *inner, p.hi]
+            panels += [(_integrand(p, x0), lo, hi)
+                       for lo, hi in zip(edges, edges[1:])]
     return panels
 
 
-def turnover_predictor(curve: PiecewiseCurve, alpha0: float) -> float:
+def turnover_predictor(curve, alpha0: float) -> float:
     """Sign predictor d_alpha v1 at a locally flat point of the interface.
 
-    Requires z1'(alpha0) = z1''(alpha0) = z2(alpha0) = 0 (to PRECONDITION_TOL);
-    under these the quantity reduces to
+    curve is a tuple of Pieces, checked as build_blocks checks its own.
+    Requires z1'(alpha0) = z1''(alpha0) = z2(alpha0) = 0 (to
+    PRECONDITION_TOL) on the piece that holds alpha0, the right one at a
+    breakpoint; under these the quantity reduces to
 
         z2'(alpha0) * Int (z1(b) - z1(alpha0)) z1'(b) z2(b)
-                          / ((z1(alpha0) - z1(b))^2 + z2(b)^2)^2 db.
+                          / ((z1(alpha0) - z1(b))^2 + z2(b)^2)^2 db,
 
-    A negative value drives the tangent past vertical, a positive one
-    restores the graph property.
+    integrated over the pieces that carry z2. A negative value drives the
+    tangent past vertical, a positive one restores the graph property.
     """
+    curve = _curve(curve)
     alpha0 = float(alpha0)
-    z1, dz1, ddz1 = curve.z1, curve.dz1, curve.ddz1
-    z2, dz2 = curve.z2, curve.dz2
-    panels = _piecewise_panels(curve, alpha0)
-
-    flat = (abs(dz1(alpha0)), abs(ddz1(alpha0)), abs(z2(alpha0)))
+    held = [p for p in curve if p.lo <= alpha0 <= p.hi]
+    if not held:
+        raise PreconditionError(
+            f"point alpha0={alpha0} lies outside the curve's span"
+            f" [{curve[0].lo}, {curve[-1].hi}]")
+    p = held[-1]
+    flat = (abs(p.z1(alpha0, 1)), abs(p.z1(alpha0, 2)), abs(p.z2(alpha0)))
     if max(flat) > PRECONDITION_TOL:
         raise PreconditionError(
             f"point alpha0={alpha0} is not flat enough:"
             f" |z1'|={flat[0]:.2e}, |z1''|={flat[1]:.2e}, |z2|={flat[2]:.2e}")
-
-    x0 = float(z1(alpha0))
-
-    def integrand(b):
-        d = z1(b) - x0
-        w = z2(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = d * dz1(b) * w / (d * d + w * w) ** 2
-        # b -> alpha0 is removable: numerator ~ (b - alpha0)^4 against
-        # denominator ~ (b - alpha0)^2 under the flatness preconditions.
-        return np.where(np.isfinite(val), val, 0.0)
-
-    total = _quad_sum([(integrand, lo, hi) for lo, hi in panels],
+    total = _quad_sum(_panels(curve, float(p.z1(alpha0)), alpha0),
                       _PREDICTOR_TOL, f"turnover predictor at alpha0={alpha0}")
-    return float(dz2(alpha0)) * total
-
-
-def _kernel(x0: float):
-    """The predictor integrand factory for target abscissa x0."""
-    def make(z1, dz1, z2):
-        def f(b):
-            d = z1(b) - x0
-            return d * dz1(b) * z2(b) / (d * d + z2(b) ** 2) ** 2
-        return f
-    return make
-
-
+    return float(p.z2(alpha0, 1)) * total
 
 
 def certificate() -> Certificate:
@@ -290,9 +347,11 @@ def certificate() -> Certificate:
 
     One scan over R = 10, 11, ... finds r_min (RuntimeError past 60) and
     runs on to r_min + 2 for the report. The cross-check at r_min compares
-    the direct predictor on z^R, integrated over the spliced curve's full
-    z2 support, with 3 (I_cc + I_tc) and I_tt + I_ct^1 + I_ct^2 assembled
-    from per-block quadratures of independently transcribed integrands.
+    the direct predictor on z^R, integrated over the spliced curve's
+    pieces that carry z2, with 3 (I_cc + I_tc) and I_tt + I_ct^1 + I_ct^2
+    assembled per block: I_cc and I_tt from their closed forms and
+    independently transcribed integrands, the cross terms from the
+    predictor's integrand on the one block each.
     """
     F2 = lambda x: (10.0 * x - 7.0) / (26.0 * (26.0 * x * x - 70.0 * x + 49.0))
     F3 = lambda x: 3.0 / (9.0 + x * x)
@@ -324,22 +383,14 @@ def certificate() -> Certificate:
 
     R = float(r_min)
     blocks = build_blocks(R)
-    tail, center = blocks.tail, blocks.center
-    # Tail at +R seen from the center (x0 = 0): z1 = t1(s) + R on s in [-2,2],
-    # and its mirror image contributes equally, hence the factor 2.
-    f_tc = _kernel(0.0)(lambda s: tail.z1(s) + R, tail.dz1, tail.z2)
-    i_tc = 2.0 * _quad_sum([(f_tc, -2.0, -1.0), (f_tc, -1.0, 1.0),
-                            (f_tc, 1.0, 2.0)], _PREDICTOR_TOL, "I_tc")
+    # Tail at +R seen from the center (x0 = 0) is the unshifted tail seen
+    # from x0 = -R; its mirror image contributes equally, hence the 2.
+    i_tc = 2.0 * _quad_sum(_panels(blocks.tail, -R), _PREDICTOR_TOL, "I_tc")
     # Center seen from the tail point (x0 = R).
-    f_ct1 = _kernel(R)(center.z1, center.dz1, center.z2)
-    i_ct1 = _quad_sum(
-        [(f_ct1, a, b) for a, b in zip((-7.0, -5.0, -2.0, -1.0, 1.0, 2.0, 5.0),
-                                       (-5.0, -2.0, -1.0, 1.0, 2.0, 5.0, 7.0))],
-        _PREDICTOR_TOL, "I_ct^1")
-    # Far tail at -R seen from +R: z1 = t1(s) - R, so z1 - R = t1(s) - 2R.
-    f_ct2 = _kernel(2.0 * R)(tail.z1, tail.dz1, tail.z2)
-    i_ct2 = _quad_sum([(f_ct2, -2.0, -1.0), (f_ct2, -1.0, 1.0),
-                       (f_ct2, 1.0, 2.0)], _PREDICTOR_TOL, "I_ct^2")
+    i_ct1 = _quad_sum(_panels(blocks.center, R), _PREDICTOR_TOL, "I_ct^1")
+    # Far tail at -R seen from +R is the unshifted tail seen from 2R.
+    i_ct2 = _quad_sum(_panels(blocks.tail, 2.0 * R), _PREDICTOR_TOL,
+                      "I_ct^2")
 
     return Certificate(
         cc=cc, i_cc=i_cc, tt=tt, i_tt=tt[0] + tt[1] + tt[2],

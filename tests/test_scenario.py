@@ -364,29 +364,35 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_scenario_runs_import_no_lemma(tmp_path):
-    # the lemma check is `muskat verify-lemma`'s alone: a run, through the
-    # library or the CLI, loads neither the lemma nor its piecewise curves
+    # the lemma check is `muskat verify-lemma`'s alone: a run through the
+    # library loads the package, its five run modules and muskat.scenario,
+    # and a run through the CLI adds muskat.cli and nothing else
     script = f"""
 import sys
-from muskat.cli import main
 from muskat.scenario import RunConfig, run_scenario
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "muskat")
 out = {str(tmp_path)!r}
 m = run_scenario(RunConfig(scenario="BACKWARD_SEED", t_final=-1e-3, n=32,
                            dt=1e-4, snapshot_every=5e-4, out_dir=out + "/b"))
 assert m.status == "OK", m.error
+print("library run:", loaded())
+from muskat.cli import main
 assert main(["run", "--scenario", "CONJ_TURNOVER", "--n", "32",
              "--t-final", "1e-3", "--dt", "1e-4", "--snapshot-every", "5e-4",
              "--out", out + "/conj"]) == 0
-print(sorted(m for m in sys.modules if m.startswith("muskat.")))
+print("CLI run:", loaded())
 """
     src = str(Path(muskat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = done.stdout.splitlines()[-1]
-    assert "muskat.scenario" in loaded
-    assert "muskat.lemma" not in loaded
-    assert "muskat.piecewise" not in loaded
+    runs = dict(line.split(": ", 1) for line in done.stdout.splitlines()
+                if line.startswith(("library run: ", "CLI run: ")))
+    library = ["muskat", "muskat.core", "muskat.diagnostics",
+               "muskat.integrator", "muskat.scenario", "muskat.spectral",
+               "muskat.velocity"]
+    assert runs["library run"] == str(library)
+    assert runs["CLI run"] == str(sorted(library + ["muskat.cli"]))
 
 
 def test_run_failing_on_a_later_step_keeps_its_status(tmp_path,
