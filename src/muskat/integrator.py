@@ -232,11 +232,13 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
            stop_slope: float | None):
     """Advance traj in place to t_goal, in either direction.
 
-    Each state's start slope k1 = f(y_n) is evaluated once, or is the end
-    slope of the unsmoothed bracket step before; it does not depend on h,
-    so its failure ends the run at once in both modes. Fixed mode takes
-    steps of traj.control.dt, the last one shortened to land on t_goal,
-    and ends the run at the first failed step. Adaptive mode rejects
+    A step h too small to move the clock (t + h == t) ends the run at once
+    in both modes, with STATUS_STEP_UNDERFLOW and before any slope is
+    evaluated. Each state's start slope k1 = f(y_n) is evaluated once, or
+    is the end slope of the unsmoothed bracket step before; it does not
+    depend on h, so its failure ends the run at once in both modes. Fixed
+    mode takes steps of traj.control.dt, the last one shortened to land on
+    t_goal, and ends the run at the first failed step. Adaptive mode rejects
     a trial step whose error estimate exceeds the tolerance, or that failed,
     and retries from the same k1 with a smaller h; the run ends only when a
     rejected step was already at _MIN_DT. In both modes a bracket step whose
@@ -273,6 +275,10 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
         h = sgn * dt
         if (t_goal - (t + h)) * sgn < 0.0:
             h = t_goal - t
+        if t + h == t:
+            _end_run(traj, t, (STATUS_STEP_UNDERFLOW,
+                               f"step h = {h:.3e} does not move t = {t:.17g}"))
+            break
         if k1 is None:
             try:
                 k1 = _slope(cur, odd, "start slope")

@@ -40,21 +40,23 @@ STATUS_ERROR = "ERROR"
 
 @dataclass(frozen=True)
 class _Scenario:
-    """One scenario's facts: its default horizon; the preset it starts from
-    (None: the input snapshot, on its grid and at its time); its default
-    smoothing threshold (not None: a backward, smoothed run); and the
-    minimum slope below which a forward run stops (None: it runs on)."""
+    """One scenario's facts: its default horizon; its default grid size and
+    the preset it starts from (both None: the input snapshot, on its grid
+    and at its time); its default smoothing threshold (not None: a
+    backward, smoothed run); and the minimum slope below which a forward
+    run stops (None: it runs on)."""
     t_final: float
+    n: int | None = None
     preset: str | None = None
     eps: float | None = None
     stop_slope: float | None = None
 
 
 _SCENARIOS = {
-    "BACKWARD_SEED": _Scenario(-4.92e-2, "SEED_T0", eps=1e-6),
+    "BACKWARD_SEED": _Scenario(-4.92e-2, 2048, "SEED_T0", eps=1e-6),
     "FORWARD_RERUN": _Scenario(6e-2),
     # stops once the minimum slope is clearly past turnover
-    "CONJ_TURNOVER": _Scenario(0.3, "CONJ_T0", stop_slope=-0.02),
+    "CONJ_TURNOVER": _Scenario(0.3, 2048, "CONJ_T0", stop_slope=-0.02),
 }
 
 SCENARIOS = tuple(_SCENARIOS)
@@ -72,16 +74,26 @@ def _check_grid_size(n: int, source: str = "n") -> None:
 def _check_horizon(config: RunConfig, t0: float) -> None:
     """A backward run ends below its start time t0, the others past it."""
     backward = _SCENARIOS[config.scenario].eps is not None
-    t_final = config.resolved_t_final
-    if not (t_final < t0 if backward else t_final > t0):
+    if not (config.t_final < t0 if backward else config.t_final > t0):
         raise ValueError(f"t_final: {config.scenario} needs a value"
                          f" {'below' if backward else 'past'} {t0},"
-                         f" got {t_final}")
+                         f" got {config.t_final}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated scenario parameters; defaults reproduce the headline runs."""
+    """Validated scenario parameters; defaults reproduce the headline runs.
+
+    Every field holds the value the run uses: n, t_final and eps left None
+    take the scenario's defaults once the given values pass their checks.
+    n stays None for FORWARD_RERUN, whose grid is its snapshot's, and eps
+    for the forward runs, which do not smooth. So the [config] section of
+    a manifest rebuilds an equal config.
+
+    dataclasses.replace carries these values. A replace that changes the
+    scenario must pass n, t_final and eps again (None re-resolves): a
+    carried value the new scenario does not take raises, naming the field.
+    """
     scenario: str = "BACKWARD_SEED"
     n: int | None = None
     mode: str = StepControl.mode
@@ -119,6 +131,9 @@ class RunConfig:
             raise ValueError("t_final: must be finite")
         # the step fields are checked by their owner
         self.step_control()
+        for name in ("n", "t_final", "eps"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, getattr(spec, name))
         if spec.preset is not None:
             if self.input_snapshot is not None:
                 raise ValueError(f"input_snapshot: {self.scenario} starts"
@@ -127,25 +142,6 @@ class RunConfig:
         elif self.input_snapshot is None:
             raise ValueError(f"input_snapshot: {self.scenario} needs the final"
                              " snapshot of a BACKWARD_SEED run (--input)")
-
-    @property
-    def resolved_n(self) -> int | None:
-        """The grid size of a run from a preset, 2048 by default; None for
-        a run from a snapshot, whose grid is the snapshot's."""
-        if self.n is not None or _SCENARIOS[self.scenario].preset is None:
-            return self.n
-        return 2048
-
-    @property
-    def resolved_t_final(self) -> float:
-        return (_SCENARIOS[self.scenario].t_final if self.t_final is None
-                else self.t_final)
-
-    @property
-    def resolved_eps(self) -> float | None:
-        """The smoothing threshold of a backward run; None for the forward
-        runs, which do not smooth."""
-        return _SCENARIOS[self.scenario].eps if self.eps is None else self.eps
 
     def step_control(self) -> StepControl:
         return StepControl(mode=self.mode, dt=self.dt, rel_tol=self.rel_tol)
@@ -185,10 +181,7 @@ class RunManifest:
             lines.append(f"error = {self.error}")
         lines += ["", "[config]"]
         for f in fields(RunConfig):
-            value = getattr(self.config, f.name)
-            if f.name in ("n", "t_final", "eps"):
-                value = getattr(self.config, "resolved_" + f.name)
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{f.name} = {getattr(self.config, f.name)}")
         lines += ["", "[events]"]
         for i, (t, kind) in enumerate(self.events):
             lines.append(f"event_{i} = {t:.17g} {kind}")
@@ -377,18 +370,18 @@ def _run_evolution(manifest: RunManifest, outdir: Path) -> None:
         _check_grid_size(curve.grid.n, config.input_snapshot)
         _check_horizon(config, t0)
     else:
-        curve = sample_preset(spec.preset, make_grid(config.resolved_n))
+        curve = sample_preset(spec.preset, make_grid(config.n))
         t0 = 0.0
     export_snapshot(curve, outdir / "initial.dat", time=t0)
     manifest.outputs["initial"] = "initial.dat"
 
     if spec.eps is not None:
         traj = evolve_backward_regularized(
-            curve, config.resolved_t_final, config.step_control(),
-            eps=config.resolved_eps, snapshot_every=config.snapshot_every)
+            curve, config.t_final, config.step_control(),
+            eps=config.eps, snapshot_every=config.snapshot_every)
     else:
         traj = evolve_forward(
-            curve, config.resolved_t_final, config.step_control(), t0=t0,
+            curve, config.t_final, config.step_control(), t0=t0,
             snapshot_every=config.snapshot_every, stop_slope=spec.stop_slope)
     manifest.trajectory = traj
     manifest.status, manifest.error = traj.status, traj.error

@@ -1,11 +1,17 @@
 """RK4 and Dormand-Prince marching, the regularized backward solver, event
 search."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muskat
 import muskat.integrator as integrator
 import muskat.velocity as velocity
 from muskat.core import make_curve, make_grid, sample_preset
@@ -535,6 +541,40 @@ def test_adaptive_step_underflow_has_its_own_status(grid64, monkeypatch):
     assert float(found[1]) > float(found[2]) > 0.0
     assert traj.events == [(0.0, STATUS_STEP_UNDERFLOW)]
     assert (traj.steps, traj.rejected_steps) == (0, 1)
+
+
+_STALLED_CLOCK_SCRIPT = """
+import json, sys
+import muskat.integrator as integrator
+from muskat.core import make_grid, sample_preset
+from muskat.integrator import StepControl, evolve_forward
+calls = []
+rhs = integrator.periodic_rhs
+integrator.periodic_rhs = lambda c, **kw: calls.append(1) or rhs(c, **kw)
+t0 = float(sys.argv[2])
+traj = evolve_forward(sample_preset("CONJ_T0", make_grid(16)), t0 + 1e-6,
+                      StepControl(mode=sys.argv[1], dt=float(sys.argv[3])),
+                      t0=t0)
+print(json.dumps([traj.status, traj.error, traj.steps, traj.times,
+                  len(calls)]))
+"""
+
+
+@pytest.mark.parametrize("mode, t0, dt", [("fixed", 1.0, 1e-20),
+                                          ("adaptive", 1e5, 1e-12)])
+def test_a_step_that_cannot_move_the_clock_ends_the_run(mode, t0, dt):
+    # t + h == t: such a march never reached t_end; a fresh process bounds
+    # the wait, so a march that does not end fails the test
+    src = str(Path(muskat.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _STALLED_CLOCK_SCRIPT, mode, str(t0), str(dt)],
+        capture_output=True, text=True, timeout=30, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    status, error, steps, times, slopes = json.loads(done.stdout)
+    # the run ends before its start slope is evaluated
+    assert (status, steps, times, slopes) == (STATUS_STEP_UNDERFLOW, 0,
+                                              [t0], 0)
+    assert error == f"step h = {dt:.3e} does not move t = {t0:.17g}"
 
 
 def test_adaptive_retries_a_failed_trial_step(flat64, monkeypatch):

@@ -19,6 +19,7 @@ from muskat.core import make_curve, make_grid, sample_preset
 from muskat.scenario import (
     _SCHEMA,
     RunConfig,
+    RunManifest,
     _format_rows,
     export_snapshot,
     import_snapshot,
@@ -30,23 +31,57 @@ from muskat.velocity import ARC_CHORD_FLOOR, ArcChordError, ArcChordReport
 
 
 def test_config_defaults():
+    # the scenario's defaults are stored in the fields, not resolved later
     cfg = RunConfig()
     assert cfg.scenario == "BACKWARD_SEED"
-    assert cfg.n is None
-    assert cfg.resolved_n == 2048
-    assert RunConfig(n=512).resolved_n == 512
-    assert RunConfig(scenario="FORWARD_RERUN",
-                     input_snapshot="final.dat").resolved_n is None
-    assert cfg.dt == 4e-5
-    assert cfg.eps is None
-    assert cfg.resolved_eps == 1e-6
-    assert RunConfig(eps=1e-7).resolved_eps == 1e-7
-    assert RunConfig(scenario="CONJ_TURNOVER").resolved_eps is None
-    assert cfg.resolved_t_final == -4.92e-2
-    assert RunConfig(scenario="FORWARD_RERUN",
-                     input_snapshot="final.dat").resolved_t_final == 6e-2
-    assert RunConfig(scenario="CONJ_TURNOVER").resolved_t_final == 0.3
-    assert RunConfig(t_final=-1e-3).resolved_t_final == -1e-3
+    assert (cfg.n, cfg.dt, cfg.eps, cfg.t_final) == (2048, 4e-5, 1e-6,
+                                                     -4.92e-2)
+    assert cfg == RunConfig(n=2048, t_final=-4.92e-2, eps=1e-6)
+    assert (RunConfig(n=512).n, RunConfig(eps=1e-7).eps,
+            RunConfig(t_final=-1e-3).t_final) == (512, 1e-7, -1e-3)
+    rerun = RunConfig(scenario="FORWARD_RERUN", input_snapshot="final.dat")
+    assert (rerun.n, rerun.t_final, rerun.eps) == (None, 6e-2, None)
+    conj = RunConfig(scenario="CONJ_TURNOVER")
+    assert (conj.n, conj.t_final, conj.eps) == (2048, 0.3, None)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"scenario": "FORWARD_RERUN", "input_snapshot": "final.dat"},
+    {"scenario": "CONJ_TURNOVER", "n": 64, "mode": "adaptive"},
+])
+def test_manifest_config_rebuilds_the_config(kwargs):
+    cfg = RunConfig(**kwargs)
+    text = RunManifest(cfg).to_text()
+    parsed = configparser.ConfigParser()
+    parsed.read_string(text)
+    casters = {k: c for keys in _SCHEMA.values() for k, c in keys.items()}
+    rebuilt = {k: casters[k](v) for k, v in parsed["config"].items()
+               if v != "None"}
+    assert RunConfig(**rebuilt) == cfg
+
+
+@pytest.mark.parametrize("start, changes, field", [
+    ({}, {"scenario": "CONJ_TURNOVER"}, "eps"),
+    ({}, {"scenario": "CONJ_TURNOVER", "eps": None}, "t_final"),
+    ({}, {"scenario": "FORWARD_RERUN", "input_snapshot": "f.dat"}, "n"),
+    ({}, {"scenario": "FORWARD_RERUN", "input_snapshot": "f.dat",
+          "n": None}, "eps"),
+    ({"scenario": "CONJ_TURNOVER"}, {"scenario": "BACKWARD_SEED"},
+     "t_final"),
+    ({"scenario": "CONJ_TURNOVER"}, {"scenario": "FORWARD_RERUN",
+                                     "input_snapshot": "f.dat"}, "n"),
+    ({"scenario": "FORWARD_RERUN", "input_snapshot": "f.dat"},
+     {"scenario": "BACKWARD_SEED", "input_snapshot": None}, "t_final"),
+])
+def test_cross_scenario_replace_names_a_carried_field(start, changes, field):
+    cfg = RunConfig(**start)
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        dataclasses.replace(cfg, **changes)
+    # passing the fields again as None re-resolves them
+    fresh = {"n": None, "t_final": None, "eps": None}
+    assert dataclasses.replace(cfg, **{**changes, **fresh}) == \
+        RunConfig(**{**start, **changes})
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -638,7 +673,7 @@ def test_eps_outside_backward_seed_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_manifest_records_the_resolved_eps(tmp_path):
+def test_manifest_records_the_default_eps(tmp_path):
     bwd = run_scenario(RunConfig(n=16, t_final=-4e-5,
                                  out_dir=str(tmp_path / "bwd")))
     conj = run_scenario(RunConfig(scenario="CONJ_TURNOVER", n=16,
@@ -699,6 +734,26 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert code == 0
     assert "regime = " in captured.out
     assert "near-critical minimum: alpha = " in captured.out
+
+
+def test_cli_run_whose_step_cannot_move_the_clock_exits(tmp_path):
+    # at t = -0.002 a step of 1e-20 leaves t unchanged; a fresh process
+    # bounds the wait, so a march that does not end fails the test
+    snap = tmp_path / "start.dat"
+    export_snapshot(sample_preset("SEED_T0", make_grid(16)), snap,
+                    time=-0.002)
+    out = tmp_path / "rerun"
+    src = str(Path(muskat.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "muskat.cli", "run", "--scenario",
+         "FORWARD_RERUN", "--input", str(snap), "--dt", "1e-20", "--out",
+         str(out)], capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2, done.stderr
+    assert "status = STEP_UNDERFLOW" in done.stdout
+    head = _manifest_section(out)
+    assert (head["status"], head["steps"]) == ("STEP_UNDERFLOW", "0")
+    assert head["error"] == "step h = 1.000e-20 does not move t = -0.002"
 
 
 def test_cli_reads_negative_scientific_notation(tmp_path, capsys):

@@ -764,6 +764,34 @@ def test_helpers_are_reaped_when_the_caller_exits():
     assert not _running(first) and not _running(live)
 
 
+# Splits one half sum with SIGCHLD ignored, so that the kernel reaps the
+# helper itself, and stops the helper; prints the helper's pid.
+_IGNORED_SIGCHLD_SCRIPT = """
+import os, signal
+os.sched_getaffinity = lambda pid: {0, 1}
+signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+from muskat import velocity
+from muskat.core import make_grid, sample_preset
+velocity.periodic_rhs(sample_preset("SEED_T0", make_grid(2048)), odd=True)
+pid = velocity._helper.pid
+velocity._stop_helper()
+print(pid, velocity._helper)
+"""
+
+
+@_needs_proc
+def test_a_helper_the_kernel_reaped_stops_cleanly():
+    # a signal disposition is process-wide, so the case runs in a process
+    # of its own
+    src = str(Path(muskat.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _IGNORED_SIGCHLD_SCRIPT], capture_output=True,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    pid, helper = done.stdout.split()
+    assert helper == "None" and not _running(int(pid))
+
+
 # Runs the helpers script, notes the pipes its live helper holds beyond
 # the standard streams, SIGKILLs the script and times the helper's exit.
 # As a child subreaper it inherits the orphaned helper and reaps it, so
