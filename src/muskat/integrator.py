@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import NanEncountered, SampledCurve
 from .spectral import filtered_derivative, threshold_smooth
-from .velocity import ArcChordError, pair_processes, periodic_rhs
+from .velocity import ArcChordError, is_odd, pair_processes, periodic_rhs
 
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -78,10 +78,6 @@ _STEP_SAFETY = 0.9
 # Adaptive mode: bounds on |h| and so on an adaptive dt.
 _MIN_DT = 1e-12
 _MAX_DT = 1e-2
-
-# A run whose start state y has max|y + Ry| <= this * max(max|y|, 1), with
-# R the mirror alpha -> -alpha, is odd and sums half the pairs.
-_ODD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,14 +195,6 @@ def grid_min_slope(curve: SampledCurve) -> float:
     return float(slope_profile(curve).min())
 
 
-def _is_odd(curve: SampledCurve) -> bool:
-    """Whether the samples are odd about alpha = 0 to _ODD_TOL."""
-    y = curve.samples
-    mirrored = np.roll(y[:, ::-1], 1, axis=1)  # node j -> (n - j) mod n
-    return float(np.max(np.abs(y + mirrored))) <= _ODD_TOL * max(
-        float(np.max(np.abs(y))), 1.0)
-
-
 def _failure(exc: Exception) -> tuple[str, str]:
     """The status and error line of an ArcChordError or a NanEncountered."""
     status = STATUS_ARC_CHORD if isinstance(exc, ArcChordError) else STATUS_NAN
@@ -263,7 +251,7 @@ def _march(traj: Trajectory, t_goal: float, snapshot_every: float | None,
     ctl, eps = traj.control, traj.smoothing_eps
     t = traj.times[-1]
     cur = traj.snapshots[-1]
-    odd = _is_odd(cur)
+    odd = is_odd(cur)
     traj.pair_sum = "half" if odd else "full"
     sgn = 1.0 if t_goal > t else -1.0
     stable = grid_min_slope(cur) > 0.0

@@ -53,7 +53,8 @@ v_Rj = -v_j. R keeps parity. With m = n/2, even node 2k mirrors to even
 node (m - k) mod m and odd node 2l + 1 to odd node m - 1 - l, and
 K[Rk, Rl] = -K[k, l]. The rows H = {0..m//2} hold a node of every mirror
 pair of even nodes, and periodic_rhs(curve, odd=True) forms only them,
-against all m odd columns:
+against all m odd columns. It takes the curve to be odd; is_odd says
+whether it is, to _ODD_TOL:
 
   - even targets in H come from the row products, as in the full sum. The
     other even targets are the negated mirrors of targets in H, and the
@@ -73,18 +74,18 @@ relative at n = 512 and 3e-13-1.1e-12 at n = 2048, and the half sum
 differs from it by that much, to within 16 eps max|v|.
 
 Near pairs. Since cosh(d2) - cos(d1) = |dzeta|^2/(2|zeta_i||zeta_j|), a
-pair whose |dzeta|^2 exceeds 2 max(_SCREEN_DELTA, 2 floor) max|zeta_e|
-max|zeta_o| has a real denominator above max(_SCREEN_DELTA, 2 floor). A
-row chunk whose smallest |dzeta|^2 is at or below that bound picks out the
-pairs that are, and forms their real denominators in the cancellation-free
-form 2 (sinh^2(d2/2) + sin^2(d1/2)), which is accurate to a few eps
-however close the pair. Only these denominators meet ARC_CHORD_FLOOR, so
+pair whose |dzeta|^2 exceeds 2 _SCREEN_DELTA max|zeta_e| max|zeta_o| has
+a real denominator above _SCREEN_DELTA. A row chunk whose smallest
+|dzeta|^2 is at or below that bound picks out the pairs that are, and
+forms their real denominators in the cancellation-free form
+2 (sinh^2(d2/2) + sin^2(d1/2)), which is accurate to a few eps however
+close the pair. Only these denominators meet ARC_CHORD_FLOOR, so
 the smallest of them is an ArcChordReport's, and only these kernel
 entries are replaced by sin(d1)/(2 den), K/2 in the real form. Every
 other pair keeps the Cauchy form, whose relative error of about
-eps/sqrt(den) is below the eps/den of cosh(d2) - cos(d1) as written. The
-bound follows ARC_CHORD_FLOOR, which callers may raise; the factor 2 on
-the floor covers the roundoff of the |dzeta|^2 screen. On the paper's
+eps/sqrt(den) is below the eps/den of cosh(d2) - cos(d1) as written.
+_SCREEN_DELTA is 1e4 ARC_CHORD_FLOOR, far more than the roundoff of the
+|dzeta|^2 screen, so no pair at the floor escapes it. On the paper's
 seed at n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
 
 Two processes. A call that forms at least _SPLIT_PAIRS = 131 072 pairs
@@ -185,29 +186,31 @@ _CHUNK_PAIRS = 1 << 15
 # with a helper process when it may run on two CPUs (see the module
 # docstring).
 _SPLIT_PAIRS = 4 * _CHUNK_PAIRS
-# A command to a helper: rows summed, chunks and the floor. A reply: the
-# smallest near-pair denominator of its rows and its (even row, odd
-# column), (-1, -1) for none.
-_CMD = struct.Struct("<2qd")
+# A command to a helper: rows summed and chunks. A reply: the smallest
+# near-pair denominator of its rows and its (even row, odd column),
+# (-1, -1) for none.
+_CMD = struct.Struct("<2q")
 _REPLY = struct.Struct("<d2q")
 
-# Pairs whose real denominator may be at or below this (or 2 floor) take the
-# real form of the kernel. With one pair 201 nodes apart at denominator
-# 1e-8, 1e-7 or 1e-6 (n = 1024, as in the tests) the velocity is within
-# 1.3e-14 relative of the cancellation-free pair sum; the Cauchy form alone
-# would leave 3.0e-14 / 1.4e-13 / 2.6e-12 with that pair at 1e-9 / 1e-10 /
-# 1e-11.
+# Pairs whose real denominator may be at or below this take the real form
+# of the kernel. With one pair 201 nodes apart at denominator 1e-8, 1e-7 or
+# 1e-6 (n = 1024, as in the tests) the velocity is within 1.3e-14 relative
+# of the cancellation-free pair sum; the Cauchy form alone would leave
+# 3.0e-14 / 1.4e-13 / 2.6e-12 with that pair at 1e-9 / 1e-10 / 1e-11.
 _SCREEN_DELTA = 1e-8
+
+# A curve y with max|y + Ry| <= this * max(max|y|, 1), R the mirror
+# alpha -> -alpha, is odd (is_odd) and may take the half sum.
+_ODD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ArcChordReport:
     """The smallest cosh(dz2) - cos(dz1), evaluated as
     2 (sinh^2(dz2/2) + sin^2(dz1/2)), over the rows a pair sum formed, at
-    or below the floor, and its (even target, odd source) node pair, the
-    first in row-major order on ties."""
+    or below ARC_CHORD_FLOOR, and its (even target, odd source) node pair,
+    the first in row-major order on ties."""
     min_denominator: float
-    floor: float
     pair: tuple[int, int]
 
 
@@ -217,7 +220,7 @@ class ArcChordError(RuntimeError):
     def __init__(self, report: ArcChordReport):
         super().__init__(
             f"arc-chord denominator {report.min_denominator:.3e} at or below"
-            f" floor {report.floor:.3e} between nodes {report.pair}")
+            f" floor {ARC_CHORD_FLOOR:.3e} between nodes {report.pair}")
         self.report = report
 
 
@@ -354,11 +357,10 @@ atexit.register(_stop_helper)
 def _serve(ws: _Workspace, cmd: int, reply: int) -> None:
     """The helper's loop: sum the second half of the chunks a command
     names and reply with their smallest near-pair denominator and its
-    (even row, odd column), (-1, -1) for none."""
+    (even row, odd column), as _sum_chunks returns them."""
     while msg := os.read(cmd, _CMD.size):
-        nrows, chunks, floor = _CMD.unpack(msg)
-        worst, pair = _sum_chunks(ws, _edges(nrows, chunks), 1, floor)
-        os.write(reply, _REPLY.pack(worst, *(pair or (-1, -1))))
+        least = _sum_chunks(ws, _edges(*_CMD.unpack(msg)), 1)
+        os.write(reply, _REPLY.pack(*least))
 
 
 def _edges(nrows: int, chunks: int) -> list[int]:
@@ -386,16 +388,16 @@ def pair_processes(n: int, *, odd: bool = False) -> int:
     return _plan(n, odd)[3]
 
 
-def _sum_chunks(ws: _Workspace, edges: list[int], half: int,
-                floor: float) -> tuple[float, tuple[int, int] | None]:
+def _sum_chunks(ws: _Workspace, edges: list[int],
+                half: int) -> tuple[float, int, int]:
     """One half of the chunks of the pair sum in workspace ws, chunk c
     spanning rows edges[c]..edges[c + 1]: half 0 is the first half of the
     chunks, rounded up, and half 1 the rest. The row products go to
     ws.row_prod, and the column products are added in chunk order to
     ws.col[half], from zero. Returns the smallest near-pair denominator of
-    these rows and its (even row, odd column), the first in row-major
-    order, or (inf, None). Once that is at or below floor the remaining
-    chunks are only scanned for a smaller one."""
+    these rows, its even row and its odd column, the first in row-major
+    order, or (inf, -1, -1). Once that is at or below ARC_CHORD_FLOOR the
+    remaining chunks are only scanned for a smaller one."""
     first, stop = (0, len(edges) // 2, len(edges) - 1)[half:half + 2]
     # this process's own chunk buffer holds the largest chunk
     if ws.buf.shape[1] < (rows := -(-edges[-1] // (len(edges) - 1))):
@@ -403,7 +405,7 @@ def _sum_chunks(ws: _Workspace, edges: list[int], half: int,
     left, right, ao3, ae3 = ws.left, ws.right, ws.ao3, ws.ae3
     col = ws.col[half]
     col.fill(0.0)
-    worst, pair = np.inf, None
+    least = (np.inf, -1, -1)
     for c, bound in zip(range(first, stop), ws.bounds[first:stop].tolist()):
         r0, r1 = edges[c], edges[c + 1]
         block = np.matmul(left[:, r0:r1], right, out=ws.buf[:, :r1 - r0])
@@ -424,9 +426,9 @@ def _sum_chunks(ws: _Workspace, edges: list[int], half: int,
             # near pairs come in row-major order, so argmin and the strict
             # < keep the first smallest whatever the chunks
             k = int(den.argmin())
-            if den[k] < worst:
-                worst, pair = float(den[k]), (int(i[k]), int(j[k]))
-        if worst <= floor:
+            if den[k] < least[0]:
+                least = (float(den[k]), int(i[k]), int(j[k]))
+        if least[0] <= ARC_CHORD_FLOOR:
             continue
         ker /= dP
         if near is not None:
@@ -434,11 +436,11 @@ def _sum_chunks(ws: _Workspace, edges: list[int], half: int,
         # (row sums, K a_o) and (column sums, K^T a_e), one product each
         np.matmul(ker, ao3, out=ws.row_prod[r0:r1])
         col += ae3[:, r0:r1] @ ker
-    return worst, pair
+    return least
 
 
-def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int], floor: float,
-               split: bool) -> tuple[float, tuple[int, int] | None]:
+def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int],
+               split: bool) -> tuple[float, int, int]:
     """Every chunk of a call, as _sum_chunks sums them: the first half here
     into ws.col[0], and the second into ws.col[1] by the helper that serves
     ws with split, else here too, so that both sum alike. The report is the
@@ -449,10 +451,10 @@ def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int], floor: float,
     try:
         if helper is not None:
             try:
-                os.write(helper.cmd, _CMD.pack(nrows, len(edges) - 1, floor))
+                os.write(helper.cmd, _CMD.pack(nrows, len(edges) - 1))
             except BrokenPipeError:
                 pass  # the helper is gone, and its reply reads end of file
-        worst, pair = _sum_chunks(ws, edges, 0, floor)
+        first = _sum_chunks(ws, edges, 0)
         reply = b"" if helper is None else os.read(helper.reply, _REPLY.size)
     except BaseException:
         # a reply left unread would answer the next command
@@ -460,14 +462,22 @@ def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int], floor: float,
             _stop_helper()
         raise
     if len(reply) == _REPLY.size:
-        far, i, j = _REPLY.unpack(reply)
-        far = (far, None if i < 0 else (i, j))
+        second = _REPLY.unpack(reply)
     else:
         if helper is not None:
             _stop_helper()  # found dead
-        far = _sum_chunks(ws, edges, 1, floor)
+        second = _sum_chunks(ws, edges, 1)
     # the smaller, and on a tie the first half's, whose rows come first
-    return far if far[0] < worst else (worst, pair)
+    return second if second[0] < first[0] else first
+
+
+def is_odd(curve: SampledCurve) -> bool:
+    """Whether the samples are odd about alpha = 0 to _ODD_TOL, as
+    periodic_rhs(curve, odd=True) takes them to be."""
+    y = curve.samples
+    mirrored = np.roll(y[:, ::-1], 1, axis=1)  # node j -> (n - j) mod n
+    return float(np.max(np.abs(y + mirrored))) <= _ODD_TOL * max(
+        float(np.max(np.abs(y))), 1.0)
 
 
 def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
@@ -477,7 +487,8 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     With odd=True the curve is taken to be odd about alpha = 0, and only
     the even rows 0..m//2 (m = n/2) are summed; the mirror gives the rest
     (see the module docstring), and the velocity returned is exactly odd.
-    The caller decides that the curve is odd: the half sum does not check.
+    The caller decides that the curve is odd, with is_odd: the half sum
+    does not check.
 
     Raises ArcChordError, without dividing by it, if some real denominator
     cosh(dz2) - cos(dz1) of the rows summed is at or below ARC_CHORD_FLOOR;
@@ -486,12 +497,11 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     reports from its own rows 0..m//2. Denominators are evaluated in the
     cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
     the near pairs the |dzeta|^2 screen picks out; every other pair's is
-    above max(_SCREEN_DELTA, 2 floor).
+    above _SCREEN_DELTA.
 
     The pair sum runs in a per-grid workspace shared by every call on the
     same grid, so two threads must not call this at once.
     """
-    floor = ARC_CHORD_FLOOR
     n = curve.grid.n
     deriv = filtered_derivative(curve.samples, 1)
 
@@ -526,15 +536,14 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
     np.negative(zeta[0, 0::2], out=left[2, :, 2])
     ws.right[1:] = zeta[:, 1::2]
     # a pair with |dzeta|^2 above limit * max|zeta_e| (chunk) has its real
-    # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above max(delta, 2 floor)
-    limit = 2.0 * max(_SCREEN_DELTA, 2.0 * floor) * mod[1::2].max()
+    # denominator |dzeta|^2 / (2 |zeta_i| |zeta_j|) above _SCREEN_DELTA
+    limit = 2.0 * _SCREEN_DELTA * mod[1::2].max()
     ws.bounds[:chunks] = limit * np.maximum.reduceat(mod[0:2 * nrows:2],
                                                      edges[:-1])
 
-    worst, pair = _sum_pairs(ws, nrows, edges, floor, processes == 2)
-    if worst <= floor:
-        pair = (2 * pair[0], 2 * pair[1] + 1)
-        raise ArcChordError(ArcChordReport(worst, floor, pair))
+    worst, i, j = _sum_pairs(ws, nrows, edges, processes == 2)
+    if worst <= ARC_CHORD_FLOOR:
+        raise ArcChordError(ArcChordReport(worst, (2 * i, 2 * j + 1)))
     # the column sums of the two halves, in either process
     col = ws.col[0] + ws.col[1]
 

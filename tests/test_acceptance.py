@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import muskat.integrator as integrator
+import muskat.velocity as velocity
 from muskat.core import make_curve, make_grid, sample_preset
 from muskat.diagnostics import (
     REGIME_CRITICAL,
@@ -319,10 +319,10 @@ def test_default_chain_keeps_the_half_sum(backward512, forward_rerun512):
     defect = float(np.max(np.abs(y + [mirror(row) for row in y]))) / max(
         float(np.max(np.abs(y))), 1.0)
     print(f"rerun final state: odd defect {defect:.3g},"
-          f" tolerance {integrator._ODD_TOL:g}")
+          f" tolerance {velocity._ODD_TOL:g}")
     assert backward512.trajectory.pair_sum == "half"
     assert forward_rerun512.trajectory.pair_sum == "half"
-    assert integrator._is_odd(final)
+    assert velocity.is_odd(final)
 
 
 def test_criterion_10_slope_fifty_turnover(tmp_path_factory):

@@ -13,7 +13,6 @@ import pytest
 
 import muskat
 import muskat.integrator as integrator
-import muskat.velocity as velocity
 from muskat.core import make_curve, make_grid, sample_preset
 from muskat.integrator import (
     EVENT_EARLY_STOP,
@@ -32,12 +31,7 @@ from muskat.integrator import (
     slope_profile,
 )
 from muskat.scenario import RunConfig, export_snapshot, run_scenario
-from muskat.velocity import (
-    ARC_CHORD_FLOOR,
-    ArcChordError,
-    ArcChordReport,
-    periodic_rhs,
-)
+from muskat.velocity import ArcChordError, ArcChordReport, periodic_rhs
 
 from conftest import asymmetric_curve
 
@@ -185,20 +179,23 @@ def test_adaptive_steps_meet_the_relative_tolerance(grid64, monkeypatch):
     assert max(ratios) <= 1.0, max(ratios)
 
 
-def test_arc_chord_failure_keeps_last_state(flat64, monkeypatch):
-    # an absurd floor makes the very first step fail
-    monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", 10.0)
-    traj = evolve_forward(flat64, 1e-3,
+def test_arc_chord_failure_keeps_last_state():
+    # p1 = -alpha and z2 = 0 put every node on one point, so the very first
+    # slope fails
+    grid = make_grid(64)
+    collided = make_curve(grid, -grid.nodes, np.zeros(grid.n))
+    traj = evolve_forward(collided, 1e-3,
                           StepControl(mode="fixed", dt=1e-4))
     assert traj.status == STATUS_ARC_CHORD
-    # the first stage's report, as the kernel raises it
+    # the first slope's report, as the kernel raises it
     with pytest.raises(ArcChordError) as info:
-        periodic_rhs(flat64, odd=True)
+        periodic_rhs(collided, odd=traj.pair_sum == "half")
     assert traj.error == f"ArcChordError: {info.value}"
-    assert "at or below floor 1.000e+01 between nodes" in traj.error
+    assert traj.error == ("ArcChordError: arc-chord denominator 0.000e+00"
+                          " at or below floor 1.000e-12 between nodes (0, 1)")
     assert traj.events == [(0.0, STATUS_ARC_CHORD)]
     assert len(traj.snapshots) == 1
-    assert np.array_equal(traj.final.z2, flat64.z2)
+    assert traj.final is collided
 
 
 def test_error_estimate_is_first_same_as_last(grid64, monkeypatch):
@@ -333,7 +330,7 @@ def test_adaptive_run_evaluates_k1_once_per_state_and_six_slopes_per_trial(
 
 
 def _collapse(curve):
-    raise ArcChordError(ArcChordReport(0.0, ARC_CHORD_FLOOR, (0, 1)))
+    raise ArcChordError(ArcChordReport(0.0, (0, 1)))
 
 
 def _nan_velocity(curve):

@@ -104,6 +104,8 @@ def test_piece_derivatives():
 
 
 def test_curve_requires_contiguous_pieces():
+    with pytest.raises(ValueError, match="^need at least one piece$"):
+        _curve([])
     with pytest.raises(ValueError, match="contiguous"):
         _curve([Piece(-2.0, -0.5, 0.0, IDENT, (0.0,)),
                 Piece(0.5, 2.0, 0.0, IDENT, (0.0,))])

@@ -13,7 +13,6 @@ import pytest
 
 import muskat
 import muskat.integrator as integrator
-import muskat.velocity as velocity
 from muskat.cli import _RUN_FLAGS, main
 from muskat.core import make_curve, make_grid, sample_preset
 from muskat.scenario import (
@@ -27,7 +26,7 @@ from muskat.scenario import (
     run_scenario,
 )
 from muskat.spectral import filtered_derivative
-from muskat.velocity import ARC_CHORD_FLOOR, ArcChordError, ArcChordReport
+from muskat.velocity import ArcChordError, ArcChordReport, periodic_rhs
 
 
 def test_config_defaults():
@@ -178,6 +177,13 @@ def test_load_config_rejects_unknown_names(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "missing.ini")
 
+    # keys before any section header
+    headless = tmp_path / "h.ini"
+    headless.write_text("n = 16\n")
+    line = f"^cannot parse {re.escape(str(headless))}: File contains no"
+    with pytest.raises(ValueError, match=line + " section headers"):
+        load_config(headless)
+
 
 def test_export_format_is_pinned(tmp_path, flat64):
     path = tmp_path / "flat.dat"
@@ -187,6 +193,12 @@ def test_export_format_is_pinned(tmp_path, flat64):
     assert lines[1] == "alpha, z1, z2, dz1, dz2"
     assert lines[2] == "-3.1415926535897931, -3.1415926535897931, 0, 1, 0"
     assert len(lines) == 2 + flat64.grid.n
+
+
+def test_export_to_a_directory_names_the_snapshot(tmp_path, flat64):
+    line = f"^cannot write snapshot {re.escape(str(tmp_path))}: "
+    with pytest.raises(OSError, match=line + ".*Is a directory"):
+        export_snapshot(flat64, tmp_path)
 
 
 def test_snapshot_round_trip(tmp_path, grid64):
@@ -469,8 +481,12 @@ def _fail_run(status, monkeypatch):
 
     monkeypatch.setattr(integrator, "rk45_step", step)
     if status == integrator.STATUS_ARC_CHORD:
-        # every pair of the n = 32 curve is closer than that
-        monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", 10.0)
+        # the kernel's own error on a curve whose nodes are all on one
+        # point, p1 = -alpha and z2 = 0
+        grid = make_grid(32)
+        collided = make_curve(grid, -grid.nodes, np.zeros(grid.n))
+        monkeypatch.setattr(integrator, "periodic_rhs",
+                            lambda curve, **kwargs: periodic_rhs(collided))
     if status == integrator.STATUS_STEP_UNDERFLOW:
         # an adaptive step pinned at 1e-4 misses a tolerance of 1e-30
         monkeypatch.setattr(integrator, "_MIN_DT", 1e-4)
@@ -479,8 +495,8 @@ def _fail_run(status, monkeypatch):
 
 @pytest.mark.parametrize("status, line", [
     (integrator.STATUS_ARC_CHORD,
-     r"ArcChordError: arc-chord denominator \S+ at or below floor 1\.000e\+01"
-     r" between nodes \(\d+, \d+\)"),
+     r"ArcChordError: arc-chord denominator 0\.000e\+00 at or below floor"
+     r" 1\.000e-12 between nodes \(0, 1\)"),
     (integrator.STATUS_NAN, r"NanEncountered: injected"),
     (integrator.STATUS_STEP_UNDERFLOW,
      r"error estimate \S+ above tolerance \S+ at the minimum step 0\.0001")])
@@ -503,7 +519,7 @@ def test_manifest_error_is_the_first_failed_legs_line(tmp_path, monkeypatch,
 def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                                                         monkeypatch):
     def collapse(curve, *args):
-        raise ArcChordError(ArcChordReport(0.0, ARC_CHORD_FLOOR, (0, 1)))
+        raise ArcChordError(ArcChordReport(0.0, (0, 1)))
 
     monkeypatch.setattr(integrator, "rk45_step", collapse)
     out = tmp_path / "bwd"

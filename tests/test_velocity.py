@@ -29,12 +29,13 @@ from muskat.velocity import (
 from conftest import asymmetric_curve, mirror, tilted_seed
 
 
-def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
+def _two_half_sum(curve):
     """Reference pair sum: both parity halves formed in full.
 
     Returns (v1, v2, min_denominator, pair), pair the (even, odd) node pair
     of the smallest denominator, the first in row-major order; the
-    velocities are None when that denominator is at or below the floor.
+    velocities are None when that denominator is at or below
+    ARC_CHORD_FLOOR.
     """
     n = curve.grid.n
     z1, z2 = curve.z1, curve.z2
@@ -53,7 +54,7 @@ def _two_half_sum(curve, floor=ARC_CHORD_FLOOR):
         halves.append((tgt, src, d1, den))
     i, j = np.unravel_index(np.argmin(halves[0][3]), halves[0][3].shape)
     pair = (int(even[i]), int(odd[j]))
-    if worst <= floor:
+    if worst <= ARC_CHORD_FLOOR:
         return None, None, worst, pair
     v1 = np.empty(n)
     v2 = np.empty(n)
@@ -72,11 +73,11 @@ def _report(curve, **kwargs):
     return info.value.report
 
 
-def _reference_report(curve, floor=ARC_CHORD_FLOOR):
+def _reference_report(curve):
     """The report of a full sum, from the reference pair sum."""
-    _, _, worst, pair = _two_half_sum(curve, floor)
-    assert worst <= floor
-    return ArcChordReport(worst, floor, pair)
+    _, _, worst, pair = _two_half_sum(curve)
+    assert worst <= ARC_CHORD_FLOOR
+    return ArcChordReport(worst, pair)
 
 
 def _test_curve(name, n):
@@ -260,7 +261,7 @@ def test_collided_nodes_raise_arc_chord():
     with pytest.raises(ArcChordError) as info:
         periodic_rhs(curve)
     # every pair ties at 0, so the first (even, odd) pair is reported
-    assert info.value.report == ArcChordReport(0.0, ARC_CHORD_FLOOR, (0, 1))
+    assert info.value.report == ArcChordReport(0.0, (0, 1))
     assert info.value.report == _reference_report(curve)
     assert str(info.value) == ("arc-chord denominator 0.000e+00 at or below"
                                " floor 1.000e-12 between nodes (0, 1)")
@@ -369,7 +370,7 @@ def test_report_is_independent_of_row_chunking(monkeypatch, curve, odd):
 @pytest.mark.parametrize("factor", [1.1, 1e3, 10.0])
 def test_far_pair_above_floor_matches_two_halves(factor):
     # 1.1 floor sits just above the floor; 10 and 1e3 floor sit between
-    # 2 floor and the screen's _SCREEN_DELTA, where the pair takes the real
+    # the floor and the screen's _SCREEN_DELTA, where the pair takes the real
     # form of the kernel: the Cauchy form alone, off by about eps / sqrt(den)
     # in that entry, would miss the bound by 26x at 10 floor
     curve = _far_pair_curve(factor * ARC_CHORD_FLOOR)
@@ -377,19 +378,6 @@ def test_far_pair_above_floor_matches_two_halves(factor):
     assert pair == (400, 601)
     assert ARC_CHORD_FLOOR < worst < 2.0 * factor * ARC_CHORD_FLOOR
     assert _max_rel_diff(periodic_rhs(curve), v1, v2) <= 1e-13
-
-
-@pytest.mark.parametrize("floor", [1e-6, 10.0])
-def test_far_pair_screen_scales_with_the_floor(monkeypatch, floor):
-    # a raised floor moves the screen with it: at 1e-6 only the far pair
-    # offends, far above the 1e-8 screen; at 10 every pair does, and the
-    # far pair is still the closest
-    monkeypatch.setattr(velocity, "ARC_CHORD_FLOOR", floor)
-    curve = _far_pair_curve(0.9e-6)
-    report = _report(curve)
-    assert report == _reference_report(curve, floor=floor)
-    assert report.pair == (400, 601)
-    assert report.floor == floor
 
 
 def test_shared_memory_of_the_pair_sum_is_linear_in_n():
@@ -589,11 +577,11 @@ def test_helper_is_stopped_when_the_callers_half_raises(monkeypatch):
     real = velocity._sum_chunks
     failed = []
 
-    def failing_once_here(ws, edges, half, floor):
+    def failing_once_here(ws, edges, half):
         if half == 0 and not failed:
             failed.append(half)
             raise MemoryError("no room for the chunk buffer")
-        return real(ws, edges, half, floor)
+        return real(ws, edges, half)
 
     monkeypatch.setattr(velocity, "_sum_chunks", failing_once_here)
     splits = _record_splits(monkeypatch)
