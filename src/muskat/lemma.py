@@ -3,12 +3,14 @@
 The construction splices three odd piecewise-polynomial blocks: a cubic
 center, a tent-shaped tail translated to +-R, and identity continuation in
 between. A curve is a tuple of Pieces that tile an interval, checked
-contiguous, continuous and odd where it is built. Turnover at the center
-and stability at the tails reduce to sign conditions on a handful of
-one-dimensional integrals; the headline ones have closed-form
-antiderivatives that are transcribed here and cross-checked against
-adaptive quadrature of independently transcribed integrands. The
-quadratures are numpy Gauss-Legendre panels (see _quad_sum).
+contiguous, continuous and odd where it is built: the tail and center
+blocks, _TAIL and _CENTER, once at import, and z^R in splice(R), the one
+part that depends on R. Turnover at the center and stability at the
+tails reduce to sign conditions on a handful of one-dimensional
+integrals; the headline ones have closed-form antiderivatives that are
+transcribed here and cross-checked against adaptive quadrature of
+independently transcribed integrands. The quadratures are numpy
+Gauss-Legendre panels (see _quad_sum).
 
 Every integral in this module is a contribution to
 
@@ -117,13 +119,6 @@ def _curve(pieces) -> tuple[Piece, ...]:
 
 
 @dataclass(frozen=True)
-class Blocks:
-    tail: tuple[Piece, ...]
-    center: tuple[Piece, ...]
-    spliced: tuple[Piece, ...]
-
-
-@dataclass(frozen=True)
 class TailBounds:
     """Closed-form majorants of the cross contributions."""
     tc: float
@@ -188,14 +183,15 @@ class Certificate:
 _IDENT = (0.0, 1.0)
 _CUBIC = (0.0, 0.0, 0.0, 1.0)
 
-_TAIL = (
+# the blocks do not depend on R: each is checked once, here
+_TAIL = _curve((
     Piece(-2.0, -1.0, 0.0, _IDENT, (-2.0, -1.0)),
     Piece(-1.0, 1.0, 0.0, _CUBIC, (0.0, 1.0)),
     Piece(1.0, 2.0, 0.0, _IDENT, (2.0, -1.0)),
-)
+))
 
 # z1 is the identity off the cubic on [-1, 1]
-_CENTER = (
+_CENTER = _curve((
     Piece(-7.0, -5.0, 0.0, _IDENT, (10.5, 1.5)),
     Piece(-5.0, -2.0, 0.0, _IDENT, (3.0,)),
     Piece(-2.0, -1.0, 0.0, _IDENT, (-7.0, -5.0)),
@@ -203,20 +199,19 @@ _CENTER = (
     Piece(1.0, 2.0, 0.0, _IDENT, (7.0, -5.0)),
     Piece(2.0, 5.0, 0.0, _IDENT, (-3.0,)),
     Piece(5.0, 7.0, 0.0, _IDENT, (-10.5, 1.5)),
-)
+))
 
 
-def build_blocks(R: float) -> Blocks:
-    """Tail, center, and the spliced curve z^R (requires R > 9)."""
+def splice(R: float) -> tuple[Piece, ...]:
+    """The spliced curve z^R: the tail at -R and +R, the center between
+    (requires R > 9)."""
     R = float(R)
     if R <= MIN_SPLICE_R:
         raise ValueError(f"splice needs R > {MIN_SPLICE_R}, got {R}")
-    tail, center = _curve(_TAIL), _curve(_CENTER)
     # the identity (a, 0) fills the gaps between the blocks
     gap = lambda lo, hi: (Piece(lo, hi, 0.0, _IDENT, (0.0,)),)
-    spliced = _curve(_shift(tail, -R) + gap(-R + 2.0, -7.0) + center
-                     + gap(7.0, R - 2.0) + _shift(tail, R))
-    return Blocks(tail=tail, center=center, spliced=spliced)
+    return _curve(_shift(_TAIL, -R) + gap(-R + 2.0, -7.0) + _CENTER
+                  + gap(7.0, R - 2.0) + _shift(_TAIL, R))
 
 
 def _quad_sum(panels, tol, label) -> float:
@@ -297,7 +292,7 @@ def _panels(curve, x0: float, cut: float | None = None):
 def turnover_predictor(curve, alpha0: float) -> float:
     """Sign predictor d_alpha v1 at a locally flat point of the interface.
 
-    curve is a tuple of Pieces, checked as build_blocks checks its own.
+    curve is a tuple of Pieces, checked as splice checks z^R.
     Requires z1'(alpha0) = z1''(alpha0) = z2(alpha0) = 0 (to
     PRECONDITION_TOL) on the piece that holds alpha0, the right one at a
     breakpoint; under these the quantity reduces to
@@ -382,21 +377,20 @@ def certificate() -> Certificate:
         raise RuntimeError("no admissible R found up to 60")
 
     R = float(r_min)
-    blocks = build_blocks(R)
+    spliced = splice(R)
     # Tail at +R seen from the center (x0 = 0) is the unshifted tail seen
     # from x0 = -R; its mirror image contributes equally, hence the 2.
-    i_tc = 2.0 * _quad_sum(_panels(blocks.tail, -R), _PREDICTOR_TOL, "I_tc")
+    i_tc = 2.0 * _quad_sum(_panels(_TAIL, -R), _PREDICTOR_TOL, "I_tc")
     # Center seen from the tail point (x0 = R).
-    i_ct1 = _quad_sum(_panels(blocks.center, R), _PREDICTOR_TOL, "I_ct^1")
+    i_ct1 = _quad_sum(_panels(_CENTER, R), _PREDICTOR_TOL, "I_ct^1")
     # Far tail at -R seen from +R is the unshifted tail seen from 2R.
-    i_ct2 = _quad_sum(_panels(blocks.tail, 2.0 * R), _PREDICTOR_TOL,
-                      "I_ct^2")
+    i_ct2 = _quad_sum(_panels(_TAIL, 2.0 * R), _PREDICTOR_TOL, "I_ct^2")
 
     return Certificate(
         cc=cc, i_cc=i_cc, tt=tt, i_tt=tt[0] + tt[1] + tt[2],
         scan=tuple(scan), r_min=r_min,
-        at_center=turnover_predictor(blocks.spliced, 0.0),
-        at_tail=turnover_predictor(blocks.spliced, R),
+        at_center=turnover_predictor(spliced, 0.0),
+        at_tail=turnover_predictor(spliced, R),
         i_tc=i_tc, i_ct1=i_ct1, i_ct2=i_ct2, bounds=bounds)
 
 

@@ -97,8 +97,6 @@ def threshold_smooth(values, eps: float) -> np.ndarray:
     mag = np.abs(raw) / v.shape[-1]
     drop = mag < eps
     keep = np.where(drop, mag, 0.0).max(-1) <= _ROUNDOFF_FLOOR * mag.max(-1)
-    if keep.all():
-        return v.copy()
     raw[drop] = 0.0
     return np.where(keep[..., None], v, np.fft.ifft(raw).real)
 

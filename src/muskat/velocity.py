@@ -304,21 +304,21 @@ _helper: _Helper | None = None
 _fork_failed = False
 
 
-def _stop_helper(wait: bool = True) -> None:
-    """Close the helper's pipe ends and, with wait, reap it; it exits once
-    it has finished the chunks in hand. The next split call forks
-    another."""
+def _stop_helper() -> None:
+    """Close the helper's pipe ends and reap it; it exits once it has
+    finished the chunks in hand. The next split call forks another."""
     global _helper
     helper, _helper = _helper, None
     if helper is None:
         return
     os.close(helper.cmd)
     os.close(helper.reply)
-    if wait:
-        try:
-            os.waitpid(helper.pid, 0)
-        except ChildProcessError:
-            pass  # reaped already, under a caller's SIGCHLD setting
+    try:
+        os.waitpid(helper.pid, 0)
+    except ChildProcessError:
+        # reaped already, under a caller's SIGCHLD setting, or not ours:
+        # in a forked child the helper is the parent's
+        pass
 
 
 def _helper_for(ws: _Workspace) -> _Helper | None:
@@ -345,7 +345,7 @@ def _forget_helper() -> None:
     """In a forked child: the helper and the workspaces whose memory it
     shares are the parent's. Close the helper's pipe ends, which would
     keep it from seeing end of file, and drop the workspaces."""
-    _stop_helper(wait=False)
+    _stop_helper()
     _workspace.cache_clear()
 
 

@@ -26,6 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from muskat.core import make_curve, make_grid
 from muskat.integrator import STATUS_OK, StepControl, evolve_forward
@@ -46,16 +49,18 @@ def _graph(grid, name):
 
 
 def _balances(curve, odd):
-    """(d/dt int z2^2 z1', D, d/dt int z2 z1', the sum of the absolute
-    terms of that rate) under periodic_rhs(curve, odd=odd), each by the
-    trapezoid rule on the curve's grid."""
+    """(d/dt int z2^2 z1', the sum of the absolute terms of that rate, D,
+    d/dt int z2 z1', the same sum for it) under periodic_rhs(curve,
+    odd=odd), each by the trapezoid rule on the curve's grid."""
     h = curve.grid.spacing
     z1, z2 = curve.z1, curve.z2
     dz1, dz2 = filtered_derivative(curve.samples, 1)
     dz1 = dz1 + 1.0
     v1, v2 = periodic_rhs(curve, odd=odd)
     dv1 = filtered_derivative(v1, 1)
-    energy_rate = h * np.sum(2.0 * z2 * v2 * dz1 + z2 ** 2 * dv1)
+    energy_terms = (2.0 * z2 * v2 * dz1, z2 ** 2 * dv1)
+    energy_rate = h * np.sum(sum(energy_terms))
+    energy_scale = h * np.sum(sum(map(np.abs, energy_terms)))
     height_terms = (v2 * dz1, z2 * dv1)
     height_rate = h * np.sum(sum(height_terms))
     height_scale = h * np.sum(sum(map(np.abs, height_terms)))
@@ -65,7 +70,7 @@ def _balances(curve, odd):
     ker = np.log1p((np.sinh(0.5 * (z2[:, None] - z2[None, :])) / s1) ** 2)
     np.fill_diagonal(ker, np.log1p((dz2 / dz1) ** 2))
     dissipation = h * h * (dz1 @ ker @ dz1)
-    return energy_rate, dissipation, height_rate, height_scale
+    return energy_rate, energy_scale, dissipation, height_rate, height_scale
 
 
 _CASES = [(name, odd) for name in ("pure-graph", "tilted", "asymmetric")
@@ -76,7 +81,7 @@ _CASES = [(name, odd) for name in ("pure-graph", "tilted", "asymmetric")
 @pytest.mark.parametrize("name, odd", _CASES)
 def test_l2_energy_balance_holds_to_roundoff(name, odd, n):
     curve = _graph(make_grid(n), name)
-    energy_rate, dissipation, _, _ = _balances(curve, odd)
+    energy_rate, _, dissipation, _, _ = _balances(curve, odd)
     assert dissipation > 0.0
     assert abs(energy_rate + 2.0 * dissipation) <= 1e-12 * 2.0 * dissipation
 
@@ -85,7 +90,43 @@ def test_l2_energy_balance_holds_to_roundoff(name, odd, n):
 @pytest.mark.parametrize("name, odd", _CASES)
 def test_mean_height_is_conserved(name, odd, n):
     curve = _graph(make_grid(n), name)
-    _, _, height_rate, height_scale = _balances(curve, odd)
+    _, _, _, height_rate, height_scale = _balances(curve, odd)
+    assert abs(height_rate) <= 1e-14 * height_scale
+
+
+_WAVES = np.arange(1, 4)
+# a height coefficient in [-0.2, 0.2]; below 1e-50 it reads 0, since the
+# cubes in the energy rate would underflow
+_HEIGHT = st.floats(-0.2, 0.2).map(lambda c: c if abs(c) >= 1e-50 else 0.0)
+
+
+@given(odd=st.booleans(),
+       slope=arrays(np.float64, (2, 3), elements=st.floats(-1.0, 1.0)),
+       reach=st.floats(0.0, 0.5),
+       height=arrays(np.float64, (2, 3), elements=_HEIGHT),
+       level=_HEIGHT)
+@settings(max_examples=100, deadline=None)
+def test_balances_hold_on_random_graphs(odd, slope, reach, height, level):
+    # p1 = sum_k a_k sin k alpha + b_k cos k alpha with
+    # sum_k k (|a_k| + |b_k|) = reach, z2 = c + sum_k c_k sin k alpha
+    # + d_k cos k alpha; an odd draw drops the cosines and c and runs the
+    # half sum. At n = 256 the alternating rule resolves every such graph.
+    grid = make_grid(256)
+    if odd:
+        slope[1], height[1], level = 0.0, 0.0, 0.0
+    total = float(_WAVES @ np.abs(slope).sum(0))
+    if total > 0.0:
+        slope = slope / total * reach
+    waves = _WAVES[:, None] * grid.nodes
+    basis = np.stack([np.sin(waves), np.cos(waves)])  # (2, 3, n)
+    p1 = np.einsum("ij,ijn->n", slope, basis)
+    z2 = level + np.einsum("ij,ijn->n", height, basis)
+    energy_rate, energy_scale, dissipation, height_rate, height_scale = (
+        _balances(make_curve(grid, p1, z2), odd))
+    # the absolute floor is the energy sum's roundoff, which dominates on
+    # nearly flat graphs
+    assert (abs(energy_rate + 2.0 * dissipation)
+            <= 1e-12 * 2.0 * dissipation + 1e-14 * energy_scale)
     assert abs(height_rate) <= 1e-14 * height_scale
 
 
@@ -126,7 +167,7 @@ def test_run_energy_residual_falls_at_fourth_order(name):
         times = np.asarray(traj.times)
         assert len(times) % 2 == 1 and np.allclose(np.diff(times), dt)
         odd = traj.pair_sum == "half"
-        dissipation = [_balances(c, odd)[1] for c in traj.snapshots]
+        dissipation = [_balances(c, odd)[2] for c in traj.snapshots]
         # Simpson's rule over the states of every step
         weights = np.ones(len(times))
         weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0

@@ -11,13 +11,15 @@ from muskat.lemma import (
     Piece,
     PreconditionError,
     QuadratureError,
+    _CENTER,
+    _TAIL,
     _curve,
     _integrand,
     _panels,
     _quad_sum,
     _shift,
-    build_blocks,
     certificate,
+    splice,
     tail_bounds,
     turnover_predictor,
     verification_report,
@@ -166,32 +168,30 @@ def test_shift_adds_dx_to_z1():
 
 def test_blocks_require_disjoint_splice():
     with pytest.raises(ValueError):
-        build_blocks(9.0)
+        splice(9.0)
     with pytest.raises(ValueError):
         tail_bounds(8.0)
 
 
 def test_tail_block_values():
-    tail = build_blocks(18.0).tail
-    assert at(tail, 1.5).z1(1.5) == 1.5
-    assert at(tail, 0.5).z1(0.5) == 0.125
-    assert at(tail, 1.5).z2(1.5) == 0.5
-    assert at(tail, 0.5).z2(0.5) == 0.5
-    assert at(tail, 0.5).z2(0.5, 1) == 1.0
+    assert at(_TAIL, 1.5).z1(1.5) == 1.5
+    assert at(_TAIL, 0.5).z1(0.5) == 0.125
+    assert at(_TAIL, 1.5).z2(1.5) == 0.5
+    assert at(_TAIL, 0.5).z2(0.5) == 0.5
+    assert at(_TAIL, 0.5).z2(0.5, 1) == 1.0
 
 
 def test_center_block_values():
-    center = build_blocks(18.0).center
-    assert at(center, 3.0).z2(3.0) == -3.0
-    assert at(center, -3.0).z2(-3.0) == 3.0
-    assert at(center, 0.5).z2(0.5) == pytest.approx(1.375)
-    assert at(center, 6.0).z2(6.0) == -1.5
-    assert at(center, 0.5).z1(0.5) == 0.125
-    assert at(center, 0.0).z2(0.0, 1) == 3.0
+    assert at(_CENTER, 3.0).z2(3.0) == -3.0
+    assert at(_CENTER, -3.0).z2(-3.0) == 3.0
+    assert at(_CENTER, 0.5).z2(0.5) == pytest.approx(1.375)
+    assert at(_CENTER, 6.0).z2(6.0) == -1.5
+    assert at(_CENTER, 0.5).z1(0.5) == 0.125
+    assert at(_CENTER, 0.0).z2(0.0, 1) == 3.0
 
 
 def test_spliced_curve_geometry():
-    z = build_blocks(18.0).spliced
+    z = splice(18.0)
     R = 18.0
     tip = at(z, R)
     assert tip.z1(R) == R
@@ -275,7 +275,7 @@ def test_predictor_crosscheck_routes_agree():
 
 def test_predictor_rejects_sloped_point():
     # on the spliced curve z1 is the identity on [1, 7], so z1' = 1 there
-    curve = build_blocks(18.0).spliced
+    curve = splice(18.0)
     with pytest.raises(PreconditionError, match="not flat enough"):
         turnover_predictor(curve, 3.0)
 
@@ -297,7 +297,7 @@ def test_predictor_reads_the_right_piece_at_a_breakpoint():
 
 
 def test_predictor_rejects_target_outside_span():
-    curve = build_blocks(18.0).spliced
+    curve = splice(18.0)
     for alpha0 in (-25.0, 20.5):
         with pytest.raises(PreconditionError, match="outside the curve"):
             turnover_predictor(curve, alpha0)

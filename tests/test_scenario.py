@@ -221,6 +221,13 @@ def test_snapshot_round_trip(tmp_path, grid64):
     export_snapshot(again, third, time=t)
     assert third.read_bytes() == second.read_bytes()
 
+    # blank lines between the rows are skipped
+    spaced = tmp_path / "spaced.dat"
+    spaced.write_text(first.read_text().replace("\n", "\n\n"))
+    loose, t_loose = import_snapshot(spaced)
+    assert t_loose == t
+    assert np.array_equal(loose.samples, back.samples)
+
 
 def test_export_rows_match_the_per_value_format(tmp_path):
     grid = make_grid(16)
@@ -790,6 +797,11 @@ def test_cli_reads_negative_scientific_notation(tmp_path, capsys):
         assert main(["run", "--scenario", "FORWARD_RERUN", flag,
                      "-2.5e-3"]) == 1
         assert message in capsys.readouterr().err, flag
+
+    # a flag is joined to a number only: --out, followed by --n, is left
+    # without its value
+    assert main(["run", "--out", "--n", "64"]) == 1
+    assert "argument --out: expected one argument" in capsys.readouterr().err
 
 
 def test_cli_run_sets_every_config_key(tmp_path, capsys):
