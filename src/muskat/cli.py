@@ -118,23 +118,28 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _fixed(v: float) -> str:
+    """v to 9 decimals; a value that rounds to zero prints without a sign."""
+    return f"{round(v, 9) + 0.0:.9f}"
+
+
 def _print_turning_report(curve, time: float) -> None:
     """Minimum slope, regime, vertical tangents and near-critical minima."""
     rep = turning_report(curve)
     print(f"time = {time:.9g}")
     print(f"n = {curve.grid.n}")
     print(f"min_slope estimate = {rep.min_slope:.9e} at alpha ="
-          f" {rep.argmin:.9f} (parabola fit)")
+          f" {_fixed(rep.argmin)} (parabola fit)")
     print(f"regime = {rep.regime} (grid min_slope = {rep.grid_min:.9e},"
           f" tol {SLOPE_TOL:g})")
     if rep.tangent_points:
         for a, x, y in rep.tangent_points:
-            print(f"vertical tangent: alpha = {a:.9f},"
-                  f" point = ({x:.9f}, {y:.9f})")
+            print(f"vertical tangent: alpha = {_fixed(a)},"
+                  f" point = ({_fixed(x)}, {_fixed(y)})")
     else:
         print("vertical tangents: none")
     for a, slope in rep.near_critical:
-        print(f"near-critical minimum: alpha = {a:.9f},"
+        print(f"near-critical minimum: alpha = {_fixed(a)},"
               f" slope estimate = {slope:.9e}")
     if not rep.near_critical:
         print("near-critical minima: none")

@@ -91,8 +91,10 @@ class RunConfig:
     a manifest rebuilds an equal config.
 
     dataclasses.replace carries these values. A replace that changes the
-    scenario must pass n, t_final and eps again (None re-resolves): a
-    carried value the new scenario does not take raises, naming the field.
+    scenario must pass n, t_final and eps again (None re-resolves). A
+    carried value the new scenario does not take raises, naming the field,
+    but one it takes is kept: between FORWARD_RERUN and CONJ_TURNOVER the
+    carried t_final (0.06 or 0.3) runs in place of the new default.
     """
     scenario: str = "BACKWARD_SEED"
     n: int | None = None

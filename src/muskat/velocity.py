@@ -80,13 +80,15 @@ a real denominator above _SCREEN_DELTA. A row chunk whose smallest
 forms their real denominators in the cancellation-free form
 2 (sinh^2(d2/2) + sin^2(d1/2)), which is accurate to a few eps however
 close the pair. Only these denominators meet ARC_CHORD_FLOOR, so
-the smallest of them is an ArcChordReport's, and only these kernel
+the smallest of them is an ArcChordError's, and only these kernel
 entries are replaced by sin(d1)/(2 den), K/2 in the real form. Every
 other pair keeps the Cauchy form, whose relative error of about
 eps/sqrt(den) is below the eps/den of cosh(d2) - cos(d1) as written.
 _SCREEN_DELTA is 1e4 ARC_CHORD_FLOOR, far more than the roundoff of the
 |dzeta|^2 screen, so no pair at the floor escapes it. On the paper's
-seed at n = 2048 it picks 58 of the 1 048 576 (even, odd) pairs.
+seed at n = 2048 it picks 62 of the 1 048 576 (even, odd) pairs of the
+full sum, and none of the 525 312 of the half sum, which every preset
+run takes.
 
 Two processes. A call that forms at least _SPLIT_PAIRS = 131 072 pairs
 (4 chunks: the half sum from n = 1024, the full sum from n = 726), in a
@@ -101,19 +103,19 @@ those of the second half to another, the row products are disjoint, and
 the caller adds the two column sums. A call that does not split, or
 whose helper died, sums the second half itself into the same column sum,
 so it is the split sum run in one process. The shared memory is 256 m
-bytes, 1 MiB at n = 8192. The arc-chord report is the smaller of the two
-halves', the first half's on a tie, since its rows come first. Threads
-cannot do this: every numpy call in a chunk hands the GIL back and
-forth, and two threads did twice the chunk work of one in 1.8x its time,
-while two processes running the loop at once each took 0.99-1.06x their
-time alone. Per right-hand side of SEED_T0 (same host, medians over 12
-processes) the split takes the half sum from 0.95 to 0.87 ms at
-n = 1024, 3.5 to 2.4 ms at n = 2048 and 13.0 to 8.3 ms at n = 4096, and
-the full sum from 2.0 to 1.7, 6.4 to 4.6 and 25.0 to 16.4 ms. Split and
-serial interleaved in one process, the half sum at n = 512 (2 chunks)
-gained nothing (0.37 against 0.39 ms, split faster in 7 of 41 rounds),
-at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks) 20%, hence the
-threshold.
+bytes, 1 MiB at n = 8192. The smallest near-pair denominator is the
+smaller of the two halves', the first half's on a tie, since its rows
+come first. Threads cannot do this: every numpy call in a chunk hands
+the GIL back and forth, and two threads did twice the chunk work of one
+in 1.8x its time, while two processes running the loop at once each took
+0.99-1.06x their time alone. Per right-hand side of SEED_T0 (same host,
+medians over 12 processes) the split takes the half sum from 0.95 to
+0.87 ms at n = 1024, 3.5 to 2.4 ms at n = 2048 and 13.0 to 8.3 ms at
+n = 4096, and the full sum from 2.0 to 1.7, 6.4 to 4.6 and 25.0 to
+16.4 ms. Split and serial interleaved in one process, the half sum at
+n = 512 (2 chunks) gained nothing (0.37 against 0.39 ms, split faster in
+7 of 41 rounds), at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks)
+20%, hence the threshold.
 
 Two processes are not two CPUs: the scheduler places the helper, and some
 processes keep it on the caller's CPU for every call (field 39 of
@@ -162,7 +164,6 @@ import mmap
 import os
 import struct
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -204,24 +205,22 @@ _SCREEN_DELTA = 1e-8
 _ODD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ArcChordReport:
-    """The smallest cosh(dz2) - cos(dz1), evaluated as
-    2 (sinh^2(dz2/2) + sin^2(dz1/2)), over the rows a pair sum formed, at
-    or below ARC_CHORD_FLOOR, and its (even target, odd source) node pair,
-    the first in row-major order on ties."""
-    min_denominator: float
-    pair: tuple[int, int]
-
-
 class ArcChordError(RuntimeError):
-    """Interface points collided or nearly collided."""
+    """Interface points collided or nearly collided: min_denominator is the
+    smallest cosh(dz2) - cos(dz1), evaluated as
+    2 (sinh^2(dz2/2) + sin^2(dz1/2)), over the rows a pair sum formed, at
+    or below ARC_CHORD_FLOOR, and pair its (even target, odd source) node
+    pair, the first in row-major order on ties. Both are the args, so the
+    error pickles."""
 
-    def __init__(self, report: ArcChordReport):
-        super().__init__(
-            f"arc-chord denominator {report.min_denominator:.3e} at or below"
-            f" floor {ARC_CHORD_FLOOR:.3e} between nodes {report.pair}")
-        self.report = report
+    def __init__(self, min_denominator: float, pair: tuple[int, int]):
+        super().__init__(min_denominator, pair)
+        self.min_denominator = min_denominator
+        self.pair = pair
+
+    def __str__(self) -> str:
+        return (f"arc-chord denominator {self.min_denominator:.3e} at or "
+                f"below floor {ARC_CHORD_FLOOR:.3e} between nodes {self.pair}")
 
 
 class _Workspace:
@@ -443,10 +442,10 @@ def _sum_pairs(ws: _Workspace, nrows: int, edges: list[int],
                split: bool) -> tuple[float, int, int]:
     """Every chunk of a call, as _sum_chunks sums them: the first half here
     into ws.col[0], and the second into ws.col[1] by the helper that serves
-    ws with split, else here too, so that both sum alike. The report is the
-    smaller of the two halves', and on a tie the first half's, whose rows
-    come first. A helper found dead is reaped and its chunks are summed
-    here."""
+    ws with split, else here too, so that both sum alike. The smallest
+    near-pair denominator is the smaller of the two halves', and on a tie
+    the first half's, whose rows come first. A helper found dead is reaped
+    and its chunks are summed here."""
     helper = _helper_for(ws) if split else None
     try:
         if helper is not None:
@@ -492,7 +491,7 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
 
     Raises ArcChordError, without dividing by it, if some real denominator
     cosh(dz2) - cos(dz1) of the rows summed is at or below ARC_CHORD_FLOOR;
-    the report gives the smallest and its (even, odd) node pair, the first
+    the error carries the smallest and its (even, odd) node pair, the first
     in row-major order, so the row chunking does not change it. A half sum
     reports from its own rows 0..m//2. Denominators are evaluated in the
     cancellation-free form 2 (sinh^2(dz2/2) + sin^2(dz1/2)), and only on
@@ -543,7 +542,7 @@ def periodic_rhs(curve: SampledCurve, *, odd: bool = False) -> np.ndarray:
 
     worst, i, j = _sum_pairs(ws, nrows, edges, processes == 2)
     if worst <= ARC_CHORD_FLOOR:
-        raise ArcChordError(ArcChordReport(worst, (2 * i, 2 * j + 1)))
+        raise ArcChordError(worst, (2 * i, 2 * j + 1))
     # the column sums of the two halves, in either process
     col = ws.col[0] + ws.col[1]
 

@@ -6,7 +6,8 @@ drops or renames a binding, or moves one of those arguments, would only
 surface when a traced benchmark run starts. Likewise a kernel change that
 moves a workload's outputs past the tolerances of perfbench/check.py would
 only surface in a benchmark run, so each workload is also run here, at
-seed 0, through the benchmark's own output check.
+seed 0, through the benchmark's own output check. The child's own map of
+scenario presets is checked against the scenario table.
 """
 
 import importlib
@@ -92,6 +93,15 @@ def test_traced_run_notes_read_their_arguments(tmp_path, monkeypatch):
     assert len(notes["velocity.rhs"]) == 4 * 4 + 1
     assert set(notes["velocity.rhs"]) == {32}
     assert notes["spectral.smooth"] and notes["scenario.export"]
+
+
+def test_child_samples_the_scenario_presets():
+    # the child samples the preset inside setup_s from its own map; a
+    # preset changed in the scenario table alone would time another curve
+    child = _load("child")
+    assert child._PRESET == {name: spec.preset
+                             for name, spec in scenario._SCENARIOS.items()
+                             if spec.preset is not None}
 
 
 @pytest.mark.parametrize("name", ["backward-512", "turnover-512",

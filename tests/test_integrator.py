@@ -31,7 +31,7 @@ from muskat.integrator import (
     slope_profile,
 )
 from muskat.scenario import RunConfig, export_snapshot, run_scenario
-from muskat.velocity import ArcChordError, ArcChordReport, periodic_rhs
+from muskat.velocity import ArcChordError, periodic_rhs
 
 from conftest import asymmetric_curve
 
@@ -330,7 +330,7 @@ def test_adaptive_run_evaluates_k1_once_per_state_and_six_slopes_per_trial(
 
 
 def _collapse(curve):
-    raise ArcChordError(ArcChordReport(0.0, (0, 1)))
+    raise ArcChordError(0.0, (0, 1))
 
 
 def _nan_velocity(curve):

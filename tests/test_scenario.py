@@ -26,7 +26,7 @@ from muskat.scenario import (
     run_scenario,
 )
 from muskat.spectral import filtered_derivative
-from muskat.velocity import ArcChordError, ArcChordReport, periodic_rhs
+from muskat.velocity import ArcChordError, periodic_rhs
 
 
 def test_config_defaults():
@@ -81,6 +81,26 @@ def test_cross_scenario_replace_names_a_carried_field(start, changes, field):
     fresh = {"n": None, "t_final": None, "eps": None}
     assert dataclasses.replace(cfg, **{**changes, **fresh}) == \
         RunConfig(**{**start, **changes})
+
+
+@pytest.mark.parametrize("start, changes, carried", [
+    ({"scenario": "FORWARD_RERUN", "input_snapshot": "f.dat"},
+     {"scenario": "CONJ_TURNOVER", "input_snapshot": None}, 0.06),
+    ({"scenario": "CONJ_TURNOVER"},
+     {"scenario": "FORWARD_RERUN", "input_snapshot": "f.dat", "n": None},
+     0.3),
+])
+def test_cross_scenario_replace_keeps_a_carried_t_final(start, changes,
+                                                        carried):
+    # both forward scenarios take a t_final, so a carried one does not
+    # raise: it runs in place of the new scenario's default, as the
+    # RunConfig docstring warns; passing it again as None re-resolves it
+    cfg = dataclasses.replace(RunConfig(**start), **changes)
+    assert cfg.t_final == carried
+    assert cfg.t_final != RunConfig(**{**start, **changes}).t_final
+    fresh = dataclasses.replace(RunConfig(**start),
+                                **{**changes, "t_final": None})
+    assert fresh == RunConfig(**{**start, **changes})
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -526,7 +546,7 @@ def test_manifest_error_is_the_first_failed_legs_line(tmp_path, monkeypatch,
 def test_leg_failing_on_its_first_step_keeps_its_status(tmp_path,
                                                         monkeypatch):
     def collapse(curve, *args):
-        raise ArcChordError(ArcChordReport(0.0, (0, 1)))
+        raise ArcChordError(0.0, (0, 1))
 
     monkeypatch.setattr(integrator, "rk45_step", collapse)
     out = tmp_path / "bwd"
@@ -757,6 +777,17 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert code == 0
     assert "regime = " in captured.out
     assert "near-critical minimum: alpha = " in captured.out
+
+
+def test_cli_inspect_prints_no_signed_zero(tmp_path, capsys):
+    # the parabola vertex of an odd curve's slope minimum sits at alpha = 0
+    # up to roundoff, -1.2e-15 for CONJ_T0 at n = 64
+    snap = tmp_path / "conj.dat"
+    export_snapshot(sample_preset("CONJ_T0", make_grid(64)), snap)
+    assert main(["inspect", str(snap)]) == 0
+    out = capsys.readouterr().out
+    assert "at alpha = 0.000000000 (parabola fit)" in out
+    assert "-0.000000000" not in out
 
 
 def test_cli_run_whose_step_cannot_move_the_clock_exits(tmp_path):
