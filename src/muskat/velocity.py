@@ -90,44 +90,50 @@ seed at n = 2048 it picks 62 of the 1 048 576 (even, odd) pairs of the
 full sum, and none of the 525 312 of the half sum, which every preset
 run takes.
 
-Two processes. A call that forms at least _SPLIT_PAIRS = 131 072 pairs
-(4 chunks: the half sum from n = 1024, the full sum from n = 726), in a
-process that os.sched_getaffinity allows on two CPUs or more, sums the
-first half of its chunks, rounded up, itself and hands the rest to a
-helper process. The workspace's operands and node rows sit in a shared
-anonymous mmap; the helper reads them there and writes its rows of the
-row products and the column sum of its chunks back. The split is
-bitwise: one chunk loop (_sum_chunks) adds the column products of the
-first half of the chunks, in chunk order, to one (3, m) column sum and
-those of the second half to another, the row products are disjoint, and
-the caller adds the two column sums. A call that does not split, or
-whose helper died, sums the second half itself into the same column sum,
-so it is the split sum run in one process. The shared memory is 256 m
-bytes, 1 MiB at n = 8192. The smallest near-pair denominator is the
-smaller of the two halves', the first half's on a tie, since its rows
-come first. Threads cannot do this: every numpy call in a chunk hands
-the GIL back and forth, and two threads did twice the chunk work of one
-in 1.8x its time, while two processes running the loop at once each took
-0.99-1.06x their time alone. Per right-hand side of SEED_T0 (same host,
-medians over 12 processes) the split takes the half sum from 0.95 to
-0.87 ms at n = 1024, 3.5 to 2.4 ms at n = 2048 and 13.0 to 8.3 ms at
-n = 4096, and the full sum from 2.0 to 1.7, 6.4 to 4.6 and 25.0 to
-16.4 ms. Split and serial interleaved in one process, the half sum at
-n = 512 (2 chunks) gained nothing (0.37 against 0.39 ms, split faster in
-7 of 41 rounds), at n = 768 (3 chunks) 10% and at n = 1024 (4 chunks)
-20%, hence the threshold.
+Two processes. A call cut into more than 4 chunks (the half sum from n =
+1024, the full sum from n = 726), in a process that os.sched_getaffinity
+allows on two CPUs or more, sums the first half of its chunks, rounded
+up, itself and hands the rest to a helper process. The workspace's
+operands and node rows sit in a shared anonymous mmap; the helper reads
+them there and writes its rows of the row products and the column sum of
+its chunks back. The split is bitwise: one chunk loop (_sum_chunks) adds
+the column products of the first half of the chunks, in chunk order, to
+one (3, m) column sum and those of the second half to another, the row
+products are disjoint, and the caller adds the two column sums. A call
+that does not split, or whose helper died, sums the second half itself
+into the same column sum, so it is the split sum run in one process. The
+shared memory is 256 m bytes, 1 MiB at n = 8192. The smallest near-pair
+denominator is the smaller of the two halves', the first half's on a tie,
+since its rows come first. Threads cannot do this: every numpy call in a
+chunk hands the GIL back and forth, and two threads did twice the chunk
+work of one in 1.8x its time, while two processes running the loop at
+once each took 0.99-1.06x their time alone. Per right-hand side of
+SEED_T0 (same host, medians over 12 processes) the split takes the half
+sum from 0.95 to 0.87 ms at n = 1024, 3.5 to 2.4 ms at n = 2048 and 13.0
+to 8.3 ms at n = 4096, and the full sum from 2.0 to 1.7, 6.4 to 4.6 and
+25.0 to 16.4 ms. Split and serial interleaved in one process, the half
+sum at n = 512 (2 chunks) gained nothing (0.37 against 0.39 ms, split
+faster in 7 of 41 rounds), at n = 768 (3 chunks) 10% and at n = 1024 (5
+chunks) 20%, hence the threshold.
 
-Two processes are not two CPUs: the scheduler places the helper, and some
-processes keep it on the caller's CPU for every call (field 39 of
-/proc/<pid>/stat, read after each call). A split call then costs the
-caller's time plus the helper's: on the 2-vCPU Xeon a split half sum at
-n = 2048 took 2.3-2.9 ms per call, as long as one process, against
-1.5-1.9 ms on separate CPUs, and direct runs of the benchmark's
-backward-2048 config took 0.145-0.19 s against 0.095-0.12 s. Pinning the
-helper to its own CPU was tried and not kept: with the caller pinned away
-from it for each call it lost 9 of 10 benchmark pairs by about 4%, and
-with the caller polling the reply instead it won 8 of 10 pairs, then 8 of
-16.
+Where the helper runs. Left to the scheduler, the helper sat on the
+caller's CPU (field 39 of /proc/<pid>/stat, the CPU a process last ran
+on) after each of 100 back-to-back half sums at n = 2048, in each of 5
+fresh processes, and a split call cost the caller's time plus the
+helper's. So the caller reads its own field 39 just before the fork, and
+the helper, once forked, restricts itself with os.sched_setaffinity to
+the caller's other CPUs; an OSError there, as for a CPU the machine
+lacks, leaves it unpinned, as does a missing /proc. The caller's own
+affinity is never touched, so the scheduler stays free to move it.
+(Pinning the caller away from the helper on every call lost 9 of 10
+benchmark pairs by about 4%.) On the 2-vCPU Xeon the placed helper shared
+the caller's CPU after 0 of 900 such calls in 9 processes; a split call
+took 1.27-1.65 ms placed, 2.24-2.72 ms unplaced and 2.12-2.79 ms in one
+process. Placed against unplaced, in alternating pairs: the default
+BACKWARD_SEED at n = 2048 run to -4e-3 (100 steps) took 0.74-0.97 s
+against 1.14-1.38 s (8 of 8), and the full-resolution criterion-8 test
+(1230 steps) 8.2-9.3 s against 12.9-13.7 s (4 of 4). On the benchmark's
+13-step backward-2048 it is neutral: faster in 3 of 6 interleaved rounds.
 
 One helper. A process has at most one helper (_helper), and it serves
 one workspace, that is one grid: the full and the half sum on a grid
@@ -164,6 +170,7 @@ import mmap
 import os
 import struct
 import warnings
+from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
@@ -183,10 +190,6 @@ ARC_CHORD_FLOOR = 1e-12
 # 0.59-0.78 / 0.46-0.65 / 0.49-0.69 / 0.63-0.91 ms at n = 512.
 _CHUNK_PAIRS = 1 << 15
 
-# A call that forms at least this many pairs, 4 chunks, splits its chunks
-# with a helper process when it may run on two CPUs (see the module
-# docstring).
-_SPLIT_PAIRS = 4 * _CHUNK_PAIRS
 # A command to a helper: rows summed and chunks. A reply: the smallest
 # near-pair denominator of its rows and its (even row, odd column),
 # (-1, -1) for none.
@@ -267,11 +270,17 @@ def _workspace(m: int) -> _Workspace:
 class _Helper:
     """A process forked to sum the last chunks of split calls in the
     shared memory of workspace ws, and the caller's ends of its command
-    and reply pipes. It exits at end of file on the command pipe: when the
-    caller closes it, or dies."""
+    and reply pipes. It runs on the caller's CPUs but the one the caller
+    last ran on, when it may. It exits at end of file on the command pipe:
+    when the caller closes it, or dies."""
 
     def __init__(self, ws: _Workspace):
         self.ws = ws
+        # the caller's CPUs but the one it last ran on, field 39 of its
+        # stat; all of them without /proc
+        others = os.sched_getaffinity(0)
+        with suppress(OSError), open("/proc/self/stat") as stat:
+            others -= {int(stat.read().rpartition(")")[2].split()[36])}
         cmd_in, self.cmd = os.pipe()
         self.reply, reply_out = os.pipe()
         try:
@@ -287,6 +296,10 @@ class _Helper:
             try:
                 os.close(self.cmd)
                 os.close(self.reply)
+                # OSError, for an empty set or CPUs this machine lacks,
+                # leaves the helper unpinned
+                with suppress(OSError):
+                    os.sched_setaffinity(0, others)
                 _serve(ws, cmd_in, reply_out)
                 code = 0
             finally:
@@ -373,7 +386,8 @@ def _plan(n: int, odd: bool) -> tuple[int, int, int, int]:
     nrows = m // 2 + 1 if odd else m
     # equal row chunks of at most _CHUNK_PAIRS pairs (one row at least)
     chunks = min(nrows, -(-nrows * m // _CHUNK_PAIRS))
-    split = (chunks > 1 and nrows * m >= _SPLIT_PAIRS and not _fork_failed
+    # why more than 4 chunks: "Two processes" in the module docstring
+    split = (chunks > 4 and not _fork_failed
              and hasattr(os, "sched_getaffinity")
              and len(os.sched_getaffinity(0)) > 1)
     return m, nrows, chunks, 2 if split else 1
@@ -381,9 +395,9 @@ def _plan(n: int, odd: bool) -> tuple[int, int, int, int]:
 
 def pair_processes(n: int, *, odd: bool = False) -> int:
     """Processes that sum the pairs of periodic_rhs(curve, odd=odd) on n
-    nodes: 2 when the call forms at least _SPLIT_PAIRS pairs and this
-    process may run on two CPUs or more, unless a fork for a helper failed
-    or warned here, else 1."""
+    nodes: 2 when the call is cut into more than 4 chunks and this process
+    may run on two CPUs or more, unless a fork for a helper failed or
+    warned here, else 1."""
     return _plan(n, odd)[3]
 
 

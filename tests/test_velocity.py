@@ -468,18 +468,43 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_split_follows_the_pair_count_and_the_cpus(monkeypatch):
-    # 4 chunks of _CHUNK_PAIRS at least: the half sum splits from n = 1024
-    # (257 x 512 pairs; 256 x 510 at n = 1020 do not), the full sum from
-    # n = 726 (363 x 363), and n = 512 splits neither
+def test_split_follows_the_chunk_count_and_the_cpus(monkeypatch):
+    # more than 4 chunks of at most _CHUNK_PAIRS: the half sum splits from
+    # n = 1024 (257 x 512 pairs, 5 chunks; 256 x 510 at n = 1020 make 4),
+    # the full sum from n = 726 (363 x 363), and n = 512 splits neither
     _cpus(monkeypatch, 2)
-    assert velocity._SPLIT_PAIRS == 4 * velocity._CHUNK_PAIRS == 131072
     assert [velocity.pair_processes(n, odd=odd)
             for n in (512, 724, 726, 1020, 1024, 2048)
             for odd in (False, True)] == [
         1, 1, 1, 1, 2, 1, 2, 1, 2, 2, 2, 2]
     _cpus(monkeypatch, 1)
     assert velocity.pair_processes(2048) == 1
+
+
+@_needs_proc
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_helper_runs_off_the_callers_cpu(monkeypatch):
+    splits = _record_splits(monkeypatch)
+    periodic_rhs(_test_curve("SEED_T0", 2048), odd=True)
+    assert splits
+    assert os.sched_getaffinity(_helper_pid()) < os.sched_getaffinity(0)
+
+
+def test_a_helper_that_cannot_be_placed_sums_unpinned(monkeypatch):
+    curve = _test_curve("SEED_T0", 2048)
+    serial = _serial(monkeypatch, curve, odd=True)
+    real = os.sched_getaffinity
+    # two CPUs this machine lacks: the helper's sched_setaffinity fails
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {1 << 16, (1 << 16) + 1})
+    splits = _record_splits(monkeypatch)
+    for _ in range(2):
+        assert np.array_equal(periodic_rhs(curve, odd=True), serial)
+    # one helper served both calls, and it runs where its caller may
+    assert len(splits) == 2 and splits[0] == splits[1] == _helper_pid()
+    assert real(_helper_pid()) == real(0)
 
 
 @pytest.mark.parametrize("name, odd", [("SEED_T0", False), ("SEED_T0", True),
